@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .bounds import (
     BlockForm,
     BoundEvaluation,
-    CovariancePair,
     JointDiagonalization,
     MismatchReport,
     block_diagonalize,
@@ -27,7 +26,6 @@ from .bounds import (
     weak_bound,
 )
 from .channel import (
-    ArrivalSet,
     Environment,
     Geometry,
     arrivals_batch,
@@ -36,13 +34,12 @@ from .channel import (
     environment_to_dict,
     geometry_from_dict,
     geometry_to_dict,
-    image_method_arrivals,
     load_scene,
     stratified_delay,
     validate_environment,
     validate_geometry,
 )
-from .csd import CsdEstimate, SampleSet, estimate_csd, knn_radius
+from .csd import CsdEstimate, estimate_csd, knn_radius
 from .errors import (
     ConfigError,
     DegenerateGeometryError,
@@ -72,22 +69,17 @@ from .localize import (
     TrainingSet,
     concentrated_loglikelihood,
     extract_features,
-    grid_search_ml,
     load_model,
     save_model,
     train_net,
 )
 from .signal import (
     FrequencyResponseStack,
-    Observation,
-    WaveformSpectrum,
     angular_frequencies,
-    draw_waveform,
     frequency_response,
     load_observations,
     response_stack,
     response_stack_batch,
     save_observations,
     steering_matrix,
-    synthesize_observation,
 )

@@ -31,16 +31,6 @@ BOUNDARY_RTOL = 1e-12
 
 
 @dataclass
-class CovariancePair:
-    """Dense covariance matrices of the presumed and actual observation laws."""
-
-    sigma_q: np.ndarray
-    sigma_p: np.ndarray
-    signal_power: float
-    noise_power: float
-
-
-@dataclass
 class BlockForm:
     """Per-frequency L x L blocks of an interleave-permuted covariance.
 

@@ -16,7 +16,7 @@ in-column integrals over the folded sub-segments.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,18 +69,6 @@ class Geometry:
         self.volume = np.asarray(self.volume, dtype=float)
         if self.source is not None:
             self.source = np.asarray(self.source, dtype=float)
-
-
-@dataclass
-class ArrivalSet:
-    """Ray arrivals for one receiver, sorted by ascending delay."""
-
-    delays: np.ndarray
-    gains: np.ndarray
-
-    def __post_init__(self):
-        self.delays = np.asarray(self.delays, dtype=float)
-        self.gains = np.asarray(self.gains, dtype=complex)
 
 
 def validate_environment(env: Environment) -> list[str]:
@@ -337,25 +325,6 @@ def arrivals_batch(
     delays_out = np.moveaxis(kept_delays, 0, 2)
     gains_out = np.moveaxis(kept_gains, 0, 2)
     return delays_out, gains_out
-
-
-def image_method_arrivals(
-    env: Environment,
-    geometry: Geometry,
-    receiver_index: int,
-    *,
-    min_distance: float = DEFAULT_MIN_DISTANCE,
-) -> ArrivalSet:
-    """Arrivals between geometry.source and one receiver, shortest-delay first."""
-    if geometry.source is None:
-        raise ConfigError("geometry has no source position")
-    delays, gains = arrivals_batch(
-        env,
-        geometry.receivers[receiver_index : receiver_index + 1],
-        geometry.source[None, :],
-        min_distance=min_distance,
-    )
-    return ArrivalSet(delays[0, 0], gains[0, 0])
 
 
 def average_attenuation(

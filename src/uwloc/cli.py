@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bounds, channel, csd, harness, localize
+from . import __version__, bounds, csd, harness, localize
 from . import signal as signal_mod
 from .errors import (
     ConfigError,
@@ -58,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config master seed")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes (results do not depend on this)")
         p.add_argument("--out", default=None, required=needs_out,
                        help="output directory")
 
@@ -103,6 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="full SNR sweep")
     common(p)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (results do not depend on this)")
 
     return parser
 
@@ -117,23 +117,16 @@ def _load_config(args) -> harness.ExperimentConfig:
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     env = config.environment_q if args.env == "q" else config.environment_p
-    if config.source is None:
-        rng = np.random.default_rng(harness.derive_seed(config.seed, "source", 0))
-        source = harness._uniform_positions(rng, config.geometry.volume, 1)[0]
-    else:
-        source = config.source
+    source, attenuation = harness.derive_scene(config)
     stack = signal_mod.response_stack(
         env, config.geometry.receivers, source, config.n_bins, config.sample_period
     )
-    attenuation = channel.average_attenuation(
-        config.environment_q,
-        config.geometry,
-        sample_count=config.attenuation_samples,
-        rng_seed=harness.derive_seed(config.seed, "attenuation", 0),
-    )
-    noise_power = harness.SIGNAL_POWER * attenuation / 10.0 ** (args.snr_db / 10.0)
-    rng = np.random.default_rng(harness.derive_seed(config.seed, "simulate", 0))
-    values = harness._draw_observations(stack.h, noise_power, args.count, rng)
+    noise_power = harness.noise_level(attenuation, args.snr_db)
+    values = np.empty((args.count, *stack.h.shape), dtype=complex)
+    for rows, obs in harness.observation_chunks(
+        config.seed, "simulate", stack.h, noise_power, args.count
+    ):
+        values[rows] = obs
     out = Path(args.out or "simulate-out")
     out.mkdir(parents=True, exist_ok=True)
     signal_mod.save_observations(out / "observations.bin", values,
@@ -186,12 +179,7 @@ def _cmd_train(args) -> int:
         features = localize.extract_features(values, attenuation)
         targets = labels
     else:
-        attenuation = channel.average_attenuation(
-            config.environment_q,
-            config.geometry,
-            sample_count=config.attenuation_samples,
-            rng_seed=harness.derive_seed(config.seed, "attenuation", 0),
-        )
+        _, attenuation = harness.derive_scene(config)
         training = harness.build_training_set(config, attenuation)
         features, targets = training.features, training.targets
     model, loss_curve = localize.train_net(
@@ -296,9 +284,11 @@ def _cmd_estimate_csd(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     config = _load_config(args)
     result = harness.run_experiment(
-        config, workers=max(1, args.workers), progress=lambda s: print(s, flush=True)
+        config, workers=args.workers, progress=lambda s: print(s, flush=True)
     )
     out = args.out or "experiment-out"
     paths = harness.emit_outputs(result, out)

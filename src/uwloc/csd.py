@@ -26,25 +26,6 @@ DEFAULT_K = 5
 
 
 @dataclass
-class SampleSet:
-    """Labelled point cloud, points (count, dim)."""
-
-    points: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        self.points = _as_points(self.points)
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-
-@dataclass
 class CsdEstimate:
     """k-NN divergence estimate with the quantities that produced it.
 
@@ -82,7 +63,8 @@ def _knn_distances_kdtree(points: np.ndarray, queries: np.ndarray, k: int) -> np
 
 
 def _knn_distances_brute(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-    # Exact pairwise fallback; quadratic, only sensible for small inputs.
+    # Exact pairwise search; quadratic, the reference the KD-tree is tested
+    # against on small inputs.
     diff = queries[:, None, :] - points[None, :, :]
     dists = np.sqrt(np.sum(diff * diff, axis=2))
     dists.sort(axis=1)
@@ -117,8 +99,7 @@ def knn_radius(points, query, k: int, *, exclude_self: bool = False,
     return float(dists[0, need - 1])
 
 
-def estimate_csd(samples_p, samples_q, k: int = DEFAULT_K, *,
-                 method: str = "kdtree") -> CsdEstimate:
+def estimate_csd(samples_p, samples_q, k: int = DEFAULT_K) -> CsdEstimate:
     """Estimate chi2(P || Q) from samples of each distribution.
 
     samples_p: (n, d) draws from P, the distribution in the numerator.
@@ -140,13 +121,9 @@ def estimate_csd(samples_p, samples_q, k: int = DEFAULT_K, *,
         raise EstimationError(f"need at least k+1={k + 1} samples of P, got {n}")
     if m < k:
         raise EstimationError(f"need at least k={k} samples of Q, got {m}")
-    if method not in _METHODS:
-        raise EstimationError(f"unknown method '{method}'")
-    query = _METHODS[method]
-
     # k-th neighbor within P, self excluded: query k+1, drop the self hit.
-    rho = query(pts_p, pts_p, k + 1)[:, k]
-    nu = query(pts_q, pts_p, k)[:, k - 1]
+    rho = _knn_distances_kdtree(pts_p, pts_p, k + 1)[:, k]
+    nu = _knn_distances_kdtree(pts_q, pts_p, k)[:, k - 1]
 
     valid = (rho > 0.0) & (nu > 0.0)
     excluded = int(n - np.count_nonzero(valid))

@@ -7,9 +7,16 @@ RMSE values, the sample-based bound, and the closed-form bound into one
 curve row.
 
 Determinism contract: every random stream is derived from the single master
-seed through derive_seed(master, stage, index), and trials are generated in
-fixed-size chunks that each own such a stream. Results are therefore
-byte-identical for a fixed config and seed, regardless of worker count.
+seed through derive_seed(master, stage, index), and observations are drawn
+in TRIAL_CHUNK-sized chunks that each own such a stream. Results are
+therefore byte-identical for a fixed config and seed, regardless of worker
+count. The scene streams are "source" (source position, when the config
+gives none) and "attenuation" (presumed-environment average attenuation).
+Observation streams are "trial-q:i" and "trial-p:i" (SNR point i),
+"train-observations", "dataset-observations" and "simulate", indexed by
+chunk. Each chunk of `count` observations x = s h + v draws, in this order:
+the waveform s, real parts then imaginary parts, shape (count, N); then the
+noise v, real parts then imaginary parts, shape (count, L, N).
 
 SNR accounting: the reported target SNR is average received signal power
 over noise power, so the noise power at a grid point is
@@ -37,7 +44,6 @@ from .errors import ConfigError, StageError
 from .localize import (
     GridEvaluator,
     GridSpec,
-    NetModel,
     TrainingSet,
     extract_features,
     train_net,
@@ -100,8 +106,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown estimator '{self.estimator}'")
         if self.n_bins < 1 or self.sample_period <= 0:
             raise ConfigError("need n_bins >= 1 and sample_period > 0")
-        if self.trials < 2:
-            raise ConfigError("need at least 2 trials")
+        if self.csd_k < 2:
+            raise ConfigError(f"csd_k must be >= 2, got {self.csd_k}")
+        if self.trials < self.csd_k + 1:
+            raise ConfigError(
+                f"trials must be >= csd_k + 1 = {self.csd_k + 1} for the "
+                f"divergence estimate, got {self.trials}"
+            )
         if len(self.snr_db) == 0:
             raise ConfigError("snr grid is empty")
         if self.seed < 0:
@@ -117,7 +128,7 @@ class ExperimentConfig:
             self.source = np.asarray(self.source, dtype=float).reshape(3)
 
 
-_GRID_KEYS = {"counts", "lower", "upper", "refine_factor", "peak_interpolation"}
+_GRID_KEYS = {"counts", "lower", "upper", "peak_interpolation"}
 _NET_KEYS = {
     "train_size",
     "train_snr_db",
@@ -172,7 +183,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             lower=np.asarray(gd.get("lower", geometry.volume[0]), dtype=float),
             upper=np.asarray(gd.get("upper", geometry.volume[1]), dtype=float),
             counts=np.asarray(gd.get("counts", (31, 31, 7)), dtype=int),
-            refine_factor=int(gd.get("refine_factor", 0)),
             peak_interpolation=bool(gd.get("peak_interpolation", False)),
         )
 
@@ -226,7 +236,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
             "counts": [int(c) for c in config.grid.counts],
             "lower": [float(v) for v in config.grid.lower],
             "upper": [float(v) for v in config.grid.upper],
-            "refine_factor": config.grid.refine_factor,
             "peak_interpolation": config.grid.peak_interpolation,
         },
         "net": dataclasses.asdict(config.net) | {"hidden": list(config.net.hidden)},
@@ -283,12 +292,37 @@ def _complex_normal(rng, shape, power: float) -> np.ndarray:
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def _draw_observations(h: np.ndarray, noise_power: float, count: int, rng) -> np.ndarray:
-    """count stacked observations for a fixed (L, N) response."""
-    l_count, n_bins = h.shape
-    waveform = _complex_normal(rng, (count, n_bins), SIGNAL_POWER)
-    noise = _complex_normal(rng, (count, l_count, n_bins), noise_power)
-    return waveform[:, None, :] * h[None, :, :] + noise
+def _draw_observations(master: int, stage: str, chunk_idx: int, h: np.ndarray,
+                       noise_power: float, count: int) -> np.ndarray:
+    """One chunk of count observations x = s h + v, shape (count, L, N).
+
+    h is one (L, N) response shared by every observation or a (count, L, N)
+    stack with one response per observation. The draw order is the one in
+    the module docstring.
+    """
+    if noise_power < 0:
+        raise ConfigError("noise power must be >= 0")
+    rng = np.random.default_rng(derive_seed(master, stage, chunk_idx))
+    waveform = _complex_normal(rng, (count, h.shape[-1]), SIGNAL_POWER)
+    noise = _complex_normal(rng, (count, *h.shape[-2:]), noise_power)
+    return waveform[:, None, :] * h + noise
+
+
+def observation_chunks(master: int, stage: str, h: np.ndarray,
+                       noise_power: float, count: int):
+    """Yield (rows, observations) for count observations, chunk by chunk.
+
+    rows is the slice of the full (count, L, N) block that the chunk fills;
+    h is as in _draw_observations, a per-observation stack being sliced by
+    rows.
+    """
+    start = 0
+    for chunk_idx, size in enumerate(_chunk_sizes(count)):
+        rows = slice(start, start + size)
+        block = h if h.ndim == 2 else h[rows]
+        yield rows, _draw_observations(master, stage, chunk_idx, block,
+                                       noise_power, size)
+        start += size
 
 
 def _chunk_sizes(total: int) -> list:
@@ -310,11 +344,9 @@ def _init_worker(state):
 
 def _run_chunk(state, master: int, point_idx: int, kind: str, chunk_idx: int,
                count: int, noise_power: float) -> np.ndarray:
-    rng = np.random.default_rng(
-        derive_seed(master, f"trial-{kind}:{point_idx}", chunk_idx)
-    )
     h = state["h_q"] if kind == "q" else state["h_p"]
-    obs = _draw_observations(h, noise_power, count, rng)
+    obs = _draw_observations(master, f"trial-{kind}:{point_idx}", chunk_idx, h,
+                             noise_power, count)
     if state["estimator"] == "ml":
         estimates = state["evaluator"].locate(obs, SIGNAL_POWER, noise_power)
     else:
@@ -335,6 +367,32 @@ def _uniform_positions(rng, volume: np.ndarray, count: int) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=(count, 3)) * (hi - lo)[None, :] + lo[None, :]
 
 
+def derive_scene(config: ExperimentConfig) -> tuple:
+    """(source, attenuation): what every command derives before drawing.
+
+    source is config.source, or a uniform draw over the search volume from
+    the "source" stream; attenuation is the presumed environment's average
+    attenuation over the volume from the "attenuation" stream.
+    """
+    if config.source is None:
+        rng = np.random.default_rng(derive_seed(config.seed, "source", 0))
+        source = _uniform_positions(rng, config.geometry.volume, 1)[0]
+    else:
+        source = config.source
+    attenuation = channel.average_attenuation(
+        config.environment_q,
+        config.geometry,
+        sample_count=config.attenuation_samples,
+        rng_seed=derive_seed(config.seed, "attenuation", 0),
+    )
+    return source, attenuation
+
+
+def noise_level(attenuation: float, snr_db: float) -> float:
+    """Noise power that puts the average received signal power snr_db above it."""
+    return SIGNAL_POWER * attenuation / 10.0 ** (snr_db / 10.0)
+
+
 def build_training_set(config: ExperimentConfig, attenuation: float) -> TrainingSet:
     """Labelled features drawn from the presumed environment at train SNR."""
     net = config.net
@@ -347,51 +405,28 @@ def build_training_set(config: ExperimentConfig, attenuation: float) -> Training
         config.n_bins,
         config.sample_period,
     )
-    noise_power = SIGNAL_POWER * attenuation / 10.0 ** (net.train_snr_db / 10.0)
     feats = None
-    start = 0
-    for chunk_idx, size in enumerate(_chunk_sizes(net.train_size)):
-        rng = np.random.default_rng(
-            derive_seed(config.seed, "train-observations", chunk_idx)
-        )
-        block = stacks[start : start + size]
-        waveform = _complex_normal(rng, (size, config.n_bins), SIGNAL_POWER)
-        noise = _complex_normal(rng, block.shape, noise_power)
-        obs = waveform[:, None, :] * block + noise
+    for rows, obs in observation_chunks(
+        config.seed, "train-observations", stacks,
+        noise_level(attenuation, net.train_snr_db), net.train_size,
+    ):
         block_feats = extract_features(obs, attenuation)
         if feats is None:
             feats = np.empty((net.train_size, block_feats.shape[1]))
-        feats[start : start + size] = block_feats
-        start += size
-    meta = {
-        "train_snr_db": net.train_snr_db,
-        "noise_power": noise_power,
-        "attenuation": attenuation,
-        "seed": config.seed,
-    }
-    return TrainingSet(features=feats, targets=positions, meta=meta)
+        feats[rows] = block_feats
+    return TrainingSet(features=feats, targets=positions)
 
 
 def _prepare_state(config: ExperimentConfig) -> dict:
     """Everything the per-chunk trial runner needs, built deterministically."""
     geometry = config.geometry
-    if config.source is None:
-        rng = np.random.default_rng(derive_seed(config.seed, "source", 0))
-        source = _uniform_positions(rng, geometry.volume, 1)[0]
-    else:
-        source = config.source
+    source, attenuation = derive_scene(config)
     dist = np.linalg.norm(geometry.receivers - source[None, :], axis=1)
     if dist.min() < channel.DEFAULT_MIN_DISTANCE:
         raise ConfigError(
             f"source {source.tolist()} is {dist.min():.3g} m from a receiver, "
             f"below the far-field minimum {channel.DEFAULT_MIN_DISTANCE:g} m"
         )
-    attenuation = channel.average_attenuation(
-        config.environment_q,
-        geometry,
-        sample_count=config.attenuation_samples,
-        rng_seed=derive_seed(config.seed, "attenuation", 0),
-    )
     h_q = signal_mod.response_stack(
         config.environment_q, geometry.receivers, source, config.n_bins,
         config.sample_period,
@@ -464,8 +499,7 @@ def run_experiment(
             raise StageError("train", config.seed, exc) from exc
         note(f"trained net, final loss {loss_curve[-1]:.4g}")
 
-    snr_lin = [10.0 ** (db / 10.0) for db in config.snr_db]
-    noise_powers = [SIGNAL_POWER * state["attenuation"] / s for s in snr_lin]
+    noise_powers = [noise_level(state["attenuation"], db) for db in config.snr_db]
 
     jobs = []
     for idx in range(len(config.snr_db)):
@@ -672,24 +706,13 @@ def generate_dataset(
         config.n_bins,
         config.sample_period,
     )
-    attenuation = channel.average_attenuation(
-        config.environment_q,
-        config.geometry,
-        sample_count=config.attenuation_samples,
-        rng_seed=derive_seed(config.seed, "attenuation", 0),
-    )
-    noise_power = SIGNAL_POWER * attenuation / 10.0 ** (snr_db / 10.0)
+    _, attenuation = derive_scene(config)
+    noise_power = noise_level(attenuation, snr_db)
     values = np.empty_like(stacks)
-    start = 0
-    for chunk_idx, size in enumerate(_chunk_sizes(count)):
-        rng = np.random.default_rng(
-            derive_seed(config.seed, "dataset-observations", chunk_idx)
-        )
-        block = stacks[start : start + size]
-        waveform = _complex_normal(rng, (size, config.n_bins), SIGNAL_POWER)
-        noise = _complex_normal(rng, block.shape, noise_power)
-        values[start : start + size] = waveform[:, None, :] * block + noise
-        start += size
+    for rows, obs in observation_chunks(
+        config.seed, "dataset-observations", stacks, noise_power, count
+    ):
+        values[rows] = obs
 
     obs_path = out / "observations.bin"
     signal_mod.save_observations(obs_path, values, seed=config.seed, fmt="bin")

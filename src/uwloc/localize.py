@@ -14,12 +14,12 @@ training is deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-from .signal import Observation, response_stack_batch
+from .signal import response_stack_batch
 
 MODEL_MAGIC = "UWNET1"
 
@@ -29,16 +29,13 @@ class GridSpec:
     """Axis-aligned search grid.
 
     counts nodes per axis, linearly spaced from lower to upper inclusive
-    (a single-count axis sits at lower). refine_factor >= 2 enables a
-    second pass on a grid of step/refine_factor spacing spanning one
-    parent step around the first peak. peak_interpolation fits a parabola
+    (a single-count axis sits at lower). peak_interpolation fits a parabola
     through the peak and its axis neighbors for sub-grid output.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     counts: np.ndarray
-    refine_factor: int = 0
     peak_interpolation: bool = False
 
     def __post_init__(self):
@@ -79,7 +76,7 @@ def concentrated_loglikelihood(
 ) -> float:
     """Candidate-position log-likelihood, position-independent terms dropped.
 
-    observation: Observation or (L, N) complex array of received bins.
+    observation: (L, N) complex array of received bins.
     stack: FrequencyResponseStack or (L, N) array for the candidate.
 
     Equals -log det(cov) - x^H inv(cov) x up to an additive constant that
@@ -89,7 +86,7 @@ def concentrated_loglikelihood(
         raise ValueError("noise power must be > 0")
     if signal_power < 0:
         raise ValueError("signal power must be >= 0")
-    x = observation.per_receiver() if isinstance(observation, Observation) else np.asarray(observation, dtype=complex)
+    x = np.asarray(observation, dtype=complex)
     h = stack.h if hasattr(stack, "h") else np.asarray(stack, dtype=complex)
     if x.shape != h.shape:
         raise ValueError("observation and response stack shapes disagree")
@@ -141,7 +138,7 @@ class GridEvaluator:
     ) -> np.ndarray:
         """Grid argmax position for each observation.
 
-        observations: Observation, (L, N) array, or (T, L, N) batch.
+        observations: (L, N) array or (T, L, N) batch.
         Returns (3,) for a single observation, else (T, 3).
         With interpolation, each interior peak axis gets a parabolic
         sub-step correction clamped to half a step.
@@ -151,8 +148,6 @@ class GridEvaluator:
         if interpolate is None:
             interpolate = self.spec.peak_interpolation
         single = False
-        if isinstance(observations, Observation):
-            observations = observations.per_receiver()
         obs = np.asarray(observations, dtype=complex)
         if obs.ndim == 2:
             obs = obs[None]
@@ -224,39 +219,6 @@ class GridEvaluator:
             pos[cols, axis] += delta * steps[axis]
 
 
-def grid_search_ml(
-    observation,
-    env,
-    receivers,
-    spec: GridSpec,
-    sample_period: float,
-    signal_power: float,
-    noise_power: float,
-) -> np.ndarray:
-    """One-shot ML grid search with optional refinement pass.
-
-    Builds the response stacks for the grid, finds the peak, and if the
-    spec requests refinement re-searches a +-step neighborhood at
-    step/refine_factor resolution (clipped to the original bounds).
-    """
-    x = observation.per_receiver() if isinstance(observation, Observation) else np.asarray(observation, dtype=complex)
-    n_bins = x.shape[1]
-    evaluator = GridEvaluator.from_scene(env, receivers, spec, n_bins, sample_period)
-    interp = spec.peak_interpolation and spec.refine_factor < 2
-    best = evaluator.locate(x, signal_power, noise_power, interpolate=interp)
-    if spec.refine_factor >= 2:
-        steps = spec.steps()
-        fine = GridSpec(
-            lower=np.maximum(best - steps, spec.lower),
-            upper=np.minimum(best + steps, spec.upper),
-            counts=np.where(spec.counts > 1, 2 * spec.refine_factor + 1, 1),
-            peak_interpolation=spec.peak_interpolation,
-        )
-        evaluator = GridEvaluator.from_scene(env, receivers, fine, n_bins, sample_period)
-        best = evaluator.locate(x, signal_power, noise_power)
-    return best
-
-
 # ----------------------------------------------------------------------
 # Learned localizer
 # ----------------------------------------------------------------------
@@ -273,8 +235,6 @@ def extract_features(observations, attenuation: float = 1.0) -> np.ndarray:
     """
     if attenuation <= 0:
         raise ConfigError("attenuation must be > 0")
-    if isinstance(observations, Observation):
-        observations = observations.per_receiver()
     arr = np.asarray(observations, dtype=complex)
     single = arr.ndim == 2
     if single:
@@ -304,7 +264,6 @@ class TrainingSet:
 
     features: np.ndarray
     targets: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)

@@ -4,37 +4,19 @@ The model works on an N-point angular frequency grid w_k = 2*pi*(k-1)/(N*T_s).
 Each receiver sees x_l[k] = s[k] * h_l[k] + v_l[k], where h_l[k] is the channel
 frequency response synthesized from (delay, gain) arrivals, s is the source
 spectrum, and v is circular complex Gaussian noise. Fractional delays are
-exact here; nothing is ever sampled in time.
+exact here; nothing is ever sampled in time. This module builds the
+responses h and stores observations; uwloc.harness draws s and v.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel
 from .errors import ConfigError
-
-
-def as_generator(seed) -> np.random.Generator:
-    """Accept a seed, SeedSequence, or Generator and return a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-@dataclass
-class WaveformSpectrum:
-    """Source spectrum: per-bin complex values and their per-bin power."""
-
-    values: np.ndarray
-    power: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        self.power = float(self.power)
 
 
 @dataclass
@@ -53,43 +35,6 @@ class FrequencyResponseStack:
     @property
     def bin_count(self) -> int:
         return self.h.shape[1]
-
-    def column(self, k: int) -> np.ndarray:
-        """Per-frequency response across receivers, a length-L vector."""
-        return self.h[:, k]
-
-    def columns(self) -> np.ndarray:
-        """All per-frequency vectors at once, shape (N, L)."""
-        return self.h.T
-
-    def stacked_matrix(self) -> np.ndarray:
-        """The (N*L, N) vertical stack of per-receiver diagonal responses."""
-        l_count, n_bins = self.h.shape
-        out = np.zeros((l_count * n_bins, n_bins), dtype=complex)
-        for idx in range(l_count):
-            block = slice(idx * n_bins, (idx + 1) * n_bins)
-            out[block, :] = np.diag(self.h[idx])
-        return out
-
-
-@dataclass
-class Observation:
-    """One stacked observation x of length N*L (receiver-major blocks)."""
-
-    x: np.ndarray
-    noise_power: float
-    snr: float
-    receiver_count: int
-    bin_count: int
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=complex).reshape(-1)
-        if self.x.size != self.receiver_count * self.bin_count:
-            raise ConfigError("observation length inconsistent with L and N")
-
-    def per_receiver(self) -> np.ndarray:
-        """View of the observation as an (L, N) matrix."""
-        return self.x.reshape(self.receiver_count, self.bin_count)
 
 
 def angular_frequencies(n_bins: int, sample_period: float) -> np.ndarray:
@@ -172,55 +117,6 @@ def response_stack_batch(
         )  # (m, L, R, N)
         out[start:stop] = np.einsum("mlr,mlrn->mln", gains, phases)
     return out
-
-
-def draw_waveform(n_bins: int, power: float, seed) -> WaveformSpectrum:
-    """I.i.d. circular complex Gaussian spectrum with per-bin variance power."""
-    if power <= 0:
-        raise ConfigError("waveform power must be > 0")
-    rng = as_generator(seed)
-    scale = np.sqrt(power / 2.0)
-    values = scale * (
-        rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
-    )
-    return WaveformSpectrum(values, power)
-
-
-def synthesize_observation(
-    stack: FrequencyResponseStack,
-    waveform: WaveformSpectrum,
-    noise_power: float,
-    seed,
-    *,
-    attenuation: float = 1.0,
-) -> Observation:
-    """Draw x_l[k] = s[k] h_l[k] + v_l[k] with circular Gaussian noise.
-
-    The reported snr is signal power over attenuation-normalized noise
-    power: power / (noise_power / attenuation).
-    """
-    if noise_power < 0:
-        raise ConfigError("noise power must be >= 0")
-    rng = as_generator(seed)
-    l_count, n_bins = stack.h.shape
-    clean = stack.h * waveform.values[None, :]
-    if noise_power > 0:
-        scale = np.sqrt(noise_power / 2.0)
-        noise = scale * (
-            rng.standard_normal((l_count, n_bins))
-            + 1j * rng.standard_normal((l_count, n_bins))
-        )
-        snr = waveform.power / (noise_power / attenuation)
-    else:
-        noise = 0.0
-        snr = np.inf
-    return Observation(
-        (clean + noise).reshape(-1),
-        noise_power,
-        snr,
-        receiver_count=l_count,
-        bin_count=n_bins,
-    )
 
 
 _DUMP_MAGIC = "UWOBS1"

@@ -17,7 +17,6 @@ from uwloc.channel import (
     environment_to_dict,
     geometry_from_dict,
     geometry_to_dict,
-    image_method_arrivals,
     load_scene,
     stratified_delay,
     validate_environment,
@@ -175,37 +174,28 @@ class TestImageMethod:
     def test_direct_and_first_images_isovelocity(self):
         # Hand values: receiver at depth 40, source 1 km away at depth 50.
         env = iso_env(budget=4)
-        geo = Geometry(
-            receivers=[[0.0, 0.0, 40.0]],
-            volume=[[500.0, -100.0, 20.0], [1500.0, 100.0, 80.0]],
-            source=[1000.0, 0.0, 50.0],
-        )
-        arr = image_method_arrivals(env, geo, 0)
+        delays, gains = arrivals_batch(env, [[0.0, 0.0, 40.0]], [[1000.0, 0.0, 50.0]])
         d_direct = math.hypot(1000.0, 10.0)
         d_surface = math.hypot(1000.0, 90.0)   # image at z = -50
         d_bottom = math.hypot(1000.0, 110.0)   # image at z = 150
         d_sb = math.hypot(1000.0, 190.0)       # image at z = -150
-        assert arr.delays == pytest.approx(
+        assert delays[0, 0] == pytest.approx(
             np.array([d_direct, d_surface, d_bottom, d_sb]) / 1500.0, rel=1e-12
         )
         want_gains = np.array(
             [1 / d_direct, -1 / d_surface, 0.5 / d_bottom, -0.5 / d_sb]
         )
-        assert arr.gains == pytest.approx(want_gains, rel=1e-12)
+        assert gains[0, 0] == pytest.approx(want_gains, rel=1e-12)
 
     def test_absorption_scales_gains(self):
         env_dry = iso_env(absorption=0.0)
         env_wet = iso_env(absorption=1e-3)
-        geo = Geometry(
-            receivers=[[0.0, 0.0, 40.0]],
-            volume=[[500.0, -100.0, 20.0], [1500.0, 100.0, 80.0]],
-            source=[1000.0, 0.0, 50.0],
-        )
-        dry = image_method_arrivals(env_dry, geo, 0)
-        wet = image_method_arrivals(env_wet, geo, 0)
-        assert np.array_equal(dry.delays, wet.delays)
-        dists = 1500.0 * dry.delays
-        ratio = np.abs(wet.gains) / np.abs(dry.gains)
+        receiver, source = [[0.0, 0.0, 40.0]], [[1000.0, 0.0, 50.0]]
+        dry_delays, dry_gains = arrivals_batch(env_dry, receiver, source)
+        wet_delays, wet_gains = arrivals_batch(env_wet, receiver, source)
+        assert np.array_equal(dry_delays, wet_delays)
+        dists = 1500.0 * dry_delays
+        ratio = np.abs(wet_gains) / np.abs(dry_gains)
         assert ratio == pytest.approx(10.0 ** (-1e-3 * dists / 20.0), rel=1e-12)
 
     def test_delays_sorted_and_positive(self):
@@ -223,15 +213,11 @@ class TestImageMethod:
     def test_truncation_keeps_shortest_prefix(self):
         env_small = layered_env(budget=5)
         env_large = layered_env(budget=9)
-        geo_kwargs = dict(
-            receivers=[[0.0, 0.0, 35.0]],
-            volume=[[100.0, 100.0, 10.0], [900.0, 900.0, 90.0]],
-            source=[400.0, 250.0, 60.0],
-        )
-        small = image_method_arrivals(env_small, Geometry(**geo_kwargs), 0)
-        large = image_method_arrivals(env_large, Geometry(**geo_kwargs), 0)
-        assert small.delays == pytest.approx(large.delays[:5], rel=1e-14)
-        assert small.gains == pytest.approx(large.gains[:5], rel=1e-14)
+        receiver, source = [[0.0, 0.0, 35.0]], [[400.0, 250.0, 60.0]]
+        small_delays, small_gains = arrivals_batch(env_small, receiver, source)
+        large_delays, large_gains = arrivals_batch(env_large, receiver, source)
+        assert small_delays[0, 0] == pytest.approx(large_delays[0, 0, :5], rel=1e-14)
+        assert small_gains[0, 0] == pytest.approx(large_gains[0, 0, :5], rel=1e-14)
 
     def test_reciprocity(self):
         env = layered_env()
@@ -298,26 +284,13 @@ class TestImageMethod:
 
     def test_min_distance_guard(self):
         env = iso_env()
-        geo = Geometry(
-            receivers=[[0.0, 0.0, 50.0]],
-            volume=[[0.0, 0.0, 40.0], [20.0, 20.0, 60.0]],
-            source=[3.0, 0.0, 50.0],
-        )
+        receiver, source = [[0.0, 0.0, 50.0]], [[3.0, 0.0, 50.0]]
         with pytest.raises(DegenerateGeometryError):
-            image_method_arrivals(env, geo, 0)
+            arrivals_batch(env, receiver, source)
         # same call honors a smaller explicit threshold
-        arr = image_method_arrivals(env, geo, 0, min_distance=1.0)
-        assert arr.delays.shape == (4,)
+        delays, _ = arrivals_batch(env, receiver, source, min_distance=1.0)
+        assert delays.shape == (1, 1, 4)
         assert DEFAULT_MIN_DISTANCE == 10.0
-
-    def test_missing_source_raises(self):
-        env = iso_env()
-        geo = Geometry(
-            receivers=[[0.0, 0.0, 50.0]],
-            volume=[[100.0, 0.0, 40.0], [200.0, 20.0, 60.0]],
-        )
-        with pytest.raises(ConfigError):
-            image_method_arrivals(env, geo, 0)
 
 
 class TestAverageAttenuation:
@@ -435,13 +408,10 @@ class TestSceneIO:
         receivers = np.array([[0.0, 0.0, 30.0], [600.0, 0.0, 40.0]])
         positions = np.array([[300.0, 200.0, 50.0], [400.0, 350.0, 30.0]])
         delays, gains = arrivals_batch(env, receivers, positions)
-        for m, pos in enumerate(positions):
-            geo = Geometry(
-                receivers=receivers,
-                volume=[positions.min(axis=0), positions.max(axis=0)],
-                source=pos,
-            )
+        for m in range(2):
             for l in range(2):
-                single = image_method_arrivals(env, geo, l)
-                assert delays[m, l] == pytest.approx(single.delays, rel=1e-14)
-                assert gains[m, l] == pytest.approx(single.gains, rel=1e-14)
+                single_delays, single_gains = arrivals_batch(
+                    env, receivers[l : l + 1], positions[m : m + 1]
+                )
+                assert delays[m, l] == pytest.approx(single_delays[0, 0], rel=1e-14)
+                assert gains[m, l] == pytest.approx(single_gains[0, 0], rel=1e-14)

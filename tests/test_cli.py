@@ -53,6 +53,18 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["experiment", "--config", str(path)]) == 2
 
+    def test_workers_only_on_experiment_and_positive(self, config_path, tmp_path,
+                                                      capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--config", config_path, "--workers", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        code = main(["experiment", "--config", config_path, "--workers", "0",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_estimation_failure_is_numeric_error(self, tmp_path, capsys):
         p_path, q_path = tmp_path / "p.csv", tmp_path / "q.csv"
         save_samples(p_path, np.ones((3, 1)) * np.arange(3)[:, None])

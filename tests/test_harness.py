@@ -8,13 +8,19 @@ import zlib
 import numpy as np
 import pytest
 
+from uwloc import channel
+from uwloc.cli import main
 from uwloc.errors import ConfigError, StageError
 from uwloc.harness import (
+    SIGNAL_POWER,
     TRIAL_CHUNK,
     CurvePoint,
     ExperimentResult,
     _chunk_sizes,
+    _prepare_state,
+    _run_chunk,
     _uniform_positions,
+    build_training_set,
     config_from_dict,
     config_to_dict,
     default_experiment_config,
@@ -25,7 +31,8 @@ from uwloc.harness import (
     parse_curve_csv,
     run_experiment,
 )
-from uwloc.signal import load_observations
+from uwloc.localize import extract_features
+from uwloc.signal import load_observations, response_stack_batch
 
 
 def tiny_config_dict(**overrides):
@@ -89,6 +96,122 @@ class TestDeriveSeed:
             assert value == again
             draws[(master, stage, index)] = value
         assert len(set(draws.values())) == len(draws)
+
+
+def hand_drawn(master, stage, chunk_idx, h, noise_power, count):
+    """x = s h + v rebuilt from the documented draw order.
+
+    One generator per (master, stage, chunk): waveform real parts then
+    imaginary parts, (count, N) each, then noise real parts then imaginary
+    parts, (count, L, N) each; circular Gaussian with per-bin powers
+    SIGNAL_POWER and noise_power. h is one (L, N) response or (count, L, N).
+    """
+    rng = np.random.default_rng(derive_seed(master, stage, chunk_idx))
+    l_count, n_bins = h.shape[-2:]
+    wave_re = rng.standard_normal((count, n_bins))
+    wave_im = rng.standard_normal((count, n_bins))
+    noise_re = rng.standard_normal((count, l_count, n_bins))
+    noise_im = rng.standard_normal((count, l_count, n_bins))
+    waveform = math.sqrt(SIGNAL_POWER / 2.0) * (wave_re + 1j * wave_im)
+    noise = math.sqrt(noise_power / 2.0) * (noise_re + 1j * noise_im)
+    return waveform[:, None, :] * h + noise
+
+
+def hand_scene(config):
+    """Source ("source" stream) and presumed-environment attenuation."""
+    lo, hi = config.geometry.volume
+    rng = np.random.default_rng(derive_seed(config.seed, "source", 0))
+    source = rng.uniform(0.0, 1.0, size=(1, 3))[0] * (hi - lo) + lo
+    attenuation = channel.average_attenuation(
+        config.environment_q,
+        config.geometry,
+        sample_count=config.attenuation_samples,
+        rng_seed=derive_seed(config.seed, "attenuation", 0),
+    )
+    return source, attenuation
+
+
+def hand_noise_power(attenuation, snr_db):
+    return SIGNAL_POWER * attenuation / 10.0 ** (snr_db / 10.0)
+
+
+class TestDrawContract:
+    """Every observation any command draws follows one seeded recipe."""
+
+    def test_trial_chunk(self):
+        config = config_from_dict(tiny_config_dict())
+        state = _prepare_state(config)
+        source, attenuation = hand_scene(config)
+        assert np.array_equal(state["source"], source)
+        assert state["attenuation"] == attenuation
+        seen = []
+
+        class Recorder:
+            def locate(self, observations, signal_power, noise_power):
+                seen.append(observations)
+                return np.zeros((observations.shape[0], 3))
+
+        state["evaluator"] = Recorder()
+        noise_power = hand_noise_power(attenuation, 20.0)
+        _run_chunk(state, config.seed, 1, "p", 2, 7, noise_power)
+        want = hand_drawn(config.seed, "trial-p:1", 2, state["h_p"], noise_power, 7)
+        assert np.array_equal(seen[0], want)
+
+    def test_training_features(self):
+        size = TRIAL_CHUNK + 20
+        net = {"train_size": size, "train_snr_db": 15.0}
+        config = config_from_dict(tiny_config_dict(net=net))
+        _, attenuation = hand_scene(config)
+        training = build_training_set(config, attenuation)
+        stacks = response_stack_batch(
+            config.environment_q, config.geometry.receivers, training.targets,
+            config.n_bins, config.sample_period,
+        )
+        noise_power = hand_noise_power(attenuation, 15.0)
+        for chunk_idx, rows in enumerate([slice(0, TRIAL_CHUNK), slice(TRIAL_CHUNK, size)]):
+            count = rows.stop - rows.start
+            obs = hand_drawn(config.seed, "train-observations", chunk_idx,
+                             stacks[rows], noise_power, count)
+            assert np.array_equal(
+                training.features[rows], extract_features(obs, attenuation)
+            )
+
+    def test_dataset_observations(self, tmp_path):
+        count = TRIAL_CHUNK + 3
+        config = config_from_dict(tiny_config_dict())
+        paths = generate_dataset(config, count=count, snr_db=12.0, out_dir=tmp_path)
+        values, _ = load_observations(paths["observations"])
+        labels = np.loadtxt(paths["labels"], delimiter=",", skiprows=1)
+        stacks = response_stack_batch(
+            config.environment_q, config.geometry.receivers, labels,
+            config.n_bins, config.sample_period,
+        )
+        _, attenuation = hand_scene(config)
+        noise_power = hand_noise_power(attenuation, 12.0)
+        want = np.concatenate([
+            hand_drawn(config.seed, "dataset-observations", 0,
+                       stacks[:TRIAL_CHUNK], noise_power, TRIAL_CHUNK),
+            hand_drawn(config.seed, "dataset-observations", 1,
+                       stacks[TRIAL_CHUNK:], noise_power, 3),
+        ])
+        assert np.array_equal(values, want)
+
+    def test_simulate_observations(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(tiny_config_dict()))
+        assert main(["simulate", "--config", str(config_path), "--out",
+                     str(tmp_path / "sim"), "--count", "6", "--snr-db", "4",
+                     "--env", "p"]) == 0
+        values, _ = load_observations(tmp_path / "sim" / "observations.bin")
+        config = config_from_dict(tiny_config_dict())
+        source, attenuation = hand_scene(config)
+        h = response_stack_batch(
+            config.environment_p, config.geometry.receivers, source[None, :],
+            config.n_bins, config.sample_period,
+        )[0]
+        want = hand_drawn(config.seed, "simulate", 0, h,
+                          hand_noise_power(attenuation, 4.0), 6)
+        assert np.array_equal(values, want)
 
 
 class TestChunking:
@@ -190,8 +313,9 @@ class TestConfig:
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_dict(tiny_config_dict(extra=1))
-        with pytest.raises(ConfigError, match="unknown grid keys"):
-            config_from_dict(tiny_config_dict(grid={"counts": [3, 3, 3], "nx": 5}))
+        for key in ("nx", "refine_factor"):
+            with pytest.raises(ConfigError, match="unknown grid keys"):
+                config_from_dict(tiny_config_dict(grid={"counts": [3, 3, 3], key: 5}))
         with pytest.raises(ConfigError, match="unknown net keys"):
             config_from_dict(tiny_config_dict(net={"width": 8}))
 
@@ -202,6 +326,12 @@ class TestConfig:
             config_from_dict(data)
         with pytest.raises(ConfigError):
             config_from_dict(tiny_config_dict(trials=1))
+        # the divergence estimate needs k >= 2 and at least k + 1 trials
+        with pytest.raises(ConfigError, match="csd_k"):
+            config_from_dict(tiny_config_dict(csd_k=1))
+        with pytest.raises(ConfigError, match="csd_k"):
+            config_from_dict(tiny_config_dict(csd_k=3, trials=3))
+        assert config_from_dict(tiny_config_dict(csd_k=3, trials=4)).trials == 4
         with pytest.raises(ConfigError):
             config_from_dict(tiny_config_dict(estimator="oracle"))
         with pytest.raises(ConfigError):

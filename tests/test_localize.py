@@ -14,16 +14,12 @@ from uwloc.localize import (
     TrainingSet,
     concentrated_loglikelihood,
     extract_features,
-    grid_search_ml,
     load_model,
     save_model,
     train_net,
 )
-from uwloc.signal import (
-    draw_waveform,
-    response_stack,
-    synthesize_observation,
-)
+from uwloc.harness import observation_chunks
+from uwloc.signal import response_stack
 
 SAMPLE_PERIOD = 0.016
 N_BINS = 16
@@ -51,10 +47,11 @@ def small_grid(counts=(7, 7, 5)):
     )
 
 
-def observe(env, position, noise_power, seed, waveform_power=1.0):
+def observe(env, position, noise_power, seed):
+    """One (L, N) observation of a source at position."""
     stack = response_stack(env, RECEIVERS, position, N_BINS, SAMPLE_PERIOD)
-    waveform = draw_waveform(N_BINS, waveform_power, seed)
-    return synthesize_observation(stack, waveform, noise_power, seed + 1)
+    (_, block), = observation_chunks(seed, "observe", stack.h, noise_power, 1)
+    return block[0]
 
 
 def dense_loglikelihood(x, h, signal_power, noise_power):
@@ -104,8 +101,7 @@ class TestConcentratedLoglikelihood:
         # differences between candidates must match the dense computation.
         env = iso_env()
         rng = np.random.default_rng(0)
-        obs = observe(env, np.array([90.0, 85.0, 50.0]), 0.05, seed=1)
-        x = obs.per_receiver()
+        x = observe(env, np.array([90.0, 85.0, 50.0]), 0.05, seed=1)
         candidates = rng.uniform([60, 60, 40], [120, 120, 60], size=(6, 3))
         s2, v2 = 1.0, 0.05
         conc, dense = [], []
@@ -155,8 +151,7 @@ class TestGridEvaluator:
         evaluator = GridEvaluator.from_scene(env, RECEIVERS, spec, N_BINS, SAMPLE_PERIOD)
         nodes = spec.nodes()
         for seed in (5, 6, 7):
-            obs = observe(env, np.array([83.0, 104.0, 52.0]), 0.2, seed=seed)
-            x = obs.per_receiver()
+            x = observe(env, np.array([83.0, 104.0, 52.0]), 0.2, seed=seed)
             scores = [
                 concentrated_loglikelihood(
                     x,
@@ -175,7 +170,7 @@ class TestGridEvaluator:
         spec = small_grid(counts=(5, 5, 3))
         evaluator = GridEvaluator.from_scene(env, RECEIVERS, spec, N_BINS, SAMPLE_PERIOD)
         batch = np.stack(
-            [observe(env, np.array([70.0, 110.0, 45.0]), 0.1, seed=s).per_receiver()
+            [observe(env, np.array([70.0, 110.0, 45.0]), 0.1, seed=s)
              for s in (8, 9, 10)]
         )
         got = evaluator.locate(batch, 1.0, 0.1, interpolate=False, chunk=2)
@@ -186,8 +181,7 @@ class TestGridEvaluator:
         env = iso_env()
         spec = small_grid(counts=(5, 5, 3))
         evaluator = GridEvaluator.from_scene(env, RECEIVERS, spec, N_BINS, SAMPLE_PERIOD)
-        obs = observe(env, np.array([100.0, 80.0, 55.0]), 0.1, seed=11)
-        x = obs.per_receiver()
+        x = observe(env, np.array([100.0, 80.0, 55.0]), 0.1, seed=11)
         base = evaluator.locate(x, 1.0, 0.1, interpolate=False)
         rotated = evaluator.locate(np.exp(1.3j) * x, 1.0, 0.1, interpolate=False)
         np.testing.assert_array_equal(rotated, base)
@@ -209,7 +203,7 @@ class TestGridEvaluator:
         picks = rng.integers(0, len(nodes), size=100)
         noise = 1e-5
         batch = np.stack(
-            [observe(env, nodes[i], noise, seed=1000 + t).per_receiver()
+            [observe(env, nodes[i], noise, seed=1000 + t)
              for t, i in enumerate(picks)]
         )
         got = evaluator.locate(batch, 1.0, noise, interpolate=False)
@@ -233,28 +227,6 @@ class TestGridEvaluator:
         spec = small_grid(counts=(2, 2, 2))
         with pytest.raises(ConfigError):
             GridEvaluator(spec, np.ones((5, 2, 4), dtype=complex))
-
-
-class TestGridSearchMl:
-    def test_refinement_improves_off_grid_error(self):
-        env = iso_env()
-        true = np.array([86.0, 97.0, 47.0])
-        obs = observe(env, true, 1e-4, seed=15)
-        coarse_spec = small_grid()
-        coarse = grid_search_ml(
-            obs, env, RECEIVERS, coarse_spec, SAMPLE_PERIOD, 1.0, 1e-4
-        )
-        fine_spec = GridSpec(
-            lower=coarse_spec.lower,
-            upper=coarse_spec.upper,
-            counts=coarse_spec.counts,
-            refine_factor=5,
-        )
-        fine = grid_search_ml(obs, env, RECEIVERS, fine_spec, SAMPLE_PERIOD, 1.0, 1e-4)
-        err_coarse = np.linalg.norm(coarse - true)
-        err_fine = np.linalg.norm(fine - true)
-        assert err_fine < err_coarse
-        assert err_fine < np.max(coarse_spec.steps()) / 2
 
 
 class TestExtractFeatures:

@@ -7,27 +7,22 @@ import pytest
 
 from uwloc.channel import Environment, arrivals_batch
 from uwloc.errors import ConfigError
+from uwloc.harness import SIGNAL_POWER, observation_chunks
 from uwloc.signal import (
-    FrequencyResponseStack,
-    Observation,
-    WaveformSpectrum,
     angular_frequencies,
-    draw_waveform,
     frequency_response,
     load_observations,
     response_stack,
     response_stack_batch,
     save_observations,
     steering_matrix,
-    synthesize_observation,
 )
 
 
-def random_stack(rng, l_count=3, n_bins=16):
-    h = rng.standard_normal((l_count, n_bins)) + 1j * rng.standard_normal(
-        (l_count, n_bins)
-    )
-    return FrequencyResponseStack(h)
+def draw(h, noise_power, count, master=0):
+    """count observations x = s h + v from the harness synthesizer."""
+    chunks = observation_chunks(master, "test", h, noise_power, count)
+    return np.concatenate([obs for _, obs in chunks])
 
 
 class TestAngularFrequencies:
@@ -142,133 +137,67 @@ class TestResponseStack:
         chunked = response_stack_batch(env, receivers, positions, 8, 0.01, chunk=4)
         assert np.array_equal(full, chunked)
 
-    def test_accessors(self):
-        rng = np.random.default_rng(0)
-        stack = random_stack(rng, l_count=3, n_bins=5)
-        assert np.array_equal(stack.column(2), stack.h[:, 2])
-        assert np.array_equal(stack.columns(), stack.h.T)
-        big = stack.stacked_matrix()
-        assert big.shape == (15, 5)
-        for l in range(3):
-            block = big[l * 5 : (l + 1) * 5]
-            assert np.array_equal(np.diag(block), stack.h[l])
-            assert np.count_nonzero(block - np.diag(np.diag(block))) == 0
-
 
 class TestDrawWaveform:
-    def test_rejects_nonpositive_power(self):
-        with pytest.raises(ConfigError):
-            draw_waveform(8, 0.0, 1)
-        with pytest.raises(ConfigError):
-            draw_waveform(8, -1.0, 1)
-
+    # Through a unit response without noise an observation is the waveform.
     def test_deterministic_for_seed(self):
-        a = draw_waveform(32, 2.0, 123).values
-        b = draw_waveform(32, 2.0, 123).values
-        assert np.array_equal(a, b)
+        ones = np.ones((1, 32))
+        a = draw(ones, 0.0, 4, master=123)
+        assert np.array_equal(a, draw(ones, 0.0, 4, master=123))
+        assert not np.array_equal(a, draw(ones, 0.0, 4, master=124))
 
     def test_mean_and_variance(self):
-        power, n_bins, draws = 1.7, 8, 30000
-        rng = np.random.default_rng(42)
-        block = np.stack(
-            [draw_waveform(n_bins, power, rng).values for _ in range(draws)]
-        )
-        count = block.size
-        # Each real component has variance power/2; the mean of count
+        n_bins, draws = 8, 30000
+        block = draw(np.ones((1, n_bins)), 0.0, draws, master=42)[:, 0, :]
+        # Each real component has variance SIGNAL_POWER/2; the mean of all
         # samples stays within 3 standard errors.
-        band = 3.0 * math.sqrt(power / 2.0 / count)
+        band = 3.0 * math.sqrt(SIGNAL_POWER / 2.0 / block.size)
         assert abs(block.real.mean()) < band
         assert abs(block.imag.mean()) < band
         per_bin_var = np.mean(np.abs(block) ** 2, axis=0)
-        np.testing.assert_allclose(per_bin_var, power, rtol=0.02)
+        np.testing.assert_allclose(per_bin_var, SIGNAL_POWER, rtol=0.02)
 
 
 class TestSynthesize:
     def test_noiseless_identity_channel(self):
-        wf = draw_waveform(16, 1.0, 4)
-        stack = FrequencyResponseStack(np.ones((3, 16)))
-        obs = synthesize_observation(stack, wf, 0.0, seed=0)
-        assert obs.snr == math.inf
-        per = obs.per_receiver()
-        for l in range(3):
-            assert np.array_equal(per[l], wf.values)
+        x = draw(np.ones((3, 16)), 0.0, 2)
+        for l in range(1, 3):
+            assert np.array_equal(x[:, l], x[:, 0])
 
     def test_rejects_negative_noise(self):
-        wf = draw_waveform(4, 1.0, 4)
-        stack = FrequencyResponseStack(np.ones((1, 4)))
         with pytest.raises(ConfigError):
-            synthesize_observation(stack, wf, -0.1, seed=0)
+            draw(np.ones((1, 4)), -0.1, 1)
 
     def test_noise_only_covariance(self):
-        # With a zero waveform the observation is pure noise; per-bin
+        # With a zero response the observation is pure noise; per-bin
         # receiver vectors are i.i.d., so bins double as extra draws.
         l_count, n_bins, draws, noise_power = 2, 64, 1500, 0.8
-        zero = WaveformSpectrum(np.zeros(n_bins), 1.0)
-        stack = FrequencyResponseStack(np.ones((l_count, n_bins)))
-        acc = np.zeros((l_count, l_count), dtype=complex)
-        rng = np.random.default_rng(2024)
-        for _ in range(draws):
-            x = synthesize_observation(stack, zero, noise_power, rng).per_receiver()
-            acc += x @ x.conj().T
-        cov = acc / (draws * n_bins)
+        x = draw(np.zeros((l_count, n_bins)), noise_power, draws, master=2024)
+        cov = np.einsum("tlk,tmk->lm", x, np.conj(x)) / (draws * n_bins)
         np.testing.assert_allclose(cov, noise_power * np.eye(l_count), atol=0.02 * noise_power)
 
     def test_full_model_covariance(self):
         from uwloc.bounds import build_covariance
 
         rng = np.random.default_rng(77)
-        stack = random_stack(rng, l_count=2, n_bins=2)
-        signal_power, noise_power, draws = 1.3, 0.6, 20000
-        acc = np.zeros((4, 4), dtype=complex)
-        for _ in range(draws):
-            wf = WaveformSpectrum(
-                math.sqrt(signal_power / 2)
-                * (rng.standard_normal(2) + 1j * rng.standard_normal(2)),
-                signal_power,
-            )
-            x = synthesize_observation(stack, wf, noise_power, rng).x
-            acc += np.outer(x, np.conj(x))
-        emp = acc / draws
-        want = build_covariance(stack, signal_power, noise_power)
+        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        noise_power, draws = 0.6, 20000
+        x = draw(h, noise_power, draws, master=77).reshape(draws, -1)
+        emp = x.T @ np.conj(x) / draws
+        want = build_covariance(h, SIGNAL_POWER, noise_power)
         err = np.linalg.norm(emp - want) / np.linalg.norm(want)
         assert err < 0.05
 
     def test_linearity_shared_seed(self):
         rng = np.random.default_rng(7)
-        stack = random_stack(rng)
-        wf = draw_waveform(16, 1.0, 11)
-        doubled = WaveformSpectrum(2.0 * wf.values, 4.0)
-        zero = WaveformSpectrum(np.zeros(16), 1.0)
-
-        noiseless = synthesize_observation(stack, wf, 0.0, seed=99).x
-        assert np.array_equal(
-            synthesize_observation(stack, doubled, 0.0, seed=99).x, 2.0 * noiseless
-        )
-
-        noise = synthesize_observation(stack, zero, 0.5, seed=99).x
-        x1 = synthesize_observation(stack, wf, 0.5, seed=99).x
-        x2 = synthesize_observation(stack, doubled, 0.5, seed=99).x
+        h = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+        noise = draw(np.zeros_like(h), 0.5, 4, master=99)
+        x1 = draw(h, 0.5, 4, master=99)
+        x2 = draw(2.0 * h, 0.5, 4, master=99)
         np.testing.assert_allclose(x2 - noise, 2.0 * (x1 - noise), atol=1e-12)
-
-    def test_snr_normalization_identity(self):
-        wf = draw_waveform(8, 2.5, 3)
-        stack = FrequencyResponseStack(np.ones((2, 8)))
-        noise_power, attenuation = 0.04, 3.2e-3
-        obs = synthesize_observation(
-            stack, wf, noise_power, seed=1, attenuation=attenuation
-        )
-        assert obs.snr == wf.power / (noise_power / attenuation)
-
-
-class TestObservation:
-    def test_length_checked(self):
-        with pytest.raises(ConfigError):
-            Observation(np.zeros(5), 1.0, 1.0, receiver_count=2, bin_count=3)
-
-    def test_per_receiver_layout(self):
-        x = np.arange(6, dtype=complex)
-        obs = Observation(x, 1.0, 1.0, receiver_count=2, bin_count=3)
-        assert np.array_equal(obs.per_receiver(), x.reshape(2, 3))
+        # one shared response and the same response per observation agree
+        per_observation = np.broadcast_to(h, (4, 3, 16))
+        assert np.array_equal(draw(per_observation, 0.5, 4, master=99), x1)
 
 
 class TestObservationDump:
