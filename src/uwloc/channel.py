@@ -53,22 +53,20 @@ class Environment:
 
 @dataclass
 class Geometry:
-    """Receiver array, axis-aligned volume of interest, optional source.
+    """Receiver array and axis-aligned volume of interest.
 
     receivers is (L, 3); volume is (2, 3) holding the min and max corners.
-    The source may be left unset and drawn later by the harness. Far-field
-    validity is the caller's declaration and is not checked numerically.
+    The source position is not part of the geometry: the harness takes it
+    from the experiment config or draws it. Far-field validity is the
+    caller's declaration and is not checked numerically.
     """
 
     receivers: np.ndarray
     volume: np.ndarray
-    source: np.ndarray | None = None
 
     def __post_init__(self):
         self.receivers = np.atleast_2d(np.asarray(self.receivers, dtype=float))
         self.volume = np.asarray(self.volume, dtype=float)
-        if self.source is not None:
-            self.source = np.asarray(self.source, dtype=float)
 
 
 def validate_environment(env: Environment) -> list[str]:
@@ -127,12 +125,6 @@ def validate_geometry(geometry: Geometry, env: Environment) -> list[str]:
         issues.append("receiver depths must lie in [0, water_depth]")
     if lo[2] < 0 or hi[2] > depth:
         issues.append("volume depths must lie in [0, water_depth]")
-    if geometry.source is not None:
-        p = geometry.source
-        if p.shape != (3,):
-            issues.append("source must be a 3-vector")
-        elif np.any(p < lo) or np.any(p > hi):
-            issues.append("source must lie inside the volume of interest")
     return issues
 
 
@@ -382,16 +374,19 @@ def environment_from_dict(data: dict) -> Environment:
     return env
 
 
+_GEOMETRY_KEYS = {"receivers", "volume"}
+
+
 def geometry_from_dict(data: dict, env: Environment | None = None) -> Geometry:
+    if not isinstance(data, dict):
+        raise ConfigError("geometry must be a JSON object")
+    unknown = set(data) - _GEOMETRY_KEYS
+    if unknown:
+        raise ConfigError(f"unknown geometry keys: {sorted(unknown)}")
     try:
         geometry = Geometry(
             receivers=np.asarray(data["receivers"], dtype=float),
             volume=np.asarray(data["volume"], dtype=float),
-            source=(
-                np.asarray(data["source"], dtype=float)
-                if data.get("source") is not None
-                else None
-            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad geometry config: {exc}") from exc
@@ -414,13 +409,10 @@ def environment_to_dict(env: Environment) -> dict:
 
 
 def geometry_to_dict(geometry: Geometry) -> dict:
-    data = {
+    return {
         "receivers": geometry.receivers.tolist(),
         "volume": geometry.volume.tolist(),
     }
-    if geometry.source is not None:
-        data["source"] = geometry.source.tolist()
-    return data
 
 
 def load_scene(path) -> tuple[Environment, Geometry]:

@@ -115,6 +115,8 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 
 def _cmd_simulate(args) -> int:
+    if args.count < 1:
+        raise ConfigError("simulate count must be >= 1")
     config = _load_config(args)
     env = config.environment_q if args.env == "q" else config.environment_p
     source, attenuation = harness.derive_scene(config)

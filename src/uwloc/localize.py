@@ -6,6 +6,14 @@ log-likelihood of the stacked observation under the rank-one-per-bin
 Gaussian model; additive terms that do not depend on the candidate are
 dropped. Ties on the grid resolve to the lowest linear node index.
 
+That score is linear in the per-bin receiver auto and cross spectra of the
+observation, so GridEvaluator scores a chunk of T observations over G
+nodes as one float64 GEMM: a (G, L*L*N) design against a (T, L*L*N)
+matrix of the trials' spectra, both with the column layout given in the
+GridEvaluator docstring. The design is the noise-free node products
+(built once) weighted for one (signal power, noise power) pair and kept
+in a one-entry cache; products plus design hold 2*G*L*L*N float64 values.
+
 The learned path regresses position from a phase-invariant feature vector
 with a small fully-connected network implemented here on plain numpy, so
 training is deterministic for a fixed seed.
@@ -98,19 +106,45 @@ def concentrated_loglikelihood(
 
 
 class GridEvaluator:
-    """Response stacks precomputed over a fixed grid for repeated searches.
+    """Grid ML scorer: scoring a chunk of observations is one float64 GEMM.
 
-    Build once per (environment, receivers, grid); locate() then scores any
-    number of observations against the cached stacks.
+    Build once per (environment, receivers, grid) from the (G, L, N)
+    candidate responses h; locate() then scores any number of observations
+    x against them. The per-bin matched power |h^H x|^2 is linear in the
+    receiver auto and cross spectra of x, so the noise-free products are
+    kept as one real (G, L*L*N) array. With the P = L(L-1)/2 receiver
+    pairs l < l' in np.triu_indices order, its columns hold, each block
+    running over the N bins:
+
+    - L auto terms |h_l|^2;
+    - P terms 2 Re(conj(h_l) h_l');
+    - P terms -2 Im(conj(h_l) h_l').
+
+    An observation gives a row with the same layout: |x_l|^2, then the
+    real and the imaginary parts of x_l conj(x_l'). The design is the
+    products weighted per node and bin by w = s / (sigma^2 gain), with
+    gain = s |h|^2 + sigma^2. It and the log-gain offset depend only on
+    (signal_power, noise_power) and live in a one-entry cache, so the q and
+    p trials of one sweep point share them. The scores of a chunk are
+    design @ stats.T - offset. Memory: the products and the cached design
+    are G*L*L*N float64 values each.
     """
 
     def __init__(self, spec: GridSpec, stacks: np.ndarray):
         self.spec = spec
-        self.stacks = np.asarray(stacks, dtype=complex)
-        if self.stacks.ndim != 3 or self.stacks.shape[0] != int(np.prod(spec.counts)):
+        stacks = np.asarray(stacks, dtype=complex)
+        if stacks.ndim != 3 or stacks.shape[0] != int(np.prod(spec.counts)):
             raise ConfigError("stacks must be (node_count, L, N)")
         self.nodes = spec.nodes()
-        self.energies = np.sum(np.abs(self.stacks) ** 2, axis=1)  # (G, N)
+        self.bins_shape = stacks.shape[1:]
+        self.energies = np.sum(np.abs(stacks) ** 2, axis=1)  # (G, N)
+        self.pairs = np.triu_indices(stacks.shape[1], 1)
+        cross = np.conj(stacks[:, self.pairs[0], :]) * stacks[:, self.pairs[1], :]
+        self.products = np.concatenate(
+            [stacks.real**2 + stacks.imag**2, 2.0 * cross.real, -2.0 * cross.imag],
+            axis=1,
+        )  # (G, L*L, N)
+        self._cache = None  # ((signal_power, noise_power), design, offset)
         shape = spec.shape
         self.strides = np.array(
             [shape[1] * shape[2], shape[2], 1], dtype=int
@@ -126,6 +160,20 @@ class GridEvaluator:
             env, receivers, spec.nodes(), n_bins, sample_period, check_distance=False
         )
         return cls(spec, stacks)
+
+    def _design(self, signal_power: float, noise_power: float) -> tuple:
+        """(design (G, L*L*N), offset (G,)) for one noise level, cached."""
+        key = (signal_power, noise_power)
+        if self._cache is None or self._cache[0] != key:
+            gain = signal_power * self.energies + noise_power  # (G, N)
+            weight = signal_power / (noise_power * gain)
+            # Reuse the previous design's buffer: one G*L*L*N array at a time.
+            buffer = None if self._cache is None else self._cache[1]
+            self._cache = None
+            design = np.multiply(self.products, weight[:, None, :], out=buffer)
+            self._cache = (key, design, np.sum(np.log(gain), axis=1))
+        _, design, offset = self._cache
+        return design.reshape(design.shape[0], -1), offset
 
     def locate(
         self,
@@ -152,36 +200,19 @@ class GridEvaluator:
         if obs.ndim == 2:
             obs = obs[None]
             single = True
-        if obs.ndim != 3 or obs.shape[1:] != self.stacks.shape[1:]:
+        if obs.ndim != 3 or obs.shape[1:] != self.bins_shape:
             raise ValueError("observations must be (T, L, N) matching the stacks")
+        design, offset = self._design(signal_power, noise_power)
+        row, col = self.pairs
         total = obs.shape[0]
-        l_count = obs.shape[1]
-        gain = signal_power * self.energies + noise_power  # (G, N)
-        weight = signal_power / (noise_power * gain)
-        offset = np.sum(np.log(gain), axis=1)  # (G,)
-        # The per-bin matched power |h^H x|^2 expands into receiver
-        # auto/cross spectra, turning the score into a few large matrix
-        # products over the frequency axis instead of one small product
-        # per bin.
-        auto = [
-            weight * (self.stacks[:, l, :].real ** 2 + self.stacks[:, l, :].imag ** 2)
-            for l in range(l_count)
-        ]
-        pairs = [
-            (l, l2, weight * (np.conj(self.stacks[:, l, :]) * self.stacks[:, l2, :]))
-            for l in range(l_count)
-            for l2 in range(l + 1, l_count)
-        ]
         out = np.empty((total, 3))
         for start in range(0, total, chunk):
             block = obs[start : start + chunk]
-            scores = np.zeros((self.stacks.shape[0], block.shape[0]))
-            for l in range(l_count):
-                power = block[:, l, :].real ** 2 + block[:, l, :].imag ** 2
-                scores += auto[l] @ power.T
-            for l, l2, cross in pairs:
-                spectra = block[:, l, :] * np.conj(block[:, l2, :])
-                scores += 2.0 * (cross @ spectra.T).real
+            cross = block[:, row, :] * np.conj(block[:, col, :])
+            stats = np.concatenate(
+                [block.real**2 + block.imag**2, cross.real, cross.imag], axis=1
+            ).reshape(block.shape[0], -1)
+            scores = design @ stats.T
             scores -= offset[:, None]
             best = np.argmax(scores, axis=0)
             pos = self.nodes[best].copy()

@@ -361,7 +361,6 @@ class TestSceneIO:
             "geometry": {
                 "receivers": [[0.0, 0.0, 30.0], [600.0, 0.0, 40.0]],
                 "volume": [[150.0, 150.0, 20.0], [450.0, 450.0, 80.0]],
-                "source": [300.0, 200.0, 50.0],
             },
         }
 
@@ -376,7 +375,7 @@ class TestSceneIO:
         assert env.bottom_reflection == env2.bottom_reflection
         assert np.array_equal(geo.receivers, geo2.receivers)
         assert np.array_equal(geo.volume, geo2.volume)
-        assert np.array_equal(geo.source, geo2.source)
+        assert geometry_to_dict(geo2) == scene["geometry"]
 
     def test_complex_reflection_coefficients(self):
         scene = self.scene_dict()
@@ -402,6 +401,17 @@ class TestSceneIO:
         del scene["environment"]["water_depth"]
         with pytest.raises(ConfigError):
             environment_from_dict(scene["environment"])
+
+    def test_geometry_source_rejected(self):
+        # The source is a top-level experiment key; inside the geometry it
+        # would be accepted and then ignored, so it is an unknown key.
+        scene = self.scene_dict()
+        scene["geometry"]["source"] = [300.0, 200.0, 50.0]
+        env = environment_from_dict(scene["environment"])
+        with pytest.raises(ConfigError, match="unknown geometry keys"):
+            geometry_from_dict(scene["geometry"], env)
+        with pytest.raises(ConfigError, match="JSON object"):
+            geometry_from_dict([[0.0, 0.0, 30.0]], env)
 
     def test_batch_matches_single(self):
         env = layered_env()

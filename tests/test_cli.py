@@ -113,6 +113,16 @@ class TestDataCommands:
         assert meta["environment"] == "p" and meta["count"] == 5
         assert "simulated 5 observations" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_simulate_rejects_nonpositive_count(self, config_path, tmp_path,
+                                                 capsys, count):
+        out = tmp_path / "sim"
+        code = main(["simulate", "--config", config_path, "--out", str(out),
+                     "--count", count])
+        assert code == 2
+        assert "count must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_data_then_localize_ml(self, config_path, tmp_path, capsys):
         data_dir = tmp_path / "data"
         assert main(["gen-data", "--config", config_path, "--out", str(data_dir),

@@ -318,6 +318,9 @@ class TestConfig:
                 config_from_dict(tiny_config_dict(grid={"counts": [3, 3, 3], key: 5}))
         with pytest.raises(ConfigError, match="unknown net keys"):
             config_from_dict(tiny_config_dict(net={"width": 8}))
+        geometry = dict(tiny_config_dict()["geometry"], source=[84.0, 84.0, 50.0])
+        with pytest.raises(ConfigError, match="unknown geometry keys"):
+            config_from_dict(tiny_config_dict(geometry=geometry))
 
     def test_rejects_missing_and_invalid(self):
         data = tiny_config_dict()

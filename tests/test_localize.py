@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uwloc.channel import Environment
 from uwloc.errors import ConfigError, TrainingError
@@ -227,6 +229,62 @@ class TestGridEvaluator:
         spec = small_grid(counts=(2, 2, 2))
         with pytest.raises(ConfigError):
             GridEvaluator(spec, np.ones((5, 2, 4), dtype=complex))
+
+    def test_design_cache_follows_noise_level(self):
+        # The one-entry cache must be rebuilt whenever either power changes,
+        # including a return to a level it held before.
+        env = iso_env()
+        spec = small_grid(counts=(5, 5, 3))
+        evaluator = GridEvaluator.from_scene(env, RECEIVERS, spec, N_BINS, SAMPLE_PERIOD)
+        batch = np.stack(
+            [observe(env, np.array([78.0, 96.0, 47.0]), 0.1, seed=s) for s in (15, 16)]
+        )
+        for signal_power, noise_power in ((1.0, 0.1), (1.0, 2.0), (1.0, 0.1), (0.05, 0.1)):
+            fresh = GridEvaluator.from_scene(env, RECEIVERS, spec, N_BINS, SAMPLE_PERIOD)
+            np.testing.assert_array_equal(
+                evaluator.locate(batch, signal_power, noise_power, interpolate=True),
+                fresh.locate(batch, signal_power, noise_power, interpolate=True),
+            )
+
+
+@st.composite
+def scorer_case(draw):
+    """Random stacks (G, L, N), observations (T, L, N) and powers."""
+    g = draw(st.integers(2, 30))
+    l_count = draw(st.integers(1, 5))
+    n_bins = draw(st.integers(1, 8))
+    t_count = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cnormal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    signal_power = draw(st.floats(1e-2, 1e2))
+    noise_power = draw(st.floats(1e-2, 1e2))
+    stacks = cnormal(g, l_count, n_bins)
+    observations = cnormal(t_count, l_count, n_bins)
+    return stacks, observations, signal_power, noise_power
+
+
+class TestFusedScorerProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(case=scorer_case())
+    def test_argmax_matches_loglikelihood(self, case):
+        stacks, observations, signal_power, noise_power = case
+        spec = GridSpec([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [stacks.shape[0], 1, 1])
+        evaluator = GridEvaluator(spec, stacks)
+        want = []
+        for x in observations:
+            scores = np.array([
+                concentrated_loglikelihood(x, h, signal_power, noise_power)
+                for h in stacks
+            ])
+            top, second = np.sort(scores)[::-1][:2]
+            assume(top - second > 1e-6 * (1.0 + abs(top)))
+            want.append(spec.nodes()[int(np.argmax(scores))])
+        got = evaluator.locate(observations, signal_power, noise_power,
+                               interpolate=False, chunk=2)
+        np.testing.assert_array_equal(got, np.stack(want))
 
 
 class TestExtractFeatures:
