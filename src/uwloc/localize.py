@@ -7,12 +7,17 @@ Gaussian model; additive terms that do not depend on the candidate are
 dropped. Ties on the grid resolve to the lowest linear node index.
 
 That score is linear in the per-bin receiver auto and cross spectra of the
-observation, so GridEvaluator scores a chunk of T observations over G
-nodes as one float64 GEMM: a (G, L*L*N) design against a (T, L*L*N)
-matrix of the trials' spectra, both with the column layout given in the
+observation, so GridEvaluator screens a chunk of T observations over G
+nodes with one float32 GEMM: a (T, L*L*N) matrix of the trials' spectra
+against a (G, L*L*N) design, both with the column layout given in the
 GridEvaluator docstring. The design is the noise-free node products
 (built once) weighted for one (signal power, noise power) pair and kept
-in a one-entry cache; products plus design hold 2*G*L*L*N float64 values.
+in a one-entry cache. A written-out rounding bound on the float32 scores
+selects the nodes that can still be the maximum; only those, and the
+winner's axis neighbors, are rescored in float64, so the argmax and the
+peak interpolation are those of the float64 score. Memory: float32
+products and design plus the complex stacks, about 3*G*L*L*N*4 bytes at
+L = 4 receivers.
 
 The learned path regresses position from a phase-invariant feature vector
 with a small fully-connected network implemented here on plain numpy, so
@@ -105,29 +110,69 @@ def concentrated_loglikelihood(
     return float(np.sum(score))
 
 
+# Unit roundoff and smallest normal of float32, for the screen's error bound.
+_U32 = 2.0**-24
+_TINY32 = float(np.finfo(np.float32).tiny)
+# The bound is certified only while every value the screen forms stays
+# below this, far under the float32 overflow threshold 2^128.
+_SAFE32 = 2.0**120
+# Trial/node pairs rescored per gather, bounding the (pairs, L, N) buffer.
+_RESCORE_PAIRS = 256
+
+
 class GridEvaluator:
-    """Grid ML scorer: scoring a chunk of observations is one float64 GEMM.
+    """Grid ML scorer: a float32 GEMM screen, then an exact float64 rescore.
 
     Build once per (environment, receivers, grid) from the (G, L, N)
     candidate responses h; locate() then scores any number of observations
-    x against them. The per-bin matched power |h^H x|^2 is linear in the
-    receiver auto and cross spectra of x, so the noise-free products are
-    kept as one real (G, L*L*N) array. With the P = L(L-1)/2 receiver
-    pairs l < l' in np.triu_indices order, its columns hold, each block
-    running over the N bins:
+    x against them. The score of node g is concentrated_loglikelihood's
+
+        S_g(x) = sum_k w_gk |h_gk^H x_k|^2 - offset_g,
+        w = s / (sigma^2 gain),  gain = s |h|^2 + sigma^2,
+        offset_g = sum_k log(gain_gk).
+
+    The per-bin matched power |h^H x|^2 is linear in the receiver auto and
+    cross spectra of x, so the noise-free products are kept as one real
+    float32 (G, K) array, K = L*L*N. With the P = L(L-1)/2 receiver pairs
+    l < l' in np.triu_indices order, its columns hold, each block running
+    over the N bins:
 
     - L auto terms |h_l|^2;
     - P terms 2 Re(conj(h_l) h_l');
     - P terms -2 Im(conj(h_l) h_l').
 
-    An observation gives a row with the same layout: |x_l|^2, then the
-    real and the imaginary parts of x_l conj(x_l'). The design is the
-    products weighted per node and bin by w = s / (sigma^2 gain), with
-    gain = s |h|^2 + sigma^2. It and the log-gain offset depend only on
-    (signal_power, noise_power) and live in a one-entry cache, so the q and
-    p trials of one sweep point share them. The scores of a chunk are
-    design @ stats.T - offset. Memory: the products and the cached design
-    are G*L*L*N float64 values each.
+    An observation gives a row z with the same layout: |x_l|^2, then the
+    real and the imaginary parts of x_l conj(x_l'). The design D is the
+    products weighted per node and bin by w. D in float32, w and the
+    offset in float64 and the per-bin maximum m_k = max_g w_gk |h_gk|^2
+    depend only on (signal_power, noise_power) and live in a one-entry
+    cache, so the q and p trials of one sweep point share them.
+
+    A chunk of T trials is screened by one float32 GEMM, z @ D^T - offset,
+    laid out (T, G). Rounding the inputs, each K-term dot product
+    (|fl(a^T b) - a^T b| <= gamma_K |a|^T |b|, Higham 2002, section 3.1)
+    and the offset subtraction move every float32 score of trial t from
+    S_g by less than
+
+        e_t = 2 (K + 8) u beta_t + 4 u max_g |offset_g|
+              + 2 K tiny ((1 + max w) max_k |x_tk|^2 + max_k m_k + 2),
+        beta_t = sum_k m_k |x_tk|^2,
+
+    with u = 2^-24. Cauchy-Schwarz bounds sum_j |D_gj| |z_tj| by beta_t;
+    the factor 2 covers the denominator of gamma_K and the rounding of the
+    float64 rescore; the last term, with tiny = 2^-126, covers underflow
+    (gradual or flushed to zero) and is negligible at any usual scale.
+    Every node within 2 e_t of the trial's float32 maximum is a candidate,
+    so the float64 maximizers are always among them. The candidates, and
+    the axis neighbors of the winner for interpolation, are rescored in
+    float64 from |h^H x|^2; the argmax (ties to the lowest node index) and
+    the parabola use those scores. A trial in which a float32 value could
+    overflow (beta_t + max |offset|, max |x_tk|^2, max w or max m_k at or
+    above 2^120) or is not finite makes every node a candidate.
+
+    Memory: float32 products and design, 2*G*L*L*N*4 bytes, plus the
+    complex128 stacks kept for rescoring, G*L*N*16 bytes; about
+    3*G*L*L*N*4 bytes at L = 4.
     """
 
     def __init__(self, spec: GridSpec, stacks: np.ndarray):
@@ -136,15 +181,16 @@ class GridEvaluator:
         if stacks.ndim != 3 or stacks.shape[0] != int(np.prod(spec.counts)):
             raise ConfigError("stacks must be (node_count, L, N)")
         self.nodes = spec.nodes()
-        self.bins_shape = stacks.shape[1:]
+        self.stacks = stacks
         self.energies = np.sum(np.abs(stacks) ** 2, axis=1)  # (G, N)
         self.pairs = np.triu_indices(stacks.shape[1], 1)
         cross = np.conj(stacks[:, self.pairs[0], :]) * stacks[:, self.pairs[1], :]
         self.products = np.concatenate(
             [stacks.real**2 + stacks.imag**2, 2.0 * cross.real, -2.0 * cross.imag],
             axis=1,
+            dtype=np.float32,
         )  # (G, L*L, N)
-        self._cache = None  # ((signal_power, noise_power), design, offset)
+        self._cache = None  # ((signal_power, noise_power), level)
         shape = spec.shape
         self.strides = np.array(
             [shape[1] * shape[2], shape[2], 1], dtype=int
@@ -161,19 +207,24 @@ class GridEvaluator:
         )
         return cls(spec, stacks)
 
-    def _design(self, signal_power: float, noise_power: float) -> tuple:
-        """(design (G, L*L*N), offset (G,)) for one noise level, cached."""
+    def _level(self, signal_power: float, noise_power: float) -> tuple:
+        """(design32 (G, K), weight (G, N), offset (G,), m (N,)), cached."""
         key = (signal_power, noise_power)
         if self._cache is None or self._cache[0] != key:
+            self._cache = None  # free the old design before building the new
             gain = signal_power * self.energies + noise_power  # (G, N)
             weight = signal_power / (noise_power * gain)
-            # Reuse the previous design's buffer: one G*L*L*N array at a time.
-            buffer = None if self._cache is None else self._cache[1]
-            self._cache = None
-            design = np.multiply(self.products, weight[:, None, :], out=buffer)
-            self._cache = (key, design, np.sum(np.log(gain), axis=1))
-        _, design, offset = self._cache
-        return design.reshape(design.shape[0], -1), offset
+            with np.errstate(over="ignore", invalid="ignore"):
+                # Overflow here makes every trial fail the safety test.
+                design = self.products * weight.astype(np.float32)[:, None, :]
+            level = (
+                design.reshape(design.shape[0], -1),
+                weight,
+                np.sum(np.log(gain), axis=1),
+                np.max(weight * self.energies, axis=0),
+            )
+            self._cache = (key, level)
+        return self._cache[1]
 
     def locate(
         self,
@@ -193,6 +244,8 @@ class GridEvaluator:
         """
         if noise_power <= 0:
             raise ValueError("noise power must be > 0")
+        if signal_power < 0:
+            raise ValueError("signal power must be >= 0")
         if interpolate is None:
             interpolate = self.spec.peak_interpolation
         single = False
@@ -200,45 +253,95 @@ class GridEvaluator:
         if obs.ndim == 2:
             obs = obs[None]
             single = True
-        if obs.ndim != 3 or obs.shape[1:] != self.bins_shape:
+        if obs.ndim != 3 or obs.shape[1:] != self.stacks.shape[1:]:
             raise ValueError("observations must be (T, L, N) matching the stacks")
-        design, offset = self._design(signal_power, noise_power)
-        row, col = self.pairs
+        level = self._level(signal_power, noise_power)
         total = obs.shape[0]
         out = np.empty((total, 3))
         for start in range(0, total, chunk):
             block = obs[start : start + chunk]
-            cross = block[:, row, :] * np.conj(block[:, col, :])
-            stats = np.concatenate(
-                [block.real**2 + block.imag**2, cross.real, cross.imag], axis=1
-            ).reshape(block.shape[0], -1)
-            scores = design @ stats.T
-            scores -= offset[:, None]
-            best = np.argmax(scores, axis=0)
-            pos = self.nodes[best].copy()
+            best, peak = self._argmax(block, level)
+            pos = self.nodes[best]
             if interpolate:
-                self._interpolate(scores, best, pos)
+                self._interpolate(block, level, best, peak, pos)
             out[start : start + block.shape[0]] = pos
         return out[0] if single else out
 
-    def _interpolate(self, scores: np.ndarray, best: np.ndarray, pos: np.ndarray):
+    def _argmax(self, block: np.ndarray, level: tuple) -> tuple:
+        """(best node (T,), its float64 score (T,)) for a chunk of trials."""
+        design, weight, offset, bin_max = level
+        row, col = self.pairs
+        power = block.real**2 + block.imag**2  # (T, L, N)
+        cross = block[:, row, :] * np.conj(block[:, col, :])
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Overflow here only happens in trials the safety test rejects.
+            stats = np.concatenate(
+                [power, cross.real, cross.imag], axis=1, dtype=np.float32
+            ).reshape(block.shape[0], -1)
+            screen = stats @ design.T  # (T, G)
+            screen -= offset.astype(np.float32)
+
+        terms = stats.shape[1]
+        norms = np.sum(power, axis=1)  # (T, N): |x_tk|^2
+        beta = norms @ bin_max
+        top_norm = np.max(norms, axis=1)
+        top_offset = np.max(np.abs(offset))
+        top_weight = np.max(weight)
+        top_bin = np.max(bin_max)
+        bound = (
+            2.0 * (terms + 8) * _U32 * beta
+            + 4.0 * _U32 * top_offset
+            + 2.0 * terms * _TINY32 * ((1.0 + top_weight) * top_norm + top_bin + 2.0)
+        )
+        safe = (
+            (beta + top_offset < _SAFE32)
+            & (top_norm < _SAFE32)
+            & (max(top_weight, top_bin) < _SAFE32)
+        )
+        floor = np.where(safe, np.max(screen, axis=1) - 2.0 * bound, -np.inf)
+        candidates = screen >= floor[:, None]
+        candidates[~safe] = True
+
+        trials, nodes = np.divmod(np.flatnonzero(candidates), screen.shape[1])
+        exact = self._rescore(block, trials, nodes, level)
+        # trials is sorted, so each trial's group starts where it changes;
+        # sort each group by descending score, then ascending node.
+        order = np.lexsort((nodes, -exact, trials))
+        first = order[np.flatnonzero(np.diff(trials, prepend=-1))]
+        return nodes[first], exact[first]
+
+    def _rescore(self, block, trials, nodes, level) -> np.ndarray:
+        """Float64 scores S_g(x_t) for the (trial, node) pairs given."""
+        _, weight, offset, _ = level
+        scores = np.empty(trials.size)
+        for start in range(0, trials.size, _RESCORE_PAIRS):
+            part = slice(start, start + _RESCORE_PAIRS)
+            g = nodes[part]
+            inner = np.sum(np.conj(self.stacks[g]) * block[trials[part]], axis=1)
+            power = inner.real**2 + inner.imag**2
+            scores[part] = np.sum(weight[g] * power, axis=1) - offset[g]
+        return scores
+
+    def _interpolate(self, block, level, best, peak, pos):
         shape = self.spec.shape
         steps = self.spec.steps()
-        trial_idx = np.arange(best.size)
         multi = np.stack(np.unravel_index(best, shape), axis=1)
         for axis in range(3):
             if shape[axis] < 3 or steps[axis] == 0.0:
                 continue
             coord = multi[:, axis]
-            interior = (coord > 0) & (coord < shape[axis] - 1)
-            if not np.any(interior):
+            interior = np.flatnonzero((coord > 0) & (coord < shape[axis] - 1))
+            if interior.size == 0:
                 continue
             rows = best[interior]
-            cols = trial_idx[interior]
             stride = self.strides[axis]
-            s0 = scores[rows, cols]
-            s_lo = scores[rows - stride, cols]
-            s_hi = scores[rows + stride, cols]
+            s_lo, s_hi = self._rescore(
+                block,
+                np.concatenate([interior, interior]),
+                np.concatenate([rows - stride, rows + stride]),
+                level,
+            ).reshape(2, -1)
+            s0 = peak[interior]
             denom = s_lo + s_hi - 2.0 * s0
             concave = denom < 0.0
             delta = np.where(
@@ -247,7 +350,7 @@ class GridEvaluator:
                 0.0,
             )
             delta = np.clip(delta, -0.5, 0.5)
-            pos[cols, axis] += delta * steps[axis]
+            pos[interior, axis] += delta * steps[axis]
 
 
 # ----------------------------------------------------------------------

@@ -92,11 +92,13 @@ def response_stack_batch(
     *,
     min_distance: float = channel.DEFAULT_MIN_DISTANCE,
     check_distance: bool = True,
-    chunk: int = 4096,
+    chunk: int = 1024,
 ) -> np.ndarray:
     """Response stacks for many positions; returns (M, L, N) complex.
 
-    Work is chunked so the (chunk, L, R, N) phase tensor stays small.
+    Work is chunked so the (chunk, L, R, N) phase tensor stays small. The
+    phases exp(-j w tau) are written as cos and -sin straight into one
+    complex buffer, with no complex argument tensor.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     omegas = angular_frequencies(n_bins, sample_period)
@@ -112,9 +114,11 @@ def response_stack_batch(
             min_distance=min_distance,
             check_distance=check_distance,
         )
-        phases = np.exp(
-            -1j * delays[..., None] * omegas[None, None, None, :]
-        )  # (m, L, R, N)
+        angle = delays[..., None] * omegas  # (m, L, R, N)
+        phases = np.empty(angle.shape, dtype=complex)
+        np.cos(angle, out=phases.real)
+        np.sin(angle, out=phases.imag)
+        np.negative(phases.imag, out=phases.imag)
         out[start:stop] = np.einsum("mlr,mlrn->mln", gains, phases)
     return out
 

@@ -21,7 +21,7 @@ from uwloc.localize import (
     train_net,
 )
 from uwloc.harness import observation_chunks
-from uwloc.signal import response_stack
+from uwloc.signal import response_stack, response_stack_batch
 
 SAMPLE_PERIOD = 0.016
 N_BINS = 16
@@ -246,6 +246,73 @@ class TestGridEvaluator:
                 fresh.locate(batch, signal_power, noise_power, interpolate=True),
             )
 
+    def test_rejects_negative_signal_power(self):
+        spec = GridSpec([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3, 1, 1])
+        evaluator = GridEvaluator(spec, np.ones((3, 2, 4), dtype=complex))
+        with pytest.raises(ValueError):
+            evaluator.locate(np.ones((2, 4)), -1.0, 1.0)
+
+    def test_near_ties_follow_float64_scores(self):
+        # Nodes 11-19 are nodes 0-8 moved by about 1e-7 relative, node 20 is
+        # node 9 scaled by 1 + 1e-9 and node 21 duplicates node 10. float32
+        # cannot order these pairs, so the float64 scores must decide, and
+        # the exact tie must go to the lower index.
+        rng = np.random.default_rng(24)
+
+        def cnormal(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        base = cnormal(11, 3, 5)
+        twins = base[:9] * (1.0 + 1e-7 * cnormal(9, 3, 5))
+        stacks = np.concatenate([base, twins, base[9:10] * (1.0 + 1e-9), base[10:]])
+        spec = GridSpec([0.0, 0.0, 0.0], [21.0, 0.0, 0.0], [22, 1, 1])
+        evaluator = GridEvaluator(spec, stacks)
+        batch = 3.0 * base + 0.1 * cnormal(11, 3, 5)
+        got = evaluator.locate(batch, 1.0, 0.1, interpolate=False)
+        for centre, (x, pos) in enumerate(zip(batch, got)):
+            scores = np.array(
+                [concentrated_loglikelihood(x, h, 1.0, 0.1) for h in stacks]
+            )
+            want = int(np.argmax(scores))
+            pair = (centre, centre + 11)
+            assert want in pair
+            assert abs(scores[pair[0]] - scores[pair[1]]) < 1e-6 * abs(scores[want])
+            if centre == 10:
+                assert scores[10] == scores[21] and want == 10
+            np.testing.assert_array_equal(pos, spec.nodes()[want])
+
+    def test_interpolation_matches_float64_parabola(self):
+        env = iso_env()
+        spec = small_grid()
+        nodes = spec.nodes()
+        stacks = response_stack_batch(
+            env, RECEIVERS, nodes, N_BINS, SAMPLE_PERIOD, check_distance=False
+        )
+        evaluator = GridEvaluator(spec, stacks)
+        noise = 0.02
+        true = np.array([87.0, 93.0, 51.0])
+        batch = np.stack([observe(env, true, noise, seed=s) for s in range(30, 42)])
+        got = evaluator.locate(batch, 1.0, noise, interpolate=True)
+        steps = spec.steps()
+        strides = (spec.counts[1] * spec.counts[2], spec.counts[2], 1)
+        for x, pos in zip(batch, got):
+            scores = np.array(
+                [concentrated_loglikelihood(x, h, 1.0, noise) for h in stacks]
+            )
+            best = int(np.argmax(scores))
+            want = nodes[best].copy()
+            index = np.unravel_index(best, spec.shape)
+            for axis in range(3):
+                if not 0 < index[axis] < spec.counts[axis] - 1:
+                    continue
+                s_lo = scores[best - strides[axis]]
+                s_hi = scores[best + strides[axis]]
+                denom = s_lo + s_hi - 2.0 * scores[best]
+                if denom < 0.0:
+                    delta = np.clip(0.5 * (s_lo - s_hi) / denom, -0.5, 0.5)
+                    want[axis] += delta * steps[axis]
+            np.testing.assert_allclose(pos, want, rtol=0, atol=1e-9)
+
 
 @st.composite
 def scorer_case(draw):
@@ -280,7 +347,7 @@ class TestFusedScorerProperty:
                 for h in stacks
             ])
             top, second = np.sort(scores)[::-1][:2]
-            assume(top - second > 1e-6 * (1.0 + abs(top)))
+            assume(top - second > 1e-9 * (1.0 + abs(top)))
             want.append(spec.nodes()[int(np.argmax(scores))])
         got = evaluator.locate(observations, signal_power, noise_power,
                                interpolate=False, chunk=2)

@@ -137,6 +137,25 @@ class TestResponseStack:
         chunked = response_stack_batch(env, receivers, positions, 8, 0.01, chunk=4)
         assert np.array_equal(full, chunked)
 
+    def test_batch_equals_exp_formula_bitwise(self):
+        # The phases are built from cos and -sin; the stacks must carry the
+        # same bits as exp(-j w tau) summed with the gains, at any chunk.
+        env = self.iso_env()
+        receivers = [[0.0, 0.0, 30.0], [200.0, 50.0, 60.0], [90.0, 210.0, 45.0]]
+        rng = np.random.default_rng(4)
+        positions = rng.uniform([50, 50, 20], [250, 250, 80], size=(23, 3))
+        n_bins, t_s = 16, 0.01
+        delays, gains = arrivals_batch(env, receivers, positions)
+        omegas = angular_frequencies(n_bins, t_s)
+        phases = np.exp(-1j * delays[..., None] * omegas[None, None, None, :])
+        want = np.einsum("mlr,mlrn->mln", gains, phases)
+        for chunk in (1, 7, 1024):
+            got = response_stack_batch(
+                env, receivers, positions, n_bins, t_s, chunk=chunk
+            )
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestDrawWaveform:
     # Through a unit response without noise an observation is the waveform.
