@@ -18,6 +18,14 @@ chunk. Each chunk of `count` observations x = s h + v draws, in this order:
 the waveform s, real parts then imaginary parts, shape (count, N); then the
 noise v, real parts then imaginary parts, shape (count, L, N).
 
+Workers: with workers > 1 the sweep runs in a pool of min(workers, SNR
+points) forked processes, one task per SNR point holding both
+environments' chunks, so a point's GridEvaluator design is built once.
+Each worker caps the OpenBLAS that numpy loaded at max(1, cores //
+workers) threads (see _init_worker); the parent's BLAS is never changed,
+and workers = 1 runs every point in the parent without a pool. A failure
+surfaces as the same StageError in both cases.
+
 SNR accounting: the reported target SNR is average received signal power
 over noise power, so the noise power at a grid point is
 signal_power * average_attenuation / snr_linear. Closed-form divergences
@@ -27,9 +35,11 @@ attenuation there.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import math
+import os
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -333,13 +343,56 @@ def _chunk_sizes(total: int) -> list:
 
 
 # Worker-side state for process pools; set once per worker by the
-# initializer so the grid stacks are pickled once, not per task.
+# initializer, so the grid stacks reach a worker once (a forked worker
+# inherits them), not with every task.
 _WORKER_STATE = None
 
 
-def _init_worker(state):
+def _openblas_functions(name: str) -> list:
+    """The ctypes function openblas_<name> of each OpenBLAS this process loaded.
+
+    Libraries are found as threadpoolctl finds them: every mapped file of
+    /proc/self/maps whose name holds "openblas" is opened with RTLD_NOLOAD,
+    and the first exported symbol among scipy_openblas_<name>64_,
+    scipy_openblas_<name>, openblas_<name>64_ and openblas_<name> is taken.
+    Empty where /proc/self/maps does not exist or no OpenBLAS is loaded.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            mapped = [line.split(maxsplit=5) for line in handle]
+    except OSError:
+        return []
+    paths = dict.fromkeys(
+        parts[5].strip() for parts in mapped
+        if len(parts) == 6 and "openblas" in os.path.basename(parts[5]).lower()
+    )
+    functions = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+            function = getattr(library, f"{prefix}openblas_{name}{suffix}", None)
+            if function is not None:
+                functions.append(function)
+                break
+    return functions
+
+
+def _init_worker(state, workers: int):
+    """Keep the run state and cap BLAS at this worker's share of the cores.
+
+    Without the cap every forked worker keeps the parent's BLAS thread
+    count, and workers x threads oversubscribe the cores.
+    """
     global _WORKER_STATE
     _WORKER_STATE = state
+    setters = _openblas_functions("set_num_threads")
+    if setters:
+        threads = max(1, len(os.sched_getaffinity(0)) // workers)
+        for set_num_threads in setters:
+            set_num_threads(threads)
 
 
 def _run_chunk(state, master: int, point_idx: int, kind: str, chunk_idx: int,
@@ -355,11 +408,28 @@ def _run_chunk(state, master: int, point_idx: int, kind: str, chunk_idx: int,
     return estimates - state["source"][None, :]
 
 
+def _run_point(state, master: int, point_idx: int, noise_power: float,
+               trials: int) -> dict:
+    """Error samples {"q": (trials, 3), "p": (trials, 3)} of one SNR point.
+
+    A failure surfaces as StageError("snr[i]:q" or "snr[i]:p"), the same
+    in a pool worker as in the parent.
+    """
+    errors = {}
+    for kind in ("q", "p"):
+        try:
+            errors[kind] = np.concatenate([
+                _run_chunk(state, master, point_idx, kind, chunk_idx, count,
+                           noise_power)
+                for chunk_idx, count in enumerate(_chunk_sizes(trials))
+            ])
+        except Exception as exc:
+            raise StageError(f"snr[{point_idx}]:{kind}", master, exc) from exc
+    return errors
+
+
 def _worker_entry(args):
-    key = args[:4]
-    master, point_idx, kind, chunk_idx, count, noise_power = args
-    return key, _run_chunk(_WORKER_STATE, master, point_idx, kind, chunk_idx,
-                           count, noise_power)
+    return _run_point(_WORKER_STATE, *args)
 
 
 def _uniform_positions(rng, volume: np.ndarray, count: int) -> np.ndarray:
@@ -501,42 +571,31 @@ def run_experiment(
 
     noise_powers = [noise_level(state["attenuation"], db) for db in config.snr_db]
 
-    jobs = []
-    for idx in range(len(config.snr_db)):
-        for kind in ("q", "p"):
-            for chunk_idx, count in enumerate(_chunk_sizes(config.trials)):
-                jobs.append(
-                    (config.seed, idx, kind, chunk_idx, count, noise_powers[idx])
-                )
-
-    results = {}
+    # One task per SNR point: its q and p chunks share the point's design.
+    tasks = [
+        (config.seed, idx, noise_powers[idx], config.trials)
+        for idx in range(len(config.snr_db))
+    ]
+    workers = min(workers, len(tasks))
     if workers <= 1:
-        for args in jobs:
-            key = args[:4]
-            try:
-                results[key] = _run_chunk(state, *args)
-            except Exception as exc:
-                raise StageError(f"snr[{args[1]}]:{args[2]}", config.seed, exc) from exc
+        results = [_run_point(state, *task) for task in tasks]
     else:
         try:
             with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(state,)
+                max_workers=workers,
+                initializer=_init_worker,
+                initargs=(state, workers),
             ) as pool:
-                for key, errors in pool.map(_worker_entry, jobs, chunksize=1):
-                    results[key] = errors
+                results = list(pool.map(_worker_entry, tasks))
+        except StageError:
+            raise
         except Exception as exc:
             raise StageError("trials", config.seed, exc) from exc
 
     points = []
     for idx, db in enumerate(config.snr_db):
         try:
-            gather = {}
-            for kind in ("q", "p"):
-                chunks = [
-                    results[(config.seed, idx, kind, c)]
-                    for c in range(len(_chunk_sizes(config.trials)))
-                ]
-                gather[kind] = np.concatenate(chunks, axis=0)
+            gather = results[idx]
             evaluation = bounds_mod.strong_bound(
                 gather["q"], gather["p"], k_nn=config.csd_k
             )

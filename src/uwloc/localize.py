@@ -240,7 +240,8 @@ class GridEvaluator:
         observations: (L, N) array or (T, L, N) batch.
         Returns (3,) for a single observation, else (T, 3).
         With interpolation, each interior peak axis gets a parabolic
-        sub-step correction clamped to half a step.
+        sub-step correction clamped to half a step. An observation with a
+        NaN or infinite entry raises ValueError naming the first such trial.
         """
         if noise_power <= 0:
             raise ValueError("noise power must be > 0")
@@ -255,6 +256,11 @@ class GridEvaluator:
             single = True
         if obs.ndim != 3 or obs.shape[1:] != self.stacks.shape[1:]:
             raise ValueError("observations must be (T, L, N) matching the stacks")
+        finite = np.isfinite(obs).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(
+                f"observation {int(np.argmin(finite))} has a non-finite entry"
+            )
         level = self._level(signal_power, noise_power)
         total = obs.shape[0]
         out = np.empty((total, 3))

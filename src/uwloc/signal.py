@@ -158,7 +158,11 @@ def save_observations(path, values: np.ndarray, seed, fmt: str = "csv") -> None:
 
 
 def load_observations(path):
-    """Read an observation dump; returns (values (T, L, N), header dict)."""
+    """Read an observation dump; returns (values (T, L, N), header dict).
+
+    A corrupt, misshapen or non-finite (NaN or infinite) payload raises
+    ConfigError.
+    """
     with open(path, "rb") as handle:
         first = handle.readline().decode("ascii")
         payload = handle.read()
@@ -182,5 +186,11 @@ def load_observations(path):
         raise ConfigError(f"observation dump payload is corrupt: {exc}") from exc
     if rows.shape != (count, width):
         raise ConfigError("observation dump payload has the wrong shape")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ConfigError(
+            f"observation dump payload is not finite in observation "
+            f"{int(np.argmin(finite))}"
+        )
     values = rows[:, 0::2] + 1j * rows[:, 1::2]
     return values.reshape(count, l_count, n_bins), meta

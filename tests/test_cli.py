@@ -9,7 +9,7 @@ from test_harness import tiny_config_dict
 from uwloc.cli import main
 from uwloc.csd import save_samples
 from uwloc.harness import parse_curve_csv
-from uwloc.signal import load_observations
+from uwloc.signal import load_observations, save_observations
 
 
 @pytest.fixture
@@ -134,6 +134,21 @@ class TestDataCommands:
         assert estimates.shape == (6, 3)
         # labels.csv is present, so the command reports the achieved rmse
         assert "rmse" in capsys.readouterr().out
+
+    def test_localize_rejects_non_finite_observations(self, config_path, tmp_path,
+                                                       capsys):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--config", config_path, "--out", str(data_dir),
+                     "--count", "3", "--snr-db", "18"]) == 0
+        values, _ = load_observations(data_dir / "observations.bin")
+        values[1, 0, 0] = np.nan
+        save_observations(data_dir / "observations.bin", values, seed=0, fmt="bin")
+        out = tmp_path / "loc"
+        code = main(["localize", "--config", config_path, "--data", str(data_dir),
+                     "--out", str(out), "--method", "ml"])
+        assert code == 2
+        assert "not finite in observation 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_and_localize_net(self, net_config_path, tmp_path, capsys):
         data_dir = tmp_path / "data"

@@ -3,7 +3,11 @@
 import copy
 import json
 import math
+import multiprocessing
+import os
+import pickle
 import zlib
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from uwloc.harness import (
     CurvePoint,
     ExperimentResult,
     _chunk_sizes,
+    _init_worker,
+    _openblas_functions,
     _prepare_state,
     _run_chunk,
     _uniform_positions,
@@ -24,14 +30,16 @@ from uwloc.harness import (
     config_from_dict,
     config_to_dict,
     default_experiment_config,
+    derive_scene,
     derive_seed,
     emit_outputs,
     generate_dataset,
     load_config,
+    noise_level,
     parse_curve_csv,
     run_experiment,
 )
-from uwloc.localize import extract_features
+from uwloc.localize import GridEvaluator, extract_features
 from uwloc.signal import load_observations, response_stack_batch
 
 
@@ -362,6 +370,12 @@ class TestStageError:
         assert isinstance(err.cause, ValueError)
         assert "snr[3]:q" in str(err) and "42" in str(err) and "boom" in str(err)
 
+    def test_pickle_round_trip(self):
+        err = pickle.loads(pickle.dumps(StageError("snr[3]:q", 1, ValueError("boom"))))
+        assert (err.stage, err.seed) == ("snr[3]:q", 1)
+        assert isinstance(err.cause, ValueError) and str(err.cause) == "boom"
+        assert str(err) == str(StageError("snr[3]:q", 1, ValueError("boom")))
+
 
 class TestRunExperiment:
     def test_deterministic_and_worker_invariant(self):
@@ -389,6 +403,55 @@ class TestRunExperiment:
         for point in first.points:
             assert point.bound_strong >= point.rmse_q
             assert point.trials == 40 and point.seed == 99
+
+    def test_net_deterministic_and_worker_invariant(self):
+        data = tiny_config_dict(
+            estimator="net",
+                        net={
+                "train_size": 64,
+                "train_snr_db": 15.0,
+                "hidden": [16],
+                "epochs": 3,
+                "batch_size": 32,
+                "learning_rate": 3e-3,
+            },
+        )
+        first = run_experiment(config_from_dict(data), workers=1)
+        pooled = run_experiment(config_from_dict(data), workers=2)
+        rows = [p.row() for p in first.points]
+        assert len(rows) == 2
+        assert [p.row() for p in pooled.points] == rows
+        assert pooled.metadata["net_loss_curve"] == first.metadata["net_loss_curve"]
+
+    def test_pooled_failure_names_its_stage(self, monkeypatch, tmp_path, capsys):
+        data = tiny_config_dict()
+        _, attenuation = derive_scene(config_from_dict(data))
+        failing = noise_level(attenuation, data["snr_db"][1])
+        locate = GridEvaluator.locate
+
+        def fail_at_one_level(self, observations, signal_power, noise_power, **kw):
+            if noise_power == failing:
+                raise ValueError("injected locate failure")
+            return locate(self, observations, signal_power, noise_power, **kw)
+
+        # Forked pool workers inherit the patched class.
+        monkeypatch.setattr(GridEvaluator, "locate", fail_at_one_level)
+        stages = []
+        for workers in (1, 2):
+            with pytest.raises(StageError) as info:
+                run_experiment(config_from_dict(data), workers=workers)
+            stages.append(info.value.stage)
+            assert info.value.seed == data["seed"]
+            assert "injected locate failure" in str(info.value.cause)
+        assert stages == ["snr[1]:q", "snr[1]:q"]
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        for workers in ("1", "2"):
+            code = main(["experiment", "--config", str(path), "--workers", workers,
+                         "--out", str(tmp_path / f"out{workers}")])
+            assert code == 3
+            assert "stage 'snr[1]:q' failed" in capsys.readouterr().err
 
     def test_matched_environments(self):
         data = tiny_config_dict(trials=80)
@@ -436,6 +499,33 @@ class TestRunExperiment:
         near = tiny_config_dict(source=[0.0, 0.0, 30.0])  # on a receiver
         with pytest.raises(ConfigError, match="far-field"):
             run_experiment(config_from_dict(near), workers=1)
+
+
+# Set before a test pool forks, so its workers inherit it.
+_POOL_BARRIER = None
+
+
+def _worker_blas_threads(_):
+    # Both tasks wait here, so each of the two workers runs one of them.
+    _POOL_BARRIER.wait(timeout=30)
+    return os.getpid(), [int(get()) for get in _openblas_functions("get_num_threads")]
+
+
+class TestWorkerBlasThreads:
+    def test_each_worker_gets_its_share_of_the_cores(self, monkeypatch):
+        getters = _openblas_functions("get_num_threads")
+        if not getters:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        parent = [int(get()) for get in getters]
+        monkeypatch.setitem(globals(), "_POOL_BARRIER", multiprocessing.Barrier(2))
+        with ProcessPoolExecutor(
+            max_workers=2, initializer=_init_worker, initargs=({}, 2)
+        ) as pool:
+            seen = dict(pool.map(_worker_blas_threads, range(2)))
+        share = max(1, len(os.sched_getaffinity(0)) // 2)
+        assert len(seen) == 2
+        assert all(threads == [share] * len(getters) for threads in seen.values())
+        assert [int(get()) for get in getters] == parent
 
 
 class TestGenerateDataset:

@@ -252,6 +252,17 @@ class TestGridEvaluator:
         with pytest.raises(ValueError):
             evaluator.locate(np.ones((2, 4)), -1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_observation(self, bad):
+        spec = GridSpec([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3, 1, 1])
+        evaluator = GridEvaluator(spec, np.ones((3, 2, 4), dtype=complex))
+        x = np.ones((3, 2, 4), dtype=complex)
+        x[1, 0, 0] = bad
+        with pytest.raises(ValueError, match="observation 1 "):
+            evaluator.locate(x, 1.0, 1.0)
+        with pytest.raises(ValueError, match="observation 0 "):
+            evaluator.locate(x[1], 1.0, 1.0)
+
     def test_near_ties_follow_float64_scores(self):
         # Nodes 11-19 are nodes 0-8 moved by about 1e-7 relative, node 20 is
         # node 9 scaled by 1 + 1e-9 and node 21 duplicates node 10. float32

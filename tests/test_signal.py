@@ -258,3 +258,12 @@ class TestObservationDump:
         short.write_bytes(raw[:-16])
         with pytest.raises(ConfigError):
             load_observations(short)
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_rejects_non_finite_payload(self, tmp_path, fmt):
+        values = np.ones((3, 2, 4), dtype=complex)
+        values[1, 0, 0] = np.nan
+        path = tmp_path / f"obs.{fmt}"
+        save_observations(path, values, seed=0, fmt=fmt)
+        with pytest.raises(ConfigError, match="not finite in observation 1"):
+            load_observations(path)
