@@ -11,16 +11,12 @@ __version__ = "0.1.0"
 from .bounds import (
     BlockForm,
     BoundEvaluation,
-    JointDiagonalization,
-    MismatchReport,
     block_diagonalize,
     build_covariance,
     csd_exact,
     delta_squared_closed_form,
     eigenvalues_closed_form,
     gamma_and_condition,
-    joint_diagonalizer,
-    mismatch_report,
     snr_limits,
     strong_bound,
     weak_bound,
@@ -34,7 +30,6 @@ from .channel import (
     environment_to_dict,
     geometry_from_dict,
     geometry_to_dict,
-    load_scene,
     stratified_delay,
     validate_environment,
     validate_geometry,
@@ -44,7 +39,6 @@ from .errors import (
     ConfigError,
     DegenerateGeometryError,
     EstimationError,
-    JointDiagonalizationError,
     StageError,
     StructureError,
     TrainingError,
@@ -74,7 +68,6 @@ from .localize import (
     train_net,
 )
 from .signal import (
-    FrequencyResponseStack,
     angular_frequencies,
     frequency_response,
     load_observations,

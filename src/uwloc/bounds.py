@@ -5,12 +5,13 @@ actual model (test-time, subscript p) are zero-mean circular complex
 Gaussians whose NL x NL covariances share one structure: a rank-one update
 per frequency bin. Everything here exploits that structure: closed-form
 eigenvalues, block diagonalization under the receiver/frequency interleave,
-a joint diagonalizer for covariance pairs, the chi-square divergence between
-the two observation laws (exact determinant form and O(NL) product form),
-its SNR limits, and the two MSE-degradation bounds built from it.
+the chi-square divergence between the two observation laws (exact
+determinant form and O(NL) product form), its SNR limits, and the two
+MSE-degradation bounds built from it.
 
 Infinite divergence is an explicit result value (math.inf), not an
-exception, so sweep curves can carry vacuous-bound regions.
+exception, so sweep curves can carry vacuous-bound regions. A finite
+divergence too large for float64 is reported as math.inf as well.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .csd import estimate_csd
-from .errors import EstimationError, JointDiagonalizationError, StructureError
-from .signal import FrequencyResponseStack
+from .errors import EstimationError, StructureError
 
 # Relative margin at which a boundary case counts as violated (divergence
 # infinite) rather than finite; keeps near-singular denominators out.
@@ -57,51 +57,12 @@ class BlockForm:
 
 
 @dataclass
-class JointDiagonalization:
-    """Eigenbasis of sigma_q @ inv(sigma_p) with joint-diagonality diagnostics.
-
-    basis columns are eigenvectors of the ratio matrix; both covariances are
-    diagonal under inv(basis) sigma inv(basis)^H. offdiag_q / offdiag_p are
-    the relative off-diagonal Frobenius masses left by that transform;
-    ratios_distinct records whether the eigenvalue-distinctness condition
-    held (it fails harmlessly for, e.g., an identical pair).
-    """
-
-    basis: np.ndarray
-    ratios: np.ndarray
-    offdiag_q: float
-    offdiag_p: float
-    ratios_distinct: bool
-
-
-@dataclass
-class MismatchReport:
-    """Everything the closed-form analysis says about one model pair.
-
-    lambda_q / lambda_p hold the NL covariance eigenvalues in frequency-major
-    order (bin k contributes entries k*L..(k+1)*L-1). gamma is the (N, L)
-    per-bin eigenvalue ratio; columns beyond the first are identically 1.
-    delta2_closed and csd_exact may be math.inf (vacuous-bound region).
-    """
-
-    lambda_q: np.ndarray
-    lambda_p: np.ndarray
-    gamma: np.ndarray
-    condition_ok: bool
-    delta2_closed: float
-    csd_exact: float
-    rho: np.ndarray
-    high_snr_limit: float
-    low_snr_limit: float
-
-
-@dataclass
 class BoundEvaluation:
     """Empirical bound assembly from error samples.
 
     strong_bound = mse_q + sqrt(var_q * csd_error) with csd_error the clamped
-    k-NN divergence estimate between the two error-sample sets. weak_bound
-    stays None until a closed-form divergence is attached via with_weak.
+    k-NN divergence estimate between the two error-sample sets. The
+    closed-form counterpart is weak_bound(mse_q, var_q, delta2).
     """
 
     mse_q: float
@@ -109,24 +70,10 @@ class BoundEvaluation:
     var_q: float
     csd_error: float
     strong_bound: float
-    weak_bound: float | None = None
     csd_detail: object = None
-
-    def with_weak(self, delta2: float) -> "BoundEvaluation":
-        return BoundEvaluation(
-            self.mse_q,
-            self.mse_p,
-            self.var_q,
-            self.csd_error,
-            self.strong_bound,
-            weak_bound=weak_bound(self.mse_q, self.var_q, delta2),
-            csd_detail=self.csd_detail,
-        )
 
 
 def _as_matrix(stack) -> np.ndarray:
-    if isinstance(stack, FrequencyResponseStack):
-        return stack.h
     return np.atleast_2d(np.asarray(stack, dtype=complex))
 
 
@@ -168,37 +115,18 @@ def interleave_permutation(l_count: int, n_bins: int) -> np.ndarray:
 
 
 def block_diagonalize(
-    source,
-    *,
-    signal_power: float | None = None,
-    noise_power: float | None = None,
-    l_count: int | None = None,
-    rtol: float = 1e-10,
+    cov, *, l_count: int | None = None, rtol: float = 1e-10
 ) -> BlockForm:
-    """Per-frequency blocks of a covariance under the interleave permutation.
+    """Per-frequency blocks of a dense receiver-major covariance.
 
-    Accepts either a FrequencyResponseStack (with both powers, building the
-    blocks directly) or a dense receiver-major covariance (with l_count,
-    verifying that nothing lives outside the permuted block pattern).
+    Applies the interleave permutation and verifies that nothing lives
+    outside the permuted block pattern.
     """
-    if isinstance(source, FrequencyResponseStack) or (
-        isinstance(source, np.ndarray) and source.ndim == 2 and signal_power is not None
-    ):
-        h = _as_matrix(source)
-        if signal_power is None or noise_power is None:
-            raise ValueError("stack input needs signal_power and noise_power")
-        l_count, n_bins = h.shape
-        cols = h.T  # (N, L)
-        blocks = signal_power * cols[:, :, None] * np.conj(cols[:, None, :])
-        blocks += noise_power * np.eye(l_count)[None, :, :]
-        perm = interleave_permutation(l_count, n_bins)
-        return BlockForm(blocks, perm, l_count, n_bins)
-
-    cov = np.asarray(source, dtype=complex)
+    cov = np.asarray(cov, dtype=complex)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise StructureError("covariance must be square")
     if l_count is None:
-        raise StructureError("dense input needs l_count")
+        raise StructureError("block_diagonalize needs l_count")
     size = cov.shape[0]
     if size % l_count != 0:
         raise StructureError("matrix size is not a multiple of l_count")
@@ -251,53 +179,17 @@ def _logdet_pd(matrix: np.ndarray, name: str) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(factor).real)))
 
 
-def joint_diagonalizer(
-    sigma_q,
-    sigma_p,
-    *,
-    distinct_rtol: float = 1e-8,
-    offdiag_tol: float = 1e-6,
-) -> JointDiagonalization:
-    """Eigenbasis of sigma_q @ inv(sigma_p), with joint-diagonality checks.
+def _divergence_from_log(log_value: float) -> float:
+    """exp(log_value) - 1, or math.inf where that exceeds float64.
 
-    The returned basis U holds eigenvectors of omega = sigma_q inv(sigma_p)
-    as columns and diagonalizes both inputs by the inverse congruence
-    inv(U) sigma inv(U)^H. It is built from the definite-pencil form
-    W^H sigma_p W = I, W^H sigma_q W = diag(ratios), U = sigma_p W, which
-    stays valid even when ratios repeat (Lemma-style distinctness then fails
-    only for the raw eig construction); ratios_distinct records whether the
-    pairwise-distinct condition held. If the transform still leaves
-    off-diagonal mass above offdiag_tol, a JointDiagonalizationError carries
-    the diagnostics instead of returning a misleading basis.
+    The one rule every closed-form divergence leaves log space by: a
+    finite divergence too large to represent is as vacuous as an infinite
+    one, so it is reported as math.inf, never as OverflowError.
     """
-    sigma_q = _check_hermitian(sigma_q, "sigma_q")
-    sigma_p = _check_hermitian(sigma_p, "sigma_p")
     try:
-        ratios, pencil = scipy.linalg.eigh(sigma_q, sigma_p)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise ValueError("sigma_p is not positive definite") from exc
-    basis = sigma_p @ pencil
-
-    def offdiag_mass(matrix):
-        transformed = pencil.conj().T @ matrix @ pencil
-        diag = np.diag(np.diag(transformed))
-        denom = max(np.linalg.norm(transformed), 1e-300)
-        return float(np.linalg.norm(transformed - diag) / denom)
-
-    off_q = offdiag_mass(sigma_q)
-    off_p = offdiag_mass(sigma_p)
-    scale = float(np.max(np.abs(ratios))) if ratios.size else 1.0
-    gap = np.abs(ratios[:, None] - np.conj(ratios)[None, :]).astype(float)
-    np.fill_diagonal(gap, np.inf)
-    distinct = bool(gap.min() > distinct_rtol * max(scale, 1e-300))
-    result = JointDiagonalization(basis, ratios, off_q, off_p, distinct)
-    if max(off_q, off_p) > offdiag_tol:
-        raise JointDiagonalizationError(
-            "pencil basis does not jointly diagonalize the pair "
-            f"(off-diagonal mass q={off_q:.3e}, p={off_p:.3e})",
-            diagnostics=result,
-        )
-    return result
+        return math.expm1(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def _condition_margin_ok(energy_q, energy_p, snr, rtol):
@@ -333,7 +225,8 @@ def delta_squared_closed_form(
 
     Evaluates prod_k (snr eq + 1)^2 / ((snr ep + 1)(snr (2 eq - ep) + 1)) - 1
     from the per-bin energies alone, as exp(compensated log sum) - 1.
-    Returns math.inf when the finiteness condition fails.
+    Returns math.inf when the finiteness condition fails or the value
+    exceeds float64.
     """
     if snr <= 0:
         raise ValueError("snr must be > 0")
@@ -348,7 +241,7 @@ def delta_squared_closed_form(
         - np.log1p(snr * energy_p)
         - np.log1p(snr * (2.0 * energy_q - energy_p))
     )
-    return math.expm1(math.fsum(terms))
+    return _divergence_from_log(math.fsum(terms))
 
 
 def csd_exact(sigma_q, sigma_p, *, rtol: float = BOUNDARY_RTOL) -> float:
@@ -356,7 +249,8 @@ def csd_exact(sigma_q, sigma_p, *, rtol: float = BOUNDARY_RTOL) -> float:
 
     det(sigma_q) / (det(sigma_p) det(2I - sigma_p inv(sigma_q))) - 1 in
     log space; finite iff every generalized eigenvalue of (sigma_p, sigma_q)
-    stays below 2. Returns math.inf otherwise.
+    stays below 2. Returns math.inf otherwise, or where the value exceeds
+    float64.
     """
     sigma_q = _check_hermitian(sigma_q, "sigma_q")
     sigma_p = _check_hermitian(sigma_p, "sigma_p")
@@ -367,14 +261,15 @@ def csd_exact(sigma_q, sigma_p, *, rtol: float = BOUNDARY_RTOL) -> float:
     if np.any(margin <= rtol * 2.0):
         return math.inf
     total = logdet_q - logdet_p - math.fsum(np.log(margin))
-    return math.expm1(total)
+    return _divergence_from_log(total)
 
 
 def snr_limits(stack_q, stack_p, *, low_snr_probe: float = 1e-6):
     """High-SNR divergence limit and the low-SNR probe value.
 
     The high-SNR limit is prod_k 1/(rho_k (2 - rho_k)) - 1 with rho_k the
-    per-bin energy ratio actual/presumed; math.inf when any rho_k >= 2.
+    per-bin energy ratio actual/presumed; math.inf when any rho_k >= 2 or
+    the value exceeds float64.
     The low-SNR behavior is reported as the closed-form divergence at
     snr = low_snr_probe, which must vanish as the probe does.
     """
@@ -387,7 +282,8 @@ def snr_limits(stack_q, stack_p, *, low_snr_probe: float = 1e-6):
     if np.any(margin <= BOUNDARY_RTOL * 2.0) or np.any(rho <= 0):
         high = math.inf
     else:
-        high = math.expm1(-math.fsum(np.log(rho)) - math.fsum(np.log(margin)))
+        log_high = -math.fsum(np.log(rho)) - math.fsum(np.log(margin))
+        high = _divergence_from_log(log_high)
     low = delta_squared_closed_form(stack_q, stack_p, low_snr_probe)
     return high, low
 
@@ -436,41 +332,3 @@ def strong_bound(errors_q, errors_p, k_nn: int = 5) -> BoundEvaluation:
         csd_detail=estimate,
     )
 
-
-def mismatch_report(
-    stack_q, stack_p, signal_power: float, noise_power: float
-) -> MismatchReport:
-    """Full closed-form analysis of a presumed/actual model pair."""
-    snr = signal_power / noise_power
-    h_q = _as_matrix(stack_q)
-    h_p = _as_matrix(stack_p)
-    l_count, n_bins = h_q.shape
-    energy_q = _bin_energies(h_q)
-    energy_p = _bin_energies(h_p)
-    lam_q = np.tile(float(noise_power), (n_bins, l_count))
-    lam_p = lam_q.copy()
-    lam_q[:, 0] += signal_power * energy_q
-    lam_p[:, 0] += signal_power * energy_p
-    gamma, condition_ok = gamma_and_condition(h_q, h_p, snr)
-    delta2 = delta_squared_closed_form(h_q, h_p, snr)
-    exact = csd_exact(
-        build_covariance(h_q, signal_power, noise_power),
-        build_covariance(h_p, signal_power, noise_power),
-    )
-    with np.errstate(divide="ignore"):
-        rho = np.where(energy_q > 0, energy_p / np.where(energy_q > 0, energy_q, 1.0), np.inf)
-    if np.any(energy_q <= 0):
-        high, low = math.inf, delta_squared_closed_form(h_q, h_p, 1e-6)
-    else:
-        high, low = snr_limits(h_q, h_p)
-    return MismatchReport(
-        lambda_q=lam_q.reshape(-1),
-        lambda_p=lam_p.reshape(-1),
-        gamma=gamma,
-        condition_ok=condition_ok,
-        delta2_closed=delta2,
-        csd_exact=exact,
-        rho=rho,
-        high_snr_limit=high,
-        low_snr_limit=low,
-    )

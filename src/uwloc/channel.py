@@ -15,7 +15,6 @@ in-column integrals over the folded sub-segments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -414,16 +413,3 @@ def geometry_to_dict(geometry: Geometry) -> dict:
         "volume": geometry.volume.tolist(),
     }
 
-
-def load_scene(path) -> tuple[Environment, Geometry]:
-    """Read one JSON file holding an environment plus geometry."""
-    with open(path) as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict) or "environment" not in data or "geometry" not in data:
-        raise ConfigError(f"{path}: expected top-level 'environment' and 'geometry' keys")
-    env = environment_from_dict(data["environment"])
-    geometry = geometry_from_dict(data["geometry"], env)
-    return env, geometry

@@ -29,7 +29,6 @@ from .errors import (
     ConfigError,
     DegenerateGeometryError,
     EstimationError,
-    JointDiagonalizationError,
     StageError,
     StructureError,
     TrainingError,
@@ -39,7 +38,6 @@ _NUMERIC_ERRORS = (
     StageError,
     EstimationError,
     TrainingError,
-    JointDiagonalizationError,
     StructureError,
     DegenerateGeometryError,
 )
@@ -120,19 +118,18 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args)
     env = config.environment_q if args.env == "q" else config.environment_p
     source, attenuation = harness.derive_scene(config)
-    stack = signal_mod.response_stack(
+    h = signal_mod.response_stack(
         env, config.geometry.receivers, source, config.n_bins, config.sample_period
     )
     noise_power = harness.noise_level(attenuation, args.snr_db)
-    values = np.empty((args.count, *stack.h.shape), dtype=complex)
+    values = np.empty((args.count, *h.shape), dtype=complex)
     for rows, obs in harness.observation_chunks(
-        config.seed, "simulate", stack.h, noise_power, args.count
+        config.seed, "simulate", h, noise_power, args.count
     ):
         values[rows] = obs
     out = Path(args.out or "simulate-out")
     out.mkdir(parents=True, exist_ok=True)
-    signal_mod.save_observations(out / "observations.bin", values,
-                                 seed=config.seed, fmt="bin")
+    signal_mod.save_observations(out / "observations.bin", values, seed=config.seed)
     meta = {
         "source": [float(v) for v in source],
         "snr_db": args.snr_db,
@@ -160,24 +157,37 @@ def _cmd_gen_data(args) -> int:
 
 
 def _load_dataset(data_dir):
+    """(values, labels or None, noise_power, attenuation) of a data directory.
+
+    A meta.json that is not JSON or lacks a numeric noise_power or
+    attenuation raises ConfigError.
+    """
     data = Path(data_dir)
     values, _ = signal_mod.load_observations(data / "observations.bin")
-    with open(data / "meta.json", "r", encoding="utf-8") as handle:
-        meta = json.load(handle)
+    meta_path = data / "meta.json"
+    try:
+        with open(meta_path, "r", encoding="utf-8") as handle:
+            meta = json.load(handle)
+        noise_power, attenuation = (
+            float(meta[key]) for key in ("noise_power", "attenuation")
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"{meta_path} needs numeric 'noise_power' and 'attenuation': {exc!r}"
+        ) from exc
     labels = None
     labels_path = data / "labels.csv"
     if labels_path.exists():
         labels = np.loadtxt(labels_path, delimiter=",", skiprows=1, ndmin=2)
-    return values, labels, meta
+    return values, labels, noise_power, attenuation
 
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
     if args.data is not None:
-        values, labels, meta = _load_dataset(args.data)
+        values, labels, _, attenuation = _load_dataset(args.data)
         if labels is None:
             raise ConfigError(f"{args.data} has no labels.csv to train on")
-        attenuation = float(meta["attenuation"])
         features = localize.extract_features(values, attenuation)
         targets = labels
     else:
@@ -209,9 +219,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_localize(args) -> int:
     config = _load_config(args)
-    values, labels, meta = _load_dataset(args.data)
-    noise_power = float(meta["noise_power"])
-    attenuation = float(meta["attenuation"])
+    values, labels, noise_power, attenuation = _load_dataset(args.data)
     if args.method == "net":
         if args.model is None:
             raise ConfigError("--method net needs --model")
@@ -248,8 +256,9 @@ def _cmd_bound(args) -> int:
     errors_p = csd.load_samples(args.errors_p)
     k = args.k if args.k is not None else config.csd_k
     evaluation = bounds.strong_bound(errors_q, errors_p, k_nn=k)
+    weak = None
     if args.delta2 is not None:
-        evaluation = evaluation.with_weak(args.delta2)
+        weak = bounds.weak_bound(evaluation.mse_q, evaluation.var_q, args.delta2)
     payload = {
         "mse_q": evaluation.mse_q,
         "mse_p": evaluation.mse_p,
@@ -257,7 +266,7 @@ def _cmd_bound(args) -> int:
         "csd_error": evaluation.csd_error,
         "strong_bound_mse": evaluation.strong_bound,
         "strong_bound_rmse": float(np.sqrt(evaluation.strong_bound)),
-        "weak_bound_mse": evaluation.weak_bound,
+        "weak_bound_mse": weak,
         "k": k,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)

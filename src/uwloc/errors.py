@@ -17,17 +17,6 @@ class StructureError(ValueError):
     """A matrix claimed to be block-structured is not."""
 
 
-class JointDiagonalizationError(ArithmeticError):
-    """Joint diagonalization failed its eigenvalue-distinctness condition.
-
-    Carries the off-diagonal diagnostics so the failure is never silent.
-    """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
-
-
 class EstimationError(ValueError):
     """Divergence estimation asked for with too few samples."""
 

@@ -23,8 +23,9 @@ points) forked processes, one task per SNR point holding both
 environments' chunks, so a point's GridEvaluator design is built once.
 Each worker caps the OpenBLAS that numpy loaded at max(1, cores //
 workers) threads (see _init_worker); the parent's BLAS is never changed,
-and workers = 1 runs every point in the parent without a pool. A failure
-surfaces as the same StageError in both cases.
+and workers = 1 runs every point in the parent without a pool. A point is
+handed to the pool only when a worker is free, so a failure starts no
+further point; it surfaces as the same StageError in both cases.
 
 SNR accounting: the reported target SNR is average received signal power
 over noise power, so the noise power at a grid point is
@@ -42,7 +43,7 @@ import math
 import os
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -128,41 +129,61 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.grid is None:
-            self.grid = GridSpec(
-                lower=self.geometry.volume[0],
-                upper=self.geometry.volume[1],
-                counts=(31, 31, 7),
-                peak_interpolation=True,
-            )
+            self.grid = _grid_from_dict({}, self.geometry.volume)
         if self.source is not None:
             self.source = np.asarray(self.source, dtype=float).reshape(3)
 
 
 _GRID_KEYS = {"counts", "lower", "upper", "peak_interpolation"}
-_NET_KEYS = {
-    "train_size",
-    "train_snr_db",
-    "hidden",
-    "epochs",
-    "batch_size",
-    "learning_rate",
+# JSON key -> conversion; an omitted key keeps the dataclass default.
+_NET_TYPES = {
+    "train_size": int,
+    "train_snr_db": float,
+    "hidden": lambda v: tuple(int(h) for h in v),
+    "epochs": int,
+    "batch_size": int,
+    "learning_rate": float,
 }
-_TOP_KEYS = {
-    "environment_q",
-    "environment_p",
-    "geometry",
-    "n_bins",
-    "sample_period",
-    "snr_db",
-    "trials",
-    "estimator",
-    "grid",
-    "net",
-    "csd_k",
-    "seed",
-    "source",
-    "attenuation_samples",
+_OPTIONAL_TYPES = {
+    "snr_db": lambda v: tuple(float(x) for x in v),
+    "trials": int,
+    "estimator": str,
+    "csd_k": int,
+    "seed": int,
+    "source": lambda v: None if v is None else np.asarray(v, dtype=float),
+    "attenuation_samples": int,
 }
+_REQUIRED_KEYS = ("environment_q", "environment_p", "geometry", "n_bins", "sample_period")
+_TOP_KEYS = {*_REQUIRED_KEYS, *_OPTIONAL_TYPES, "grid", "net"}
+
+
+def _grid_from_dict(data: dict, volume: np.ndarray) -> GridSpec:
+    """The search grid of a config's "grid" object; the one place of its defaults.
+
+    Omitted keys default to the search volume's corners, (31, 31, 7) nodes
+    and peak interpolation on, the same whether the whole object or only
+    some of its keys are left out.
+    """
+    unknown = set(data) - _GRID_KEYS
+    if unknown:
+        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    return GridSpec(
+        lower=data.get("lower", volume[0]),
+        upper=data.get("upper", volume[1]),
+        counts=data.get("counts", (31, 31, 7)),
+        peak_interpolation=bool(data.get("peak_interpolation", True)),
+    )
+
+
+def _convert(data: dict, types: dict, section: str) -> dict:
+    """The keys of data that types names, each passed through its conversion."""
+    out = {}
+    for key in types.keys() & data.keys():
+        try:
+            out[key] = types[key](data[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {section} key '{key}': {exc}") from exc
+    return out
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -172,62 +193,29 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(data) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("environment_q", "environment_p", "geometry", "n_bins", "sample_period"):
+    for key in _REQUIRED_KEYS:
         if key not in data:
             raise ConfigError(f"config is missing '{key}'")
     env_q = channel.environment_from_dict(data["environment_q"])
     env_p = channel.environment_from_dict(data["environment_p"])
     geometry = channel.geometry_from_dict(data["geometry"])
-    problems = channel.validate_environment(env_q) + channel.validate_environment(env_p)
-    problems += channel.validate_geometry(geometry, env_q)
+    problems = channel.validate_geometry(geometry, env_q)
     if problems:
         raise ConfigError("invalid scene: " + "; ".join(problems))
 
-    grid = None
-    if "grid" in data and data["grid"] is not None:
-        gd = dict(data["grid"])
-        unknown = set(gd) - _GRID_KEYS
-        if unknown:
-            raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-        grid = GridSpec(
-            lower=np.asarray(gd.get("lower", geometry.volume[0]), dtype=float),
-            upper=np.asarray(gd.get("upper", geometry.volume[1]), dtype=float),
-            counts=np.asarray(gd.get("counts", (31, 31, 7)), dtype=int),
-            peak_interpolation=bool(gd.get("peak_interpolation", False)),
-        )
-
-    net = NetConfig()
-    if "net" in data and data["net"] is not None:
-        nd = dict(data["net"])
-        unknown = set(nd) - _NET_KEYS
-        if unknown:
-            raise ConfigError(f"unknown net keys: {sorted(unknown)}")
-        defaults = NetConfig()
-        net = NetConfig(
-            train_size=int(nd.get("train_size", defaults.train_size)),
-            train_snr_db=float(nd.get("train_snr_db", defaults.train_snr_db)),
-            hidden=tuple(int(h) for h in nd.get("hidden", defaults.hidden)),
-            epochs=int(nd.get("epochs", defaults.epochs)),
-            batch_size=int(nd.get("batch_size", defaults.batch_size)),
-            learning_rate=float(nd.get("learning_rate", defaults.learning_rate)),
-        )
-
-    source = data.get("source")
+    net = dict(data.get("net") or {})
+    unknown = set(net) - set(_NET_TYPES)
+    if unknown:
+        raise ConfigError(f"unknown net keys: {sorted(unknown)}")
     return ExperimentConfig(
         environment_q=env_q,
         environment_p=env_p,
         geometry=geometry,
         n_bins=int(data["n_bins"]),
         sample_period=float(data["sample_period"]),
-        snr_db=tuple(float(v) for v in data.get("snr_db", DEFAULT_SNR_DB)),
-        trials=int(data.get("trials", 10000)),
-        estimator=str(data.get("estimator", "ml")),
-        grid=grid,
-        net=net,
-        csd_k=int(data.get("csd_k", 5)),
-        seed=int(data.get("seed", 0)),
-        source=None if source is None else np.asarray(source, dtype=float),
-        attenuation_samples=int(data.get("attenuation_samples", 2048)),
+        grid=_grid_from_dict(dict(data.get("grid") or {}), geometry.volume),
+        net=NetConfig(**_convert(net, _NET_TYPES, "net")),
+        **_convert(data, _OPTIONAL_TYPES, "config"),
     )
 
 
@@ -432,6 +420,41 @@ def _worker_entry(args):
     return _run_point(_WORKER_STATE, *args)
 
 
+def _run_pooled(state, tasks: list, workers: int) -> list:
+    """_run_point over tasks in a pool, at most `workers` points in flight.
+
+    A point is submitted only when a worker is free, so after a failure
+    nothing is left queued: the points in flight finish, no new one starts,
+    and the lowest failing point's error is raised. Points are submitted in
+    order, so that is the point the serial loop fails at.
+    """
+    results = [None] * len(tasks)
+    failures = {}
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(state, workers)
+    ) as pool:
+        running = {}
+
+        def collect(futures):
+            for future in futures:
+                idx = running.pop(future)
+                try:
+                    results[idx] = future.result()
+                except Exception as exc:
+                    failures[idx] = exc
+
+        for idx, task in enumerate(tasks):
+            if len(running) == workers:
+                collect(wait(running, return_when=FIRST_COMPLETED).done)
+            if failures:
+                break
+            running[pool.submit(_worker_entry, task)] = idx
+        collect(list(running))
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def _uniform_positions(rng, volume: np.ndarray, count: int) -> np.ndarray:
     lo, hi = volume
     return rng.uniform(0.0, 1.0, size=(count, 3)) * (hi - lo)[None, :] + lo[None, :]
@@ -500,11 +523,11 @@ def _prepare_state(config: ExperimentConfig) -> dict:
     h_q = signal_mod.response_stack(
         config.environment_q, geometry.receivers, source, config.n_bins,
         config.sample_period,
-    ).h
+    )
     h_p = signal_mod.response_stack(
         config.environment_p, geometry.receivers, source, config.n_bins,
         config.sample_period,
-    ).h
+    )
     state = {
         "estimator": config.estimator,
         "source": source,
@@ -581,12 +604,7 @@ def run_experiment(
         results = [_run_point(state, *task) for task in tasks]
     else:
         try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(state, workers),
-            ) as pool:
-                results = list(pool.map(_worker_entry, tasks))
+            results = _run_pooled(state, tasks, workers)
         except StageError:
             raise
         except Exception as exc:
@@ -774,7 +792,7 @@ def generate_dataset(
         values[rows] = obs
 
     obs_path = out / "observations.bin"
-    signal_mod.save_observations(obs_path, values, seed=config.seed, fmt="bin")
+    signal_mod.save_observations(obs_path, values, seed=config.seed)
     labels_path = out / "labels.csv"
     with open(labels_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("x,y,z\n")

@@ -90,7 +90,7 @@ def concentrated_loglikelihood(
     """Candidate-position log-likelihood, position-independent terms dropped.
 
     observation: (L, N) complex array of received bins.
-    stack: FrequencyResponseStack or (L, N) array for the candidate.
+    stack: (L, N) response array for the candidate.
 
     Equals -log det(cov) - x^H inv(cov) x up to an additive constant that
     does not depend on the candidate response.
@@ -100,7 +100,7 @@ def concentrated_loglikelihood(
     if signal_power < 0:
         raise ValueError("signal power must be >= 0")
     x = np.asarray(observation, dtype=complex)
-    h = stack.h if hasattr(stack, "h") else np.asarray(stack, dtype=complex)
+    h = np.asarray(stack, dtype=complex)
     if x.shape != h.shape:
         raise ValueError("observation and response stack shapes disagree")
     inner = np.sum(np.conj(h) * x, axis=0)

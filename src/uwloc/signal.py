@@ -10,31 +10,10 @@ responses h and stores observations; uwloc.harness draws s and v.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import channel
 from .errors import ConfigError
-
-
-@dataclass
-class FrequencyResponseStack:
-    """Channel frequency responses for all receivers: h[l, k], shape (L, N)."""
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        self.h = np.atleast_2d(np.asarray(self.h, dtype=complex))
-
-    @property
-    def receiver_count(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def bin_count(self) -> int:
-        return self.h.shape[1]
 
 
 def angular_frequencies(n_bins: int, sample_period: float) -> np.ndarray:
@@ -70,8 +49,8 @@ def response_stack(
     sample_period: float,
     *,
     min_distance: float = channel.DEFAULT_MIN_DISTANCE,
-) -> FrequencyResponseStack:
-    """Build the (L, N) response stack for one source position."""
+) -> np.ndarray:
+    """The (L, N) complex response stack for one source position."""
     stacks = response_stack_batch(
         env,
         receivers,
@@ -80,7 +59,7 @@ def response_stack(
         sample_period,
         min_distance=min_distance,
     )
-    return FrequencyResponseStack(stacks[0])
+    return stacks[0]
 
 
 def response_stack_batch(
@@ -126,66 +105,53 @@ def response_stack_batch(
 _DUMP_MAGIC = "UWOBS1"
 
 
-def save_observations(path, values: np.ndarray, seed, fmt: str = "csv") -> None:
-    """Write a (T, L, N) block of observations as a flat dump.
+def save_observations(path, values: np.ndarray, seed) -> None:
+    """Write a (T, L, N) block of observations as a binary dump.
 
-    Layout per observation: row-major over (receiver, bin), each complex
-    entry stored as interleaved re, im. The header records L, N, count, and
-    the generating seed. fmt is "csv" (text rows) or "bin" (float64
-    little-endian payload after a one-line text header).
+    A one-line ASCII header "UWOBS1 L=<L> N=<N> count=<T> seed=<seed>" is
+    followed by the float64 little-endian payload: row-major over
+    (observation, receiver, bin), each complex entry stored as interleaved
+    re, im.
     """
     values = np.asarray(values, dtype=complex)
-    if values.ndim != 3:
-        raise ConfigError("expected observations shaped (count, L, N)")
+    if values.ndim != 3 or 0 in values.shape:
+        raise ConfigError("expected a non-empty observation block (count, L, N)")
     count, l_count, n_bins = values.shape
     flat = values.reshape(count, l_count * n_bins)
     interleaved = np.empty((count, 2 * l_count * n_bins), dtype=np.float64)
     interleaved[:, 0::2] = flat.real
     interleaved[:, 1::2] = flat.imag
     header = f"{_DUMP_MAGIC} L={l_count} N={n_bins} count={count} seed={seed}\n"
-    if fmt == "csv":
-        with open(path, "w") as handle:
-            handle.write("# " + header)
-            for row in interleaved:
-                handle.write(",".join(repr(float(v)) for v in row))
-                handle.write("\n")
-    elif fmt == "bin":
-        with open(path, "wb") as handle:
-            handle.write(header.encode("ascii"))
-            handle.write(interleaved.astype("<f8").tobytes())
-    else:
-        raise ConfigError(f"unknown observation dump format: {fmt}")
+    with open(path, "wb") as handle:
+        handle.write(header.encode("ascii"))
+        handle.write(interleaved.astype("<f8").tobytes())
 
 
 def load_observations(path):
     """Read an observation dump; returns (values (T, L, N), header dict).
 
-    A corrupt, misshapen or non-finite (NaN or infinite) payload raises
+    Anything but a well-formed dump (another file, a malformed header, a
+    corrupt, misshapen or non-finite (NaN or infinite) payload) raises
     ConfigError.
     """
     with open(path, "rb") as handle:
-        first = handle.readline().decode("ascii")
+        first = handle.readline()
         payload = handle.read()
-    text = first.lstrip("# ").strip()
-    parts = text.split()
+    parts = first.decode("ascii", errors="replace").split()
     if not parts or parts[0] != _DUMP_MAGIC:
         raise ConfigError("not an observation dump")
-    meta = dict(item.split("=", 1) for item in parts[1:])
-    l_count = int(meta["L"])
-    n_bins = int(meta["N"])
-    count = int(meta["count"])
+    try:
+        meta = dict(item.split("=", 1) for item in parts[1:])
+        l_count, n_bins, count = (int(meta[key]) for key in ("L", "N", "count"))
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"observation dump header is malformed: {first!r}") from exc
+    if min(l_count, n_bins, count) < 1:
+        raise ConfigError(f"observation dump header is malformed: {first!r}")
     width = 2 * l_count * n_bins
     try:
-        if first.startswith("#"):
-            rows = np.loadtxt(
-                io.StringIO(payload.decode("ascii")), delimiter=",", ndmin=2
-            )
-        else:
-            rows = np.frombuffer(payload, dtype="<f8").reshape(count, width)
+        rows = np.frombuffer(payload, dtype="<f8").reshape(count, width)
     except ValueError as exc:
         raise ConfigError(f"observation dump payload is corrupt: {exc}") from exc
-    if rows.shape != (count, width):
-        raise ConfigError("observation dump payload has the wrong shape")
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise ConfigError(

@@ -14,21 +14,17 @@ from uwloc.bounds import (
     eigenvalues_closed_form,
     gamma_and_condition,
     interleave_permutation,
-    joint_diagonalizer,
-    mismatch_report,
     snr_limits,
     strong_bound,
     weak_bound,
 )
 from uwloc.errors import EstimationError, StructureError
-from uwloc.signal import FrequencyResponseStack
 
 
 def random_stack(rng, l_count=2, n_bins=3):
-    h = rng.standard_normal((l_count, n_bins)) + 1j * rng.standard_normal(
+    return rng.standard_normal((l_count, n_bins)) + 1j * rng.standard_normal(
         (l_count, n_bins)
     )
-    return FrequencyResponseStack(h)
 
 
 def random_pd(rng, size):
@@ -38,7 +34,7 @@ def random_pd(rng, size):
 
 class TestBuildCovariance:
     def test_noise_only(self):
-        stack = FrequencyResponseStack(np.ones((2, 3)))
+        stack = np.ones((2, 3))
         got = build_covariance(stack, 0.0, 0.7)
         assert np.array_equal(got, 0.7 * np.eye(6))
 
@@ -58,7 +54,7 @@ class TestBuildCovariance:
             assert floor >= v2 * (1.0 - 1e-10)
 
     def test_rejects_bad_powers(self):
-        stack = FrequencyResponseStack(np.ones((1, 1)))
+        stack = np.ones((1, 1))
         with pytest.raises(ValueError):
             build_covariance(stack, -1.0, 1.0)
         with pytest.raises(ValueError):
@@ -74,15 +70,6 @@ class TestBlockDiagonalize:
         assert form.n_bins == 1
         assert np.array_equal(form.blocks[0], cov)
         assert np.array_equal(form.permutation, np.arange(3))
-
-    def test_stack_and_dense_paths_agree(self):
-        rng = np.random.default_rng(3)
-        stack = random_stack(rng, l_count=2, n_bins=4)
-        s2, v2 = 0.9, 0.3
-        from_stack = block_diagonalize(stack, signal_power=s2, noise_power=v2)
-        from_dense = block_diagonalize(build_covariance(stack, s2, v2), l_count=2)
-        np.testing.assert_allclose(from_stack.blocks, from_dense.blocks, atol=1e-14)
-        assert np.array_equal(from_stack.permutation, from_dense.permutation)
 
     def test_determinant_factorization(self):
         rng = np.random.default_rng(4)
@@ -160,53 +147,6 @@ class TestEigenvaluesClosedForm:
             eigenvalues_closed_form(np.ones(2), 1.0, 0.0)
 
 
-class TestJointDiagonalizer:
-    def test_identical_pair(self):
-        rng = np.random.default_rng(9)
-        sigma = random_pd(rng, 5)
-        jd = joint_diagonalizer(sigma, sigma.copy())
-        np.testing.assert_allclose(jd.ratios, 1.0, atol=1e-10)
-        assert jd.offdiag_q < 1e-10 and jd.offdiag_p < 1e-10
-        assert not jd.ratios_distinct
-
-    def test_commuting_pair(self):
-        rng = np.random.default_rng(10)
-        basis, _ = np.linalg.qr(
-            rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        )
-        d_q = np.diag([3.0, 2.0, 1.5, 1.0])
-        d_p = np.diag([1.2, 2.2, 0.7, 1.9])
-        jd = joint_diagonalizer(
-            basis @ d_q @ basis.conj().T, basis @ d_p @ basis.conj().T
-        )
-        assert jd.ratios_distinct
-        assert jd.offdiag_q < 1e-8 and jd.offdiag_p < 1e-8
-        want = np.sort(np.diag(d_q) / np.diag(d_p))
-        np.testing.assert_allclose(np.sort(jd.ratios.real), want, rtol=1e-10)
-
-    def test_generic_pair_diagnostics(self):
-        rng = np.random.default_rng(11)
-        sigma_q, sigma_p = random_pd(rng, 5), random_pd(rng, 5)
-        jd = joint_diagonalizer(sigma_q, sigma_p)
-        assert jd.offdiag_q < 1e-8 and jd.offdiag_p < 1e-8
-        # basis columns are eigenvectors of sigma_q inv(sigma_p)
-        omega = sigma_q @ np.linalg.inv(sigma_p)
-        resid = omega @ jd.basis - jd.basis * jd.ratios[None, :]
-        assert np.linalg.norm(resid) < 1e-8 * np.linalg.norm(omega @ jd.basis)
-        # and the inverse congruence diagonalizes both inputs
-        inv_basis = np.linalg.inv(jd.basis)
-        for sigma in (sigma_q, sigma_p):
-            t = inv_basis @ sigma @ inv_basis.conj().T
-            off = t - np.diag(np.diag(t))
-            assert np.linalg.norm(off) < 1e-8 * np.linalg.norm(t)
-
-    def test_rejects_non_hermitian(self):
-        rng = np.random.default_rng(12)
-        skew = rng.standard_normal((3, 3))
-        with pytest.raises(ValueError):
-            joint_diagonalizer(skew, np.eye(3))
-
-
 class TestGammaCondition:
     def test_matched(self):
         rng = np.random.default_rng(13)
@@ -270,7 +210,7 @@ class TestDeltaSquared:
         rng = np.random.default_rng(16)
         for _ in range(20):
             stack_q = random_stack(rng, l_count=3, n_bins=5)
-            h_p = stack_q.h * rng.uniform(0.7, 1.2, size=(1, 5))
+            h_p = stack_q * rng.uniform(0.7, 1.2, size=(1, 5))
             snr = rng.uniform(0.1, 10.0)
             delta2 = delta_squared_closed_form(stack_q, h_p, snr)
             gamma, ok = gamma_and_condition(stack_q, h_p, snr)
@@ -302,7 +242,7 @@ class TestDeltaSquared:
     def test_nondecreasing_in_snr(self):
         rng = np.random.default_rng(17)
         stack_q = random_stack(rng, l_count=2, n_bins=4)
-        h_p = stack_q.h * rng.uniform(0.8, 1.15, size=(1, 4))
+        h_p = stack_q * rng.uniform(0.8, 1.15, size=(1, 4))
         values = [
             delta_squared_closed_form(stack_q, h_p, snr)
             for snr in np.logspace(-3, 3, 25)
@@ -328,7 +268,7 @@ class TestCsdExact:
         rng = np.random.default_rng(19)
         stack_q = random_stack(rng, l_count=2, n_bins=3)
         scales = rng.uniform(0.8, 1.1, size=3)
-        h_p = stack_q.h * scales[None, :]
+        h_p = stack_q * scales[None, :]
         s2, v2 = 1.0, 0.5
         closed = delta_squared_closed_form(stack_q, h_p, s2 / v2)
         exact = csd_exact(
@@ -349,7 +289,7 @@ class TestCsdExact:
 
 class TestSnrLimits:
     def test_matched_energies(self):
-        stack = FrequencyResponseStack(np.ones((2, 4)))
+        stack = np.ones((2, 4))
         high, low = snr_limits(stack, stack)
         assert high == 0.0
         assert low == 0.0
@@ -368,13 +308,31 @@ class TestSnrLimits:
     def test_low_probe_vanishes(self):
         rng = np.random.default_rng(20)
         stack_q = random_stack(rng, l_count=3, n_bins=6)
-        h_p = stack_q.h * rng.uniform(0.75, 1.3, size=(1, 6))
+        h_p = stack_q * rng.uniform(0.75, 1.3, size=(1, 6))
         _, low = snr_limits(stack_q, h_p)
         assert 0.0 <= low < 1e-3
 
     def test_rejects_zero_presumed_energy(self):
         with pytest.raises(ValueError):
             snr_limits(np.zeros((1, 2)), np.ones((1, 2)))
+
+
+class TestBeyondFloat64:
+    def test_finite_divergence_too_large_reads_infinite(self):
+        # Finite in exact arithmetic (the condition holds in every bin), but
+        # exp(783) - 1 exceeds float64; each closed form says math.inf.
+        h_q = np.ones((1, 200), dtype=complex)
+        h_p = math.sqrt(1.99) * h_q
+        snr = 1e6
+        assert gamma_and_condition(h_q, h_p, snr)[1]
+        assert delta_squared_closed_form(h_q, h_p, snr) == math.inf
+        assert snr_limits(h_q, h_p)[0] == math.inf
+        exact = csd_exact(
+            build_covariance(h_q, snr, 1.0), build_covariance(h_p, snr, 1.0)
+        )
+        assert exact == math.inf
+        # 150 bins (exp(587)) still fit and stay finite
+        assert 1e250 < delta_squared_closed_form(h_q[:, :150], h_p[:, :150], snr) < math.inf
 
 
 class TestWeakBound:
@@ -437,52 +395,7 @@ class TestStrongBound:
         assert got.strong_bound == pytest.approx(analytic_bound, rel=0.1)
         assert got.mse_p <= got.strong_bound
 
-    def test_with_weak_attaches_bound(self):
-        rng = np.random.default_rng(23)
-        errors = rng.standard_normal((100, 3))
-        base = strong_bound(errors, errors + 0.05, k_nn=3)
-        assert base.weak_bound is None
-        extended = base.with_weak(0.04)
-        assert extended.weak_bound == pytest.approx(
-            base.mse_q + math.sqrt(base.var_q * 0.04)
-        )
-
     def test_rejects_tiny_sample_sets(self):
         with pytest.raises(EstimationError):
             strong_bound(np.ones((1, 3)), np.ones((5, 3)))
 
-
-class TestMismatchReport:
-    def test_consistency(self):
-        rng = np.random.default_rng(24)
-        stack_q = random_stack(rng, l_count=3, n_bins=4)
-        h_p = stack_q.h * rng.uniform(0.85, 1.1, size=(1, 4))
-        s2, v2 = 1.2, 0.4
-        report = mismatch_report(stack_q, h_p, s2, v2)
-        assert report.condition_ok
-        assert report.lambda_q.shape == (12,)
-        assert np.all(report.lambda_q >= v2)
-        assert np.all(report.lambda_p >= v2)
-        for k in range(4):
-            want = eigenvalues_closed_form(stack_q.h[:, k], s2, v2)
-            np.testing.assert_allclose(
-                np.sort(report.lambda_q[3 * k : 3 * k + 3]), np.sort(want)
-            )
-        assert np.array_equal(report.gamma[:, 1:], np.ones((4, 2)))
-        energy_q = np.sum(np.abs(stack_q.h) ** 2, axis=0)
-        energy_p = np.sum(np.abs(h_p) ** 2, axis=0)
-        np.testing.assert_allclose(report.rho, energy_p / energy_q, rtol=1e-12)
-        assert report.delta2_closed >= 0.0
-        assert report.csd_exact >= 0.0
-        high, low = snr_limits(stack_q, h_p)
-        assert report.high_snr_limit == high
-        assert report.low_snr_limit == low
-
-    def test_violating_pair_reports_infinite(self):
-        h_q = np.array([[1.0 + 0j]])
-        h_p = np.array([[2.0 + 0j]])  # energy 4 >= 2*1 + 1/snr at snr 1
-        report = mismatch_report(h_q, h_p, 1.0, 1.0)
-        assert not report.condition_ok
-        assert report.delta2_closed == math.inf
-        assert report.csd_exact == math.inf
-        assert report.high_snr_limit == math.inf

@@ -1,6 +1,5 @@
 """Waveguide arrival model: geometry, delays, gains, scene I/O."""
 
-import json
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from uwloc.channel import (
     environment_to_dict,
     geometry_from_dict,
     geometry_to_dict,
-    load_scene,
     stratified_delay,
     validate_environment,
     validate_geometry,
@@ -382,13 +380,6 @@ class TestSceneIO:
         scene["environment"]["surface_reflection"] = [-0.9, 0.1]
         env = environment_from_dict(scene["environment"])
         assert env.surface_reflection == complex(-0.9, 0.1)
-
-    def test_load_scene(self, tmp_path):
-        path = tmp_path / "scene.json"
-        path.write_text(json.dumps(self.scene_dict()))
-        env, geo = load_scene(path)
-        assert env.water_depth == 100.0
-        assert geo.receivers.shape == (2, 3)
 
     def test_invalid_environment_rejected(self):
         scene = self.scene_dict()

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -142,13 +143,50 @@ class TestDataCommands:
                      "--count", "3", "--snr-db", "18"]) == 0
         values, _ = load_observations(data_dir / "observations.bin")
         values[1, 0, 0] = np.nan
-        save_observations(data_dir / "observations.bin", values, seed=0, fmt="bin")
+        save_observations(data_dir / "observations.bin", values, seed=0)
         out = tmp_path / "loc"
         code = main(["localize", "--config", config_path, "--data", str(data_dir),
                      "--out", str(out), "--method", "ml"])
         assert code == 2
         assert "not finite in observation 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "header, drop",
+        [
+            (b"UWOBS1 L=2\n", None),
+            (b"\xff\xfe\n", None),
+            (b"UWOBS1 L=3 N=x count=3 seed=99\n", None),
+            (None, "noise_power"),
+            (None, "attenuation"),
+        ],
+    )
+    def test_localize_rejects_malformed_dataset(self, config_path, tmp_path, capsys,
+                                                header, drop):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--config", config_path, "--out", str(data_dir),
+                     "--count", "3", "--snr-db", "18"]) == 0
+        if header is not None:
+            raw = (data_dir / "observations.bin").read_bytes()
+            (data_dir / "observations.bin").write_bytes(
+                header + raw[raw.index(b"\n") + 1 :]
+            )
+        if drop is not None:
+            meta = json.loads((data_dir / "meta.json").read_text())
+            del meta[drop]
+            (data_dir / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        for method in ("ml", "net"):
+            out = tmp_path / f"loc-{method}"
+            code = main(["localize", "--config", config_path, "--data", str(data_dir),
+                         "--out", str(out), "--method", method, "--model", "absent"])
+            assert code == 2
+            assert "error:" in capsys.readouterr().err
+            assert not out.exists()
+        if header is None:
+            code = main(["train", "--config", config_path, "--data", str(data_dir),
+                         "--out", str(tmp_path / "model")])
+            assert code == 2 and not (tmp_path / "model").exists()
 
     def test_train_and_localize_net(self, net_config_path, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -194,7 +232,9 @@ class TestAnalysisCommands:
         payload = json.loads((out / "bound.json").read_text())
         assert payload["k"] == 3  # csd_k from the config
         assert payload["strong_bound_mse"] >= payload["mse_q"]
-        assert payload["weak_bound_mse"] is not None
+        assert payload["weak_bound_mse"] == pytest.approx(
+            payload["mse_q"] + math.sqrt(payload["var_q"] * 0.1)
+        )
         printed = json.loads(capsys.readouterr().out)
         assert printed == payload
 

@@ -6,8 +6,10 @@ import math
 import multiprocessing
 import os
 import pickle
+import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from uwloc.harness import (
     SIGNAL_POWER,
     TRIAL_CHUNK,
     CurvePoint,
+    ExperimentConfig,
     ExperimentResult,
     _chunk_sizes,
     _init_worker,
@@ -318,6 +321,38 @@ class TestConfig:
         np.testing.assert_array_equal(config.grid.lower, config.geometry.volume[0])
         np.testing.assert_array_equal(config.grid.upper, config.geometry.volume[1])
 
+    def test_partial_grid_takes_the_same_defaults(self):
+        omitted = tiny_config_dict()
+        del omitted["grid"]
+        for data in (omitted, tiny_config_dict(grid={}), tiny_config_dict(grid=None)):
+            grid = config_from_dict(data).grid
+            np.testing.assert_array_equal(grid.counts, (31, 31, 7))
+            np.testing.assert_array_equal(grid.lower, [60.0, 60.0, 40.0])
+            np.testing.assert_array_equal(grid.upper, [108.0, 108.0, 60.0])
+            assert grid.peak_interpolation is True
+        partial = config_from_dict(tiny_config_dict(grid={"counts": [3, 3, 3]})).grid
+        assert partial.peak_interpolation is True
+
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        data = tiny_config_dict()
+        for key in ("snr_db", "trials", "estimator", "csd_k", "seed",
+                    "attenuation_samples", "net"):
+            data.pop(key, None)
+        config = config_from_dict(data)
+        defaults = ExperimentConfig(
+            config.environment_q, config.environment_p, config.geometry,
+            config.n_bins, config.sample_period,
+        )
+        for key in ("snr_db", "trials", "estimator", "csd_k", "seed",
+                    "attenuation_samples", "net", "source"):
+            assert getattr(config, key) == getattr(defaults, key)
+
+    def test_bad_value_is_config_error(self):
+        with pytest.raises(ConfigError, match="'trials'"):
+            config_from_dict(tiny_config_dict(trials="many"))
+        with pytest.raises(ConfigError, match="'hidden'"):
+            config_from_dict(tiny_config_dict(net={"hidden": 16}))
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_dict(tiny_config_dict(extra=1))
@@ -360,6 +395,12 @@ class TestConfig:
         assert len(config.snr_db) == 15
         assert config.trials == 10000
         np.testing.assert_array_equal(config.grid.lower, config.geometry.volume[0])
+
+    def test_default_config_file_matches_default_scenario(self):
+        # The benchmark reads the file, the acceptance tests the function.
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        saved = json.loads((configs / "experiment_default.json").read_text())
+        assert saved == default_experiment_config()
 
 
 class TestStageError:
@@ -452,6 +493,31 @@ class TestRunExperiment:
                          "--out", str(tmp_path / f"out{workers}")])
             assert code == 3
             assert "stage 'snr[1]:q' failed" in capsys.readouterr().err
+
+    def test_pooled_failure_starts_no_further_point(self, monkeypatch, tmp_path):
+        data = tiny_config_dict(snr_db=[float(v) for v in range(10)])
+        _, attenuation = derive_scene(config_from_dict(data))
+        failing = noise_level(attenuation, data["snr_db"][0])
+        record = tmp_path / "calls"
+        record.mkdir()
+        locate = GridEvaluator.locate
+
+        def fail_at_first_point(self, observations, signal_power, noise_power, **kw):
+            if noise_power == failing:
+                raise ValueError("injected locate failure")
+            (record / repr(noise_power)).touch()
+            time.sleep(0.05)
+            return locate(self, observations, signal_power, noise_power, **kw)
+
+        # Forked pool workers inherit the patched class.
+        monkeypatch.setattr(GridEvaluator, "locate", fail_at_first_point)
+        with pytest.raises(StageError) as info:
+            run_experiment(config_from_dict(data), workers=2)
+        assert info.value.stage == "snr[0]:q"
+        # The point in flight beside the failing one finishes (one more if it
+        # finished before the failure was seen); no queued point starts. A
+        # pool fed through Executor.map ran four.
+        assert len(os.listdir(record)) <= 2
 
     def test_matched_environments(self):
         data = tiny_config_dict(trials=80)

@@ -52,7 +52,7 @@ def small_grid(counts=(7, 7, 5)):
 def observe(env, position, noise_power, seed):
     """One (L, N) observation of a source at position."""
     stack = response_stack(env, RECEIVERS, position, N_BINS, SAMPLE_PERIOD)
-    (_, block), = observation_chunks(seed, "observe", stack.h, noise_power, 1)
+    (_, block), = observation_chunks(seed, "observe", stack, noise_power, 1)
     return block[0]
 
 
@@ -110,7 +110,7 @@ class TestConcentratedLoglikelihood:
         for pos in candidates:
             stack = response_stack(env, RECEIVERS, pos, N_BINS, SAMPLE_PERIOD)
             conc.append(concentrated_loglikelihood(x, stack, s2, v2))
-            dense.append(dense_loglikelihood(x, stack.h, s2, v2))
+            dense.append(dense_loglikelihood(x, stack, s2, v2))
         conc_d = np.diff(conc)
         dense_d = np.diff(dense)
         np.testing.assert_allclose(conc_d, dense_d, rtol=1e-8, atol=1e-8)

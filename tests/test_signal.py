@@ -119,14 +119,14 @@ class TestResponseStack:
         position = np.array([120.0, 80.0, 45.0])
         n_bins, t_s = 12, 0.01
         stack = response_stack(env, receivers, position, n_bins, t_s)
-        assert stack.receiver_count == 2 and stack.bin_count == n_bins
+        assert stack.shape == (2, n_bins) and stack.dtype == complex
         delays, gains = arrivals_batch(env, receivers, position[None, :])
         omegas = angular_frequencies(n_bins, t_s)
         for l in range(2):
             want = frequency_response(
                 steering_matrix(delays[0, l], omegas), gains[0, l]
             )
-            np.testing.assert_allclose(stack.h[l], want, rtol=1e-12)
+            np.testing.assert_allclose(stack[l], want, rtol=1e-12)
 
     def test_batch_chunking_invariant(self):
         env = self.iso_env()
@@ -225,12 +225,11 @@ class TestObservationDump:
             (count, l_count, n_bins)
         )
 
-    @pytest.mark.parametrize("fmt", ["csv", "bin"])
-    def test_round_trip(self, tmp_path, fmt):
+    def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
         values = self.make_values(rng)
-        path = tmp_path / f"obs.{fmt}"
-        save_observations(path, values, seed=321, fmt=fmt)
+        path = tmp_path / "obs.bin"
+        save_observations(path, values, seed=321)
         loaded, meta = load_observations(path)
         assert np.array_equal(loaded, values)
         assert meta == {"L": "2", "N": "4", "count": "5", "seed": "321"}
@@ -240,15 +239,37 @@ class TestObservationDump:
         with pytest.raises(ConfigError):
             save_observations(tmp_path / "x", rng.standard_normal((3, 4)), seed=0)
         with pytest.raises(ConfigError):
-            save_observations(
-                tmp_path / "x", self.make_values(rng), seed=0, fmt="parquet"
-            )
+            save_observations(tmp_path / "x", np.zeros((0, 2, 4)), seed=0)
+        # a text dump with the header behind "# " is not the binary format
+        text = tmp_path / "obs.csv"
+        text.write_text("# UWOBS1 L=1 N=1 count=1 seed=0\n1.0,2.0\n")
+        with pytest.raises(ConfigError, match="not an observation dump"):
+            load_observations(text)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"UWOBS1 L=2\n",
+            b"\xff\xfe\n",
+            b"UWOBS1 L=2 N=x count=5 seed=0\n",
+            b"UWOBS1 L=2 N=4 count 5 seed=0\n",
+            b"UWOBS1 L=-2 N=-4 count=5 seed=0\n",
+        ],
+    )
+    def test_rejects_malformed_header(self, tmp_path, header):
+        rng = np.random.default_rng(10)
+        path = tmp_path / "obs.bin"
+        save_observations(path, self.make_values(rng), seed=0)
+        raw = path.read_bytes()
+        path.write_bytes(header + raw[raw.index(b"\n") + 1 :])
+        with pytest.raises(ConfigError):
+            load_observations(path)
 
     def test_rejects_wrong_magic_and_truncation(self, tmp_path):
         rng = np.random.default_rng(9)
         values = self.make_values(rng)
         path = tmp_path / "obs.bin"
-        save_observations(path, values, seed=0, fmt="bin")
+        save_observations(path, values, seed=0)
         raw = path.read_bytes()
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOTOBS" + raw[6:])
@@ -259,11 +280,10 @@ class TestObservationDump:
         with pytest.raises(ConfigError):
             load_observations(short)
 
-    @pytest.mark.parametrize("fmt", ["csv", "bin"])
-    def test_rejects_non_finite_payload(self, tmp_path, fmt):
+    def test_rejects_non_finite_payload(self, tmp_path):
         values = np.ones((3, 2, 4), dtype=complex)
         values[1, 0, 0] = np.nan
-        path = tmp_path / f"obs.{fmt}"
-        save_observations(path, values, seed=0, fmt=fmt)
+        path = tmp_path / "obs.bin"
+        save_observations(path, values, seed=0)
         with pytest.raises(ConfigError, match="not finite in observation 1"):
             load_observations(path)
