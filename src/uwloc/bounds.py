@@ -61,8 +61,10 @@ class BoundEvaluation:
     """Empirical bound assembly from error samples.
 
     strong_bound = mse_q + sqrt(var_q * csd_error) with csd_error the clamped
-    k-NN divergence estimate between the two error-sample sets. The
-    closed-form counterpart is weak_bound(mse_q, var_q, delta2).
+    k-NN divergence estimate between the two error-sample sets, and
+    excluded_points the actual-model samples that estimate left out as
+    duplicates. The closed-form counterpart is weak_bound(mse_q, var_q,
+    delta2).
     """
 
     mse_q: float
@@ -70,7 +72,7 @@ class BoundEvaluation:
     var_q: float
     csd_error: float
     strong_bound: float
-    csd_detail: object = None
+    excluded_points: int
 
 
 def _as_matrix(stack) -> np.ndarray:
@@ -292,7 +294,8 @@ def weak_bound(mse_q: float, var_q: float, delta2: float) -> float:
     """Closed-form MSE bound: mse_q + sqrt(var_q * delta2).
 
     Degenerate variance dominates: var_q = 0 returns mse_q for any delta2.
-    Infinite delta2 yields an explicitly vacuous math.inf bound.
+    Infinite delta2 yields an explicitly vacuous math.inf bound; a negative
+    or NaN delta2 raises ValueError.
     """
     if mse_q < 0 or var_q < 0:
         raise ValueError("moments must be >= 0")
@@ -300,8 +303,8 @@ def weak_bound(mse_q: float, var_q: float, delta2: float) -> float:
         return float(mse_q)
     if math.isinf(delta2):
         return math.inf
-    if delta2 < 0:
-        raise ValueError("delta2 must be >= 0")
+    if not delta2 >= 0:
+        raise ValueError(f"delta2 must be >= 0, got {delta2!r}")
     return float(mse_q + math.sqrt(var_q * delta2))
 
 
@@ -329,6 +332,6 @@ def strong_bound(errors_q, errors_p, k_nn: int = 5) -> BoundEvaluation:
         var_q,
         csd_error=estimate.clamped,
         strong_bound=strong,
-        csd_detail=estimate,
+        excluded_points=estimate.excluded_points,
     )
 

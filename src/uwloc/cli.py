@@ -251,6 +251,10 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    if args.delta2 is not None and not args.delta2 >= 0:
+        raise ConfigError(
+            f"--delta2 must be >= 0 (inf for a vacuous bound), got {args.delta2}"
+        )
     config = _load_config(args)
     errors_q = csd.load_samples(args.errors_q)
     errors_p = csd.load_samples(args.errors_p)
@@ -267,6 +271,7 @@ def _cmd_bound(args) -> int:
         "strong_bound_mse": evaluation.strong_bound,
         "strong_bound_rmse": float(np.sqrt(evaluation.strong_bound)),
         "weak_bound_mse": weak,
+        "excluded_points": evaluation.excluded_points,
         "k": k,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)

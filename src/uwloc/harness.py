@@ -131,7 +131,10 @@ class ExperimentConfig:
         if self.grid is None:
             self.grid = _grid_from_dict({}, self.geometry.volume)
         if self.source is not None:
-            self.source = np.asarray(self.source, dtype=float).reshape(3)
+            try:
+                self.source = np.asarray(self.source, dtype=float).reshape(3)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"source needs 3 coordinates: {exc}") from exc
 
 
 _GRID_KEYS = {"counts", "lower", "upper", "peak_interpolation"}
@@ -186,6 +189,16 @@ def _convert(data: dict, types: dict, section: str) -> dict:
     return out
 
 
+def _section(data: dict, key: str) -> dict:
+    """The JSON object under key; omitted or null reads as empty."""
+    section = data.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"config '{key}' must be a JSON object, got {section!r}")
+    return section
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from parsed JSON."""
     if not isinstance(data, dict):
@@ -203,7 +216,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if problems:
         raise ConfigError("invalid scene: " + "; ".join(problems))
 
-    net = dict(data.get("net") or {})
+    net = _section(data, "net")
     unknown = set(net) - set(_NET_TYPES)
     if unknown:
         raise ConfigError(f"unknown net keys: {sorted(unknown)}")
@@ -213,7 +226,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         geometry=geometry,
         n_bins=int(data["n_bins"]),
         sample_period=float(data["sample_period"]),
-        grid=_grid_from_dict(dict(data.get("grid") or {}), geometry.volume),
+        grid=_grid_from_dict(_section(data, "grid"), geometry.volume),
         net=NetConfig(**_convert(net, _NET_TYPES, "net")),
         **_convert(data, _OPTIONAL_TYPES, "config"),
     )
@@ -611,6 +624,7 @@ def run_experiment(
             raise StageError("trials", config.seed, exc) from exc
 
     points = []
+    excluded = []
     for idx, db in enumerate(config.snr_db):
         try:
             gather = results[idx]
@@ -644,6 +658,7 @@ def run_experiment(
         except Exception as exc:
             raise StageError(f"snr[{idx}]:assemble", config.seed, exc) from exc
         points.append(point)
+        excluded.append(evaluation.excluded_points)
         note(
             f"snr {db:+.1f} dB: rmse_q {point.rmse_q:.3g} rmse_p {point.rmse_p:.3g} "
             f"strong {point.bound_strong:.3g}"
@@ -654,6 +669,7 @@ def run_experiment(
         "source": [float(v) for v in state["source"]],
         "attenuation_q": float(state["attenuation"]),
         "quantization_floor": config.grid.quantization_floor(),
+        "csd_excluded_points": excluded,
         "estimator": config.estimator,
         "elapsed_seconds": time.monotonic() - started,
         "versions": _version_stamp(),
@@ -731,6 +747,12 @@ def emit_outputs(result: ExperimentResult, out_dir) -> dict:
     lines.append(
         f"finiteness condition satisfied at {ok_count} of {len(result.points)} points"
     )
+    excluded = meta.get("csd_excluded_points", [])
+    if excluded:
+        lines.append("")
+        lines.append("actual-model error samples csd_estimate excluded as duplicates:")
+        for point, count in zip(result.points, excluded):
+            lines.append(f"  snr {point.snr_db:+.1f} dB: {count} of {point.trials}")
     with open(report, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
     return {"curve_csv": curve_csv, "curve_dat": curve_dat, "report": report}

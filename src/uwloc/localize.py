@@ -52,9 +52,14 @@ class GridSpec:
     peak_interpolation: bool = False
 
     def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float).reshape(3)
-        self.upper = np.asarray(self.upper, dtype=float).reshape(3)
-        self.counts = np.asarray(self.counts, dtype=int).reshape(3)
+        try:
+            self.lower = np.asarray(self.lower, dtype=float).reshape(3)
+            self.upper = np.asarray(self.upper, dtype=float).reshape(3)
+            self.counts = np.asarray(self.counts, dtype=int).reshape(3)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"grid lower, upper and counts need 3 numbers each: {exc}"
+            ) from exc
         if np.any(self.counts < 1):
             raise ConfigError("grid counts must be >= 1")
         if np.any(self.upper < self.lower):
@@ -172,7 +177,9 @@ class GridEvaluator:
 
     Memory: float32 products and design, 2*G*L*L*N*4 bytes, plus the
     complex128 stacks kept for rescoring, G*L*N*16 bytes; about
-    3*G*L*L*N*4 bytes at L = 4.
+    3*G*L*L*N*4 bytes at L = 4. Construction writes the products one
+    receiver or receiver pair at a time, so beyond what the evaluator
+    keeps its transient is a few (G, N) buffers, under G*N*24 bytes.
     """
 
     def __init__(self, spec: GridSpec, stacks: np.ndarray):
@@ -182,14 +189,26 @@ class GridEvaluator:
             raise ConfigError("stacks must be (node_count, L, N)")
         self.nodes = spec.nodes()
         self.stacks = stacks
-        self.energies = np.sum(np.abs(stacks) ** 2, axis=1)  # (G, N)
-        self.pairs = np.triu_indices(stacks.shape[1], 1)
-        cross = np.conj(stacks[:, self.pairs[0], :]) * stacks[:, self.pairs[1], :]
-        self.products = np.concatenate(
-            [stacks.real**2 + stacks.imag**2, 2.0 * cross.real, -2.0 * cross.imag],
-            axis=1,
-            dtype=np.float32,
-        )  # (G, L*L, N)
+        node_count, l_count, n_bins = stacks.shape
+        self.pairs = np.triu_indices(l_count, 1)
+        n_pairs = self.pairs[0].size
+        # Each column block is computed in float64 and rounded once into
+        # the float32 products, one receiver or receiver pair at a time,
+        # so no temporary grows past (G, N).
+        self.energies = np.zeros((node_count, n_bins))
+        self.products = np.empty((node_count, l_count * l_count, n_bins), np.float32)
+        for l in range(l_count):
+            h = stacks[:, l, :]
+            self.energies += np.abs(h) ** 2
+            np.add(np.square(h.real), np.square(h.imag), out=self.products[:, l, :])
+        cross = np.empty((node_count, n_bins), dtype=complex)
+        for p, (l, l2) in enumerate(zip(*self.pairs)):
+            np.conj(stacks[:, l, :], out=cross)
+            cross *= stacks[:, l2, :]
+            np.multiply(cross.real, 2.0, out=self.products[:, l_count + p, :])
+            np.multiply(
+                cross.imag, -2.0, out=self.products[:, l_count + n_pairs + p, :]
+            )
         self._cache = None  # ((signal_power, noise_power), level)
         shape = spec.shape
         self.strides = np.array(
@@ -495,7 +514,8 @@ def train_net(
     t_mean = targs.mean(axis=0)
     t_std = targs.std(axis=0)
     t_scale = np.where(t_std < 1e-12, 1.0, t_std)
-    x_all = (feats - f_mean) / f_scale
+    x_all = np.subtract(feats, f_mean)  # standardized in one buffer
+    x_all /= f_scale
     y_all = (targs - t_mean) / t_scale
 
     if clip_lower is None:

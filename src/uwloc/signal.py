@@ -71,13 +71,17 @@ def response_stack_batch(
     *,
     min_distance: float = channel.DEFAULT_MIN_DISTANCE,
     check_distance: bool = True,
-    chunk: int = 1024,
+    chunk: int = 256,
 ) -> np.ndarray:
     """Response stacks for many positions; returns (M, L, N) complex.
 
-    Work is chunked so the (chunk, L, R, N) phase tensor stays small. The
-    phases exp(-j w tau) are written as cos and -sin straight into one
-    complex buffer, with no complex argument tensor.
+    The phases exp(-j w tau) are written as cos and -sin straight into one
+    complex buffer, with no complex argument tensor. Work is chunked over
+    positions, so beyond the (M, L, N) output the transient is one chunk's
+    float64 angle and complex128 phase tensors, chunk*L*R*N*24 bytes for R
+    arrivals per path (about 9 MB at the default chunk, L = 4, R = 6 and
+    N = 64), plus its arrival tables, whatever M is. Each position's
+    stack is the same for any chunk size.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     omegas = angular_frequencies(n_bins, sample_period)

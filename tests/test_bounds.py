@@ -356,6 +356,8 @@ class TestWeakBound:
             weak_bound(1.0, -1.0, 0.0)
         with pytest.raises(ValueError):
             weak_bound(1.0, 1.0, -0.5)
+        with pytest.raises(ValueError):
+            weak_bound(1.0, 1.0, math.nan)
 
 
 class TestStrongBound:
@@ -394,6 +396,16 @@ class TestStrongBound:
         analytic_bound = 3.0 + math.sqrt(6.0 * chi2)
         assert got.strong_bound == pytest.approx(analytic_bound, rel=0.1)
         assert got.mse_p <= got.strong_bound
+
+    def test_counts_excluded_duplicates(self):
+        rng = np.random.default_rng(23)
+        errors_q = rng.standard_normal((100, 3))
+        errors_p = rng.standard_normal((100, 3))
+        assert strong_bound(errors_q, errors_p, k_nn=4).excluded_points == 0
+        errors_p[:6] = errors_p[0]
+        with pytest.warns(RuntimeWarning, match="excluded 6 of 100"):
+            got = strong_bound(errors_q, errors_p, k_nn=4)
+        assert got.excluded_points == 6
 
     def test_rejects_tiny_sample_sets(self):
         with pytest.raises(EstimationError):

@@ -238,6 +238,27 @@ class TestAnalysisCommands:
         printed = json.loads(capsys.readouterr().out)
         assert printed == payload
 
+    def test_bound_rejects_negative_or_nan_delta2(self, config_path, tmp_path,
+                                                   capsys):
+        rng = np.random.default_rng(3)
+        q_path, p_path = tmp_path / "eq.csv", tmp_path / "ep.csv"
+        save_samples(q_path, rng.standard_normal((50, 3)))
+        save_samples(p_path, rng.standard_normal((50, 3)))
+        files = ["--config", config_path, "--errors-q", str(q_path),
+                 "--errors-p", str(p_path)]
+        for bad in ("-0.5", "nan"):
+            out = tmp_path / f"bound{bad}"
+            code = main(["bound", *files, "--delta2", bad, "--out", str(out)])
+            assert code == 2
+            assert "--delta2" in capsys.readouterr().err
+            assert not out.exists()
+        # an infinite divergence is a valid input: the bound is vacuous
+        out = tmp_path / "bound-inf"
+        assert main(["bound", *files, "--delta2", "inf", "--out", str(out)]) == 0
+        payload = json.loads((out / "bound.json").read_text())
+        assert payload["weak_bound_mse"] == math.inf
+        assert payload["excluded_points"] == 0
+
     def test_estimate_csd_reports_json(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         p_path, q_path = tmp_path / "p.csv", tmp_path / "q.csv"

@@ -352,6 +352,15 @@ class TestConfig:
             config_from_dict(tiny_config_dict(trials="many"))
         with pytest.raises(ConfigError, match="'hidden'"):
             config_from_dict(tiny_config_dict(net={"hidden": 16}))
+        for bad, match in (
+            ({"source": [1, 2]}, "source"),
+            ({"grid": [1, 2]}, "'grid'"),
+            ({"grid": {"counts": [3, 3]}}, "grid"),
+            ({"grid": {"lower": "x"}}, "grid"),
+            ({"net": 5}, "'net'"),
+        ):
+            with pytest.raises(ConfigError, match=match):
+                config_from_dict(tiny_config_dict(**bad))
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -445,7 +454,7 @@ class TestRunExperiment:
             assert point.bound_strong >= point.rmse_q
             assert point.trials == 40 and point.seed == 99
 
-    def test_net_deterministic_and_worker_invariant(self):
+    def test_net_deterministic_and_worker_invariant(self, tmp_path):
         data = tiny_config_dict(
             estimator="net",
                         net={
@@ -463,6 +472,12 @@ class TestRunExperiment:
         assert len(rows) == 2
         assert [p.row() for p in pooled.points] == rows
         assert pooled.metadata["net_loss_curve"] == first.metadata["net_loss_curve"]
+        # Net estimates at 0 dB repeat, so the divergence estimate drops
+        # duplicate error samples; the count reaches the report.
+        assert first.metadata["csd_excluded_points"] == [14, 0]
+        assert pooled.metadata["csd_excluded_points"] == [14, 0]
+        report = emit_outputs(first, tmp_path / "out")["report"].read_text()
+        assert "  snr +0.0 dB: 14 of 40\n  snr +20.0 dB: 0 of 40\n" in report
 
     def test_pooled_failure_names_its_stage(self, monkeypatch, tmp_path, capsys):
         data = tiny_config_dict()

@@ -1,6 +1,7 @@
 """Grid ML localization, feature extraction, and the learned regressor."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,46 @@ class TestGridEvaluator:
                 evaluator.locate(batch, signal_power, noise_power, interpolate=True),
                 fresh.locate(batch, signal_power, noise_power, interpolate=True),
             )
+
+    @pytest.mark.parametrize("l_count", [1, 2, 3, 4, 5])
+    def test_products_match_concatenated_oracle(self, l_count):
+        # Oracle: the products as one concatenation of full-size float64
+        # blocks; construction must round the same values into float32.
+        rng = np.random.default_rng(40 + l_count)
+        spec = small_grid(counts=(3, 4, 5))
+        shape = (60, l_count, 33)
+        stacks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stacks *= 10.0 ** rng.uniform(-3, 3, size=(60, l_count, 1))
+        row, col = np.triu_indices(l_count, 1)
+        cross = np.conj(stacks[:, row, :]) * stacks[:, col, :]
+        want = np.concatenate(
+            [stacks.real**2 + stacks.imag**2, 2.0 * cross.real, -2.0 * cross.imag],
+            axis=1,
+            dtype=np.float32,
+        )
+        evaluator = GridEvaluator(spec, stacks)
+        assert evaluator.products.dtype == np.float32
+        assert np.array_equal(evaluator.products, want)
+        assert np.array_equal(evaluator.energies, np.sum(np.abs(stacks) ** 2, axis=1))
+
+    def test_construction_transient_is_small(self):
+        # Construction may not hold full-size temporaries next to what the
+        # evaluator keeps; numpy reports its buffers to tracemalloc.
+        rng = np.random.default_rng(44)
+        spec = small_grid(counts=(11, 11, 5))
+        shape = (605, 4, 64)
+        stacks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluator = GridEvaluator(spec, stacks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = (
+            evaluator.products.nbytes + evaluator.energies.nbytes + evaluator.nodes.nbytes
+        )
+        assert peak - base <= 1.5 * kept, (peak - base, kept)
 
     def test_rejects_negative_signal_power(self):
         spec = GridSpec([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3, 1, 1])

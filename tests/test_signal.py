@@ -1,6 +1,7 @@
 """Frequency-domain observation model: grids, steering, synthesis, dumps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,29 @@ class TestResponseStack:
             )
             assert np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()
+
+    def test_batch_transient_is_one_chunk(self):
+        # Beyond its output a stack build holds one chunk's float64 angle
+        # and complex128 phase tensors (24 bytes an entry) and arrival
+        # tables, whatever the position count. numpy reports its buffers to
+        # tracemalloc. The budget is twice the tensors of 256 positions.
+        env = self.iso_env()
+        receivers = [[0.0, 0.0, 30.0], [200.0, 50.0, 60.0], [90.0, 210.0, 45.0],
+                     [240.0, 240.0, 35.0]]
+        n_bins, rays = 64, env.ray_budget
+        budget = 2 * 256 * len(receivers) * rays * n_bins * 24
+        rng = np.random.default_rng(5)
+        for count in (600, 1300):
+            positions = rng.uniform([50, 50, 20], [250, 250, 80], size=(count, 3))
+            tracemalloc.start()
+            try:
+                out = response_stack_batch(
+                    env, receivers, positions, n_bins, 0.01, check_distance=False
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - out.nbytes < budget, (count, peak - out.nbytes, budget)
 
 
 class TestDrawWaveform:
