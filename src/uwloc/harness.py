@@ -43,6 +43,7 @@ import math
 import os
 import time
 import zlib
+from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,6 +95,20 @@ class NetConfig:
     batch_size: int = 256
     learning_rate: float = 1e-3
 
+    def __post_init__(self):
+        if self.train_size < 2:
+            raise ConfigError(f"net train_size must be >= 2, got {self.train_size}")
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError(f"net hidden widths must be >= 1, got {list(self.hidden)}")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("net epochs and batch_size must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"net learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if not math.isfinite(self.train_snr_db):
+            raise ConfigError(f"net train_snr_db must be finite, got {self.train_snr_db}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -126,6 +141,8 @@ class ExperimentConfig:
             )
         if len(self.snr_db) == 0:
             raise ConfigError("snr grid is empty")
+        if not all(math.isfinite(db) for db in self.snr_db):
+            raise ConfigError(f"snr_db values must be finite, got {list(self.snr_db)}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.grid is None:
@@ -138,23 +155,33 @@ class ExperimentConfig:
 
 
 _GRID_KEYS = {"counts", "lower", "upper", "peak_interpolation"}
+
+
+def _whole(value) -> int:
+    """value as an int; a number with a fractional part raises ValueError."""
+    number = int(value)
+    if number != value:
+        raise ValueError(f"{value!r} is not a whole number")
+    return number
+
+
 # JSON key -> conversion; an omitted key keeps the dataclass default.
 _NET_TYPES = {
-    "train_size": int,
+    "train_size": _whole,
     "train_snr_db": float,
-    "hidden": lambda v: tuple(int(h) for h in v),
-    "epochs": int,
-    "batch_size": int,
+    "hidden": lambda v: tuple(_whole(h) for h in v),
+    "epochs": _whole,
+    "batch_size": _whole,
     "learning_rate": float,
 }
 _OPTIONAL_TYPES = {
     "snr_db": lambda v: tuple(float(x) for x in v),
-    "trials": int,
+    "trials": _whole,
     "estimator": str,
-    "csd_k": int,
-    "seed": int,
+    "csd_k": _whole,
+    "seed": _whole,
     "source": lambda v: None if v is None else np.asarray(v, dtype=float),
-    "attenuation_samples": int,
+    "attenuation_samples": _whole,
 }
 _REQUIRED_KEYS = ("environment_q", "environment_p", "geometry", "n_bins", "sample_period")
 _TOP_KEYS = {*_REQUIRED_KEYS, *_OPTIONAL_TYPES, "grid", "net"}
@@ -184,7 +211,7 @@ def _convert(data: dict, types: dict, section: str) -> dict:
     for key in types.keys() & data.keys():
         try:
             out[key] = types[key](data[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad {section} key '{key}': {exc}") from exc
     return out
 
@@ -319,18 +346,20 @@ def _draw_observations(master: int, stage: str, chunk_idx: int, h: np.ndarray,
     return waveform[:, None, :] * h + noise
 
 
-def observation_chunks(master: int, stage: str, h: np.ndarray,
+def observation_chunks(master: int, stage: str, h: np.ndarray | Callable,
                        noise_power: float, count: int):
     """Yield (rows, observations) for count observations, chunk by chunk.
 
-    rows is the slice of the full (count, L, N) block that the chunk fills;
-    h is as in _draw_observations, a per-observation stack being sliced by
-    rows.
+    rows is the slice of the full (count, L, N) block that the chunk fills.
+    h is one (L, N) response shared by every observation, or a function
+    that maps rows to the chunk's (size, L, N) stack of per-observation
+    responses. A caller with one response per observation thus builds one
+    chunk's stack at a time and never holds the (count, L, N) stack.
     """
     start = 0
     for chunk_idx, size in enumerate(_chunk_sizes(count)):
         rows = slice(start, start + size)
-        block = h if h.ndim == 2 else h[rows]
+        block = h(rows) if callable(h) else h
         yield rows, _draw_observations(master, stage, chunk_idx, block,
                                        noise_power, size)
         start += size
@@ -499,21 +528,31 @@ def noise_level(attenuation: float, snr_db: float) -> float:
     return SIGNAL_POWER * attenuation / 10.0 ** (snr_db / 10.0)
 
 
-def build_training_set(config: ExperimentConfig, attenuation: float) -> TrainingSet:
-    """Labelled features drawn from the presumed environment at train SNR."""
-    net = config.net
-    rng_pos = np.random.default_rng(derive_seed(config.seed, "train-positions", 0))
-    positions = _uniform_positions(rng_pos, config.geometry.volume, net.train_size)
-    stacks = signal_mod.response_stack_batch(
+def _presumed_stacks(config: ExperimentConfig, positions: np.ndarray):
+    """rows -> the presumed environment's (rows, L, N) stacks at positions[rows]."""
+    return lambda rows: signal_mod.response_stack_batch(
         config.environment_q,
         config.geometry.receivers,
-        positions,
+        positions[rows],
         config.n_bins,
         config.sample_period,
     )
+
+
+def build_training_set(config: ExperimentConfig, attenuation: float) -> TrainingSet:
+    """Labelled features drawn from the presumed environment at train SNR.
+
+    Response stacks, observations and features are made one observation
+    chunk at a time, so beyond the returned (train_size, F) features and
+    (train_size, 3) targets the transient is one chunk's worth, whatever
+    train_size is.
+    """
+    net = config.net
+    rng_pos = np.random.default_rng(derive_seed(config.seed, "train-positions", 0))
+    positions = _uniform_positions(rng_pos, config.geometry.volume, net.train_size)
     feats = None
     for rows, obs in observation_chunks(
-        config.seed, "train-observations", stacks,
+        config.seed, "train-observations", _presumed_stacks(config, positions),
         noise_level(attenuation, net.train_snr_db), net.train_size,
     ):
         block_feats = extract_features(obs, attenuation)
@@ -598,6 +637,7 @@ def run_experiment(
                 clip_lower=config.geometry.volume[0],
                 clip_upper=config.geometry.volume[1],
             )
+            del training  # the sweep needs only the model
             state["model"] = model
         except StageError:
             raise
@@ -798,19 +838,15 @@ def generate_dataset(
     out.mkdir(parents=True, exist_ok=True)
     state_rng = np.random.default_rng(derive_seed(config.seed, "dataset-positions", 0))
     positions = _uniform_positions(state_rng, config.geometry.volume, count)
-    stacks = signal_mod.response_stack_batch(
-        config.environment_q,
-        config.geometry.receivers,
-        positions,
-        config.n_bins,
-        config.sample_period,
-    )
     _, attenuation = derive_scene(config)
     noise_power = noise_level(attenuation, snr_db)
-    values = np.empty_like(stacks)
+    values = None
     for rows, obs in observation_chunks(
-        config.seed, "dataset-observations", stacks, noise_power, count
+        config.seed, "dataset-observations", _presumed_stacks(config, positions),
+        noise_power, count,
     ):
+        if values is None:
+            values = np.empty((count, *obs.shape[1:]), dtype=complex)
         values[rows] = obs
 
     obs_path = out / "observations.bin"

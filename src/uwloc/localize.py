@@ -471,13 +471,28 @@ class NetModel:
                 f"feature length {feats.shape[1]} does not match the model "
                 f"input size {self.weights[0].shape[0]}"
             )
-        a = (feats - self.feature_mean) / self.feature_scale
+        a = np.subtract(feats, self.feature_mean)
+        a /= self.feature_scale
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w + b, 0.0)
-        out = a @ self.weights[-1] + self.biases[-1]
-        out = out * self.target_scale + self.target_mean
-        out = np.clip(out, self.clip_lower, self.clip_upper)
+            a = _relu_layer(a, w, b)
+        out = a @ self.weights[-1]
+        out += self.biases[-1]
+        out *= self.target_scale
+        out += self.target_mean
+        np.clip(out, self.clip_lower, self.clip_upper, out=out)
         return out[0] if single else out
+
+
+def _relu_layer(a, w, b) -> np.ndarray:
+    """max(a @ w + b, 0), written into the product's buffer."""
+    out = a @ w
+    out += b
+    return np.maximum(out, 0.0, out=out)
+
+
+# Columns per block of the feature standard deviation: its (count, block)
+# temporary stays a small fraction of the (count, F) features.
+_STD_BLOCK = 128
 
 
 def train_net(
@@ -497,6 +512,13 @@ def train_net(
     Returns (model, loss_curve) where loss_curve[e] is the mean minibatch
     loss of epoch e in standardized target units. Raises TrainingError if
     the loss ever goes non-finite.
+
+    Memory: beyond the caller's features and targets, training holds one
+    standardized minibatch buffer and its activations, the parameters and
+    the two Adam moments (3x the parameter bytes), and per step one
+    gradient and one temporary per parameter array. The feature standard
+    deviation is taken _STD_BLOCK columns at a time, so no (count, F)
+    array is made.
     """
     feats = np.asarray(features, dtype=float)
     targs = np.asarray(targets, dtype=float)
@@ -509,13 +531,16 @@ def train_net(
         raise TrainingError("epochs and batch_size must be >= 1")
 
     f_mean = feats.mean(axis=0)
-    f_std = feats.std(axis=0)
+    # An axis-0 reduction adds row by row within each column, so column
+    # blocks give the bits of one whole-array call.
+    f_std = np.concatenate([
+        feats[:, start : start + _STD_BLOCK].std(axis=0)
+        for start in range(0, feats.shape[1], _STD_BLOCK)
+    ])
     f_scale = np.where(f_std < 1e-12, 1.0, f_std)
     t_mean = targs.mean(axis=0)
     t_std = targs.std(axis=0)
     t_scale = np.where(t_std < 1e-12, 1.0, t_std)
-    x_all = np.subtract(feats, f_mean)  # standardized in one buffer
-    x_all /= f_scale
     y_all = (targs - t_mean) / t_scale
 
     if clip_lower is None:
@@ -531,28 +556,33 @@ def train_net(
         weights.append(rng.standard_normal((fan_in, fan_out)) * math.sqrt(2.0 / fan_in))
         biases.append(np.zeros(fan_out))
 
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    params = weights + biases
+    moment1 = [np.zeros_like(p) for p in params]
+    moment2 = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     loss_curve = []
+    x_buf = np.empty((min(batch_size, count), feats.shape[1]))
 
     for epoch in range(epochs):
         order = rng.permutation(count)
         epoch_losses = []
         for start in range(0, count, batch_size):
             batch = order[start : start + batch_size]
-            x = x_all[batch]
+            # Every index is in range; mode="clip" makes take write straight
+            # into x_buf instead of through a buffer of the same size.
+            x = np.take(feats, batch, axis=0, out=x_buf[: batch.size], mode="clip")
+            x -= f_mean
+            x /= f_scale
             y = y_all[batch]
 
             acts = [x]
             a = x
             for w, b in zip(weights[:-1], biases[:-1]):
-                a = np.maximum(a @ w + b, 0.0)
+                a = _relu_layer(a, w, b)
                 acts.append(a)
-            pred = a @ weights[-1] + biases[-1]
+            pred = a @ weights[-1]
+            pred += biases[-1]
 
             resid = pred - y
             loss = float(np.mean(resid**2))
@@ -576,18 +606,25 @@ def train_net(
             step += 1
             bias1 = 1.0 - beta1**step
             bias2 = 1.0 - beta2**step
-            for layer in range(len(weights)):
-                for store_m, store_v, param, g in (
-                    (m_w, v_w, weights, grads_w),
-                    (m_b, v_b, biases, grads_b),
-                ):
-                    store_m[layer] = beta1 * store_m[layer] + (1 - beta1) * g[layer]
-                    store_v[layer] = beta2 * store_v[layer] + (1 - beta2) * g[layer] ** 2
-                    param[layer] -= (
-                        learning_rate
-                        * (store_m[layer] / bias1)
-                        / (np.sqrt(store_v[layer] / bias2) + eps)
-                    )
+            for param, m, v, g in zip(params, moment1, moment2, grads_w + grads_b):
+                # In place, with the roundings of m = beta1 m + (1 - beta1) g,
+                # v = beta2 v + (1 - beta2) g^2 and
+                # param -= lr (m / bias1) / (sqrt(v / bias2) + eps);
+                # g is this step's own gradient and is overwritten.
+                tmp = np.square(g)
+                tmp *= 1 - beta2
+                v *= beta2
+                v += tmp
+                g *= 1 - beta1
+                m *= beta1
+                m += g
+                np.divide(m, bias1, out=g)
+                g *= learning_rate
+                np.divide(v, bias2, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += eps
+                g /= tmp
+                param -= g
         loss_curve.append(float(np.mean(epoch_losses)))
 
     model = NetModel(

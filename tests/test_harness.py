@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import pickle
 import time
+import tracemalloc
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -241,6 +242,25 @@ class TestChunking:
         extent = volume[1] - volume[0]
         assert np.all(np.abs(pts.mean(axis=0) - center) < 0.01 * extent)
 
+    def test_training_set_transient_does_not_grow(self):
+        # Stacks are built one chunk at a time, so what build_training_set
+        # holds beyond its result is the same at any train_size; numpy
+        # reports its buffers to tracemalloc.
+        beyond = []
+        for size in (1000, 3000):
+            config = config_from_dict(tiny_config_dict(n_bins=64, net={"train_size": size}))
+            _, attenuation = hand_scene(config)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                training = build_training_set(config, attenuation)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            kept = training.features.nbytes + training.targets.nbytes
+            beyond.append(peak - base - kept)
+        assert abs(beyond[1] - beyond[0]) <= 1e6, beyond
+
 
 class TestCurveIo:
     def make_points(self):
@@ -358,6 +378,18 @@ class TestConfig:
             ({"grid": {"counts": [3, 3]}}, "grid"),
             ({"grid": {"lower": "x"}}, "grid"),
             ({"net": 5}, "'net'"),
+            ({"net": {"hidden": [0]}}, "hidden"),
+            ({"net": {"hidden": [-3]}}, "hidden"),
+            ({"net": {"hidden": [2.5]}}, "hidden"),
+            ({"net": {"batch_size": 0}}, "batch_size"),
+            ({"net": {"epochs": 0}}, "epochs"),
+            ({"net": {"epochs": math.inf}}, "epochs"),
+            ({"net": {"train_size": 1}}, "train_size"),
+            ({"net": {"learning_rate": -1}}, "learning_rate"),
+            ({"net": {"learning_rate": math.nan}}, "learning_rate"),
+            ({"net": {"train_snr_db": math.nan}}, "train_snr_db"),
+            ({"snr_db": [math.nan]}, "snr_db"),
+            ({"trials": 40.5}, "'trials'"),
         ):
             with pytest.raises(ConfigError, match=match):
                 config_from_dict(tiny_config_dict(**bad))

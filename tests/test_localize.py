@@ -456,7 +456,117 @@ class TestTrainingSet:
         assert ts.count == 4
 
 
+def reference_train(features, targets, hidden, epochs, batch_size,
+                    learning_rate, seed):
+    """train_net written plainly: a standardized copy of every feature
+    row and out-of-place Adam updates. Returns (weights, biases,
+    feature_scale, loss_curve)."""
+    feats, targs = np.asarray(features, float), np.asarray(targets, float)
+    count = feats.shape[0]
+    f_std = feats.std(axis=0)
+    f_scale = np.where(f_std < 1e-12, 1.0, f_std)
+    t_std = targs.std(axis=0)
+    t_scale = np.where(t_std < 1e-12, 1.0, t_std)
+    x_all = (feats - feats.mean(axis=0)) / f_scale
+    y_all = (targs - targs.mean(axis=0)) / t_scale
+    rng = np.random.default_rng(seed)
+    sizes = [feats.shape[1], *hidden, targs.shape[1]]
+    weights = [
+        rng.standard_normal((i, o)) * math.sqrt(2.0 / i)
+        for i, o in zip(sizes[:-1], sizes[1:])
+    ]
+    biases = [np.zeros(o) for o in sizes[1:]]
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    loss_curve = []
+    for _ in range(epochs):
+        order = rng.permutation(count)
+        losses = []
+        for start in range(0, count, batch_size):
+            batch = order[start : start + batch_size]
+            acts = [x_all[batch]]
+            for w, b in zip(weights[:-1], biases[:-1]):
+                acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+            resid = acts[-1] @ weights[-1] + biases[-1] - y_all[batch]
+            losses.append(float(np.mean(resid**2)))
+            grad = 2.0 * resid / resid.size
+            grads_w = [None] * len(weights)
+            grads_b = [None] * len(weights)
+            for layer in range(len(weights) - 1, -1, -1):
+                grads_w[layer] = acts[layer].T @ grad
+                grads_b[layer] = grad.sum(axis=0)
+                if layer > 0:
+                    grad = (grad @ weights[layer].T) * (acts[layer] > 0.0)
+            step += 1
+            bias1 = 1.0 - beta1**step
+            bias2 = 1.0 - beta2**step
+            for layer in range(len(weights)):
+                for ms, vs, param, g in (
+                    (m_w, v_w, weights, grads_w),
+                    (m_b, v_b, biases, grads_b),
+                ):
+                    ms[layer] = beta1 * ms[layer] + (1 - beta1) * g[layer]
+                    vs[layer] = beta2 * vs[layer] + (1 - beta2) * g[layer] ** 2
+                    param[layer] = param[layer] - (
+                        learning_rate
+                        * (ms[layer] / bias1)
+                        / (np.sqrt(vs[layer] / bias2) + eps)
+                    )
+        loss_curve.append(float(np.mean(losses)))
+    return weights, biases, f_scale, np.asarray(loss_curve)
+
+
+def reference_predict(model, feats):
+    """NetModel.predict written out of place."""
+    a = (feats - model.feature_mean) / model.feature_scale
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = np.maximum(a @ w + b, 0.0)
+    out = (a @ model.weights[-1] + model.biases[-1]) * model.target_scale
+    return np.clip(out + model.target_mean, model.clip_lower, model.clip_upper)
+
+
 class TestTrainNet:
+    def test_matches_reference_loop(self):
+        # 70 rows in minibatches of 32 leave a partial last batch of 6;
+        # feature 2 is constant, so its scale falls back to 1.
+        rng = np.random.default_rng(17)
+        feats = rng.standard_normal((70, 9)) * rng.uniform(0.1, 10.0, 9)
+        feats[:, 2] = 3.0
+        targets = rng.uniform([0, 0, 10], [50, 60, 20], size=(70, 3))
+        args = dict(hidden=(16, 8), epochs=4, batch_size=32, learning_rate=3e-3)
+        model, curve = train_net(feats, targets, seed=9, **args)
+        weights, biases, f_scale, want_curve = reference_train(
+            feats, targets, seed=9, **args
+        )
+        assert f_scale[2] == 1.0
+        assert np.array_equal(model.feature_scale, f_scale)
+        assert np.array_equal(curve, want_curve)
+        for got, want in zip(model.weights + model.biases, weights + biases):
+            assert np.array_equal(got, want)
+        fresh = 3.0 * rng.standard_normal((25, 9))
+        assert np.array_equal(model.predict(fresh), reference_predict(model, fresh))
+
+    def test_memory_beyond_inputs_and_parameters(self):
+        # Training may hold one minibatch and per-step temporaries next to
+        # the caller's features, the parameters and the two Adam moments,
+        # but no (count, F) array; numpy reports its buffers to tracemalloc.
+        rng = np.random.default_rng(16)
+        feats = rng.standard_normal((2000, 1024))
+        targets = rng.standard_normal((2000, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model, _ = train_net(feats, targets, hidden=(16,), epochs=1, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        state = 3 * sum(p.nbytes for p in model.weights + model.biases)
+        assert peak - base - state <= 0.25 * feats.nbytes, (peak - base - state)
+
     def test_memorizes_small_set(self):
         rng = np.random.default_rng(18)
         feats = rng.standard_normal((24, 6))
