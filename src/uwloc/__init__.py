@@ -34,7 +34,7 @@ from .channel import (
     validate_environment,
     validate_geometry,
 )
-from .csd import CsdEstimate, estimate_csd, knn_radius
+from .csd import CsdEstimate, estimate_csd
 from .errors import (
     ConfigError,
     DegenerateGeometryError,

@@ -323,22 +323,19 @@ def average_attenuation(
     geometry: Geometry,
     sample_count: int,
     rng_seed,
-    arrivals_fn=None,
 ) -> float:
     """Mean over uniform volume positions of the receiver-mean CIR energy.
 
     CIR energy per receiver is the sum of squared gain magnitudes. The
     minimum-distance check is bypassed: volume sampling almost surely avoids
-    degenerate points and the 1/d^2 energy stays integrable. arrivals_fn is
-    a drop-in replacement for arrivals_batch (same call signature).
+    degenerate points and the 1/d^2 energy stays integrable.
     """
     if sample_count < 1:
         raise ConfigError("sample_count must be >= 1")
     rng = np.random.default_rng(rng_seed)
     lo, hi = geometry.volume
     points = rng.uniform(lo, hi, size=(int(sample_count), 3))
-    fn = arrivals_batch if arrivals_fn is None else arrivals_fn
-    _, gains = fn(env, geometry.receivers, points, check_distance=False)
+    _, gains = arrivals_batch(env, geometry.receivers, points, check_distance=False)
     energy = np.sum(np.abs(gains) ** 2, axis=2)  # (M, L)
     return float(energy.mean(axis=1).mean())
 

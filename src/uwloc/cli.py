@@ -52,10 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"uwloc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=False):
+    def common(p, needs_out=False, seed=True):
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config master seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config master seed")
         p.add_argument("--out", default=None, required=needs_out,
                        help="output directory")
 
@@ -77,14 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="gen-data directory; omitted = draw per config.net")
 
     p = sub.add_parser("localize", help="localize stored observations")
-    common(p, needs_out=True)
+    common(p, needs_out=True, seed=False)
     p.add_argument("--data", required=True,
                    help="directory holding observations.bin and meta.json")
     p.add_argument("--method", choices=("ml", "net"), default="ml")
     p.add_argument("--model", default=None, help="model file for --method net")
 
     p = sub.add_parser("bound", help="sample-based bound from error files")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--errors-q", required=True, help="CSV of presumed-model errors")
     p.add_argument("--errors-p", required=True, help="CSV of actual-model errors")
     p.add_argument("--k", type=int, default=None, help="neighbor order override")
@@ -106,6 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> harness.ExperimentConfig:
+    """The --config file, its master seed replaced by --seed if given."""
     config = harness.load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=int(args.seed))
@@ -113,37 +115,9 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 
 def _cmd_simulate(args) -> int:
-    if args.count < 1:
-        raise ConfigError("simulate count must be >= 1")
     config = _load_config(args)
-    env = config.environment_q if args.env == "q" else config.environment_p
-    source, attenuation = harness.derive_scene(config)
-    h = signal_mod.response_stack(
-        env, config.geometry.receivers, source, config.n_bins, config.sample_period
-    )
-    noise_power = harness.noise_level(attenuation, args.snr_db)
-    values = np.empty((args.count, *h.shape), dtype=complex)
-    for rows, obs in harness.observation_chunks(
-        config.seed, "simulate", h, noise_power, args.count
-    ):
-        values[rows] = obs
     out = Path(args.out or "simulate-out")
-    out.mkdir(parents=True, exist_ok=True)
-    signal_mod.save_observations(out / "observations.bin", values, seed=config.seed)
-    meta = {
-        "source": [float(v) for v in source],
-        "snr_db": args.snr_db,
-        "noise_power": noise_power,
-        "attenuation": attenuation,
-        "environment": args.env,
-        "count": args.count,
-        "seed": config.seed,
-        "n_bins": config.n_bins,
-        "sample_period": config.sample_period,
-    }
-    with open(out / "meta.json", "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    source = harness.simulate(config, args.count, args.snr_db, args.env, out)
     print(f"simulated {args.count} observations at {args.snr_db:+.1f} dB "
           f"from source {np.round(source, 2).tolist()} -> {out}")
     return 0
@@ -188,23 +162,13 @@ def _cmd_train(args) -> int:
         values, labels, _, attenuation = _load_dataset(args.data)
         if labels is None:
             raise ConfigError(f"{args.data} has no labels.csv to train on")
-        features = localize.extract_features(values, attenuation)
-        targets = labels
+        training = localize.TrainingSet(
+            localize.extract_features(values, attenuation), labels
+        )
     else:
         _, attenuation = harness.derive_scene(config)
         training = harness.build_training_set(config, attenuation)
-        features, targets = training.features, training.targets
-    model, loss_curve = localize.train_net(
-        features,
-        targets,
-        hidden=config.net.hidden,
-        epochs=config.net.epochs,
-        batch_size=config.net.batch_size,
-        learning_rate=config.net.learning_rate,
-        seed=harness.derive_seed(config.seed, "train-net", 0),
-        clip_lower=config.geometry.volume[0],
-        clip_upper=config.geometry.volume[1],
-    )
+    model, loss_curve = harness.train_model(config, training)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     localize.save_model(out / "model.uwnet", model)
@@ -212,13 +176,13 @@ def _cmd_train(args) -> int:
         handle.write("epoch,loss\n")
         for epoch, loss in enumerate(loss_curve):
             handle.write(f"{epoch},{loss!r}\n")
-    print(f"trained on {features.shape[0]} examples, final loss "
+    print(f"trained on {training.count} examples, final loss "
           f"{loss_curve[-1]:.4g} -> {out / 'model.uwnet'}")
     return 0
 
 
 def _cmd_localize(args) -> int:
-    config = _load_config(args)
+    config = harness.load_config(args.config)
     values, labels, noise_power, attenuation = _load_dataset(args.data)
     if args.method == "net":
         if args.model is None:
@@ -226,22 +190,13 @@ def _cmd_localize(args) -> int:
         model = localize.load_model(args.model)
         estimates = model.predict(localize.extract_features(values, attenuation))
     else:
-        evaluator = localize.GridEvaluator.from_scene(
-            config.environment_q,
-            config.geometry.receivers,
-            config.grid,
-            config.n_bins,
-            config.sample_period,
-        )
+        evaluator = harness.grid_evaluator(config)
         estimates = evaluator.locate(values, harness.SIGNAL_POWER, noise_power)
     estimates = np.atleast_2d(estimates)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     est_path = out / "estimates.csv"
-    with open(est_path, "w", encoding="utf-8") as handle:
-        handle.write("x,y,z\n")
-        for row in estimates:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+    harness.write_positions(est_path, estimates)
     message = f"localized {estimates.shape[0]} observations -> {est_path}"
     if labels is not None:
         rmse = float(np.sqrt(np.mean(np.sum((estimates - labels) ** 2, axis=1))))
@@ -250,12 +205,23 @@ def _cmd_localize(args) -> int:
     return 0
 
 
+def _print_json(payload: dict, out_dir, name: str) -> None:
+    """Print payload as JSON and, with out_dir, write it to out_dir/name."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    print(text)
+    if out_dir:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / name, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+
+
 def _cmd_bound(args) -> int:
     if args.delta2 is not None and not args.delta2 >= 0:
         raise ConfigError(
             f"--delta2 must be >= 0 (inf for a vacuous bound), got {args.delta2}"
         )
-    config = _load_config(args)
+    config = harness.load_config(args.config)
     errors_q = csd.load_samples(args.errors_q)
     errors_p = csd.load_samples(args.errors_p)
     k = args.k if args.k is not None else config.csd_k
@@ -274,13 +240,7 @@ def _cmd_bound(args) -> int:
         "excluded_points": evaluation.excluded_points,
         "k": k,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "bound.json", "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+    _print_json(payload, args.out, "bound.json")
     return 0
 
 
@@ -288,14 +248,7 @@ def _cmd_estimate_csd(args) -> int:
     samples_p = csd.load_samples(args.samples_p)
     samples_q = csd.load_samples(args.samples_q)
     estimate = csd.estimate_csd(samples_p, samples_q, k=args.k)
-    payload = dataclasses.asdict(estimate)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "csd.json", "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+    _print_json(dataclasses.asdict(estimate), args.out, "csd.json")
     return 0
 
 

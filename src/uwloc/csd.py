@@ -71,34 +71,6 @@ def _knn_distances_brute(points: np.ndarray, queries: np.ndarray, k: int) -> np.
     return dists[:, :k]
 
 
-_METHODS = {"kdtree": _knn_distances_kdtree, "brute": _knn_distances_brute}
-
-
-def knn_radius(points, query, k: int, *, exclude_self: bool = False,
-               method: str = "kdtree") -> float:
-    """Distance from query to its k-th nearest neighbor among points.
-
-    With exclude_self the query is taken to be a member of points and its
-    zero-distance self match is skipped (the k-th other point is returned).
-    """
-    pts = _as_points(points)
-    q = np.asarray(query, dtype=float).reshape(1, -1)
-    if q.shape[1] != pts.shape[1]:
-        raise EstimationError("query dimension does not match the point set")
-    need = k + 1 if exclude_self else k
-    if k < 1:
-        raise EstimationError("k must be >= 1")
-    if pts.shape[0] < need:
-        raise EstimationError(
-            f"need at least {need} points for k={k}"
-            + (" with self excluded" if exclude_self else "")
-        )
-    if method not in _METHODS:
-        raise EstimationError(f"unknown method '{method}'")
-    dists = _METHODS[method](pts, q, need)
-    return float(dists[0, need - 1])
-
-
 def estimate_csd(samples_p, samples_q, k: int = DEFAULT_K) -> CsdEstimate:
     """Estimate chi2(P || Q) from samples of each distribution.
 
@@ -144,15 +116,7 @@ def estimate_csd(samples_p, samples_q, k: int = DEFAULT_K) -> CsdEstimate:
     )
 
 
-def save_samples(path, samples) -> None:
-    """Write a point cloud as CSV, one point per row, repr precision."""
-    pts = _as_points(samples)
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in pts:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def load_samples(path) -> np.ndarray:
-    """Read a (count, dim) point cloud written by save_samples."""
+    """Read a (count, dim) point cloud from a comma-separated file, one point per row."""
     pts = np.loadtxt(path, delimiter=",", ndmin=2)
     return _as_points(pts)

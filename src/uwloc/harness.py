@@ -18,6 +18,11 @@ chunk. Each chunk of `count` observations x = s h + v draws, in this order:
 the waveform s, real parts then imaginary parts, shape (count, N); then the
 noise v, real parts then imaginary parts, shape (count, L, N).
 
+Each pipeline step is one function here that the sweep and the command
+line both call: observation_chunks (every draw), derive_scene,
+build_training_set, train_model, grid_evaluator, and the dump writers
+simulate and generate_dataset.
+
 Workers: with workers > 1 the sweep runs in a pool of min(workers, SNR
 points) forked processes, one task per SNR point holding both
 environments' chunks, so a point's GridEvaluator design is built once.
@@ -45,6 +50,7 @@ import time
 import zlib
 from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -356,20 +362,26 @@ def observation_chunks(master: int, stage: str, h: np.ndarray | Callable,
     responses. A caller with one response per observation thus builds one
     chunk's stack at a time and never holds the (count, L, N) stack.
     """
-    start = 0
-    for chunk_idx, size in enumerate(_chunk_sizes(count)):
-        rows = slice(start, start + size)
+    for chunk_idx, start in enumerate(range(0, count, TRIAL_CHUNK)):
+        rows = slice(start, min(start + TRIAL_CHUNK, count))
         block = h(rows) if callable(h) else h
         yield rows, _draw_observations(master, stage, chunk_idx, block,
-                                       noise_power, size)
-        start += size
+                                       noise_power, rows.stop - start)
 
 
-def _chunk_sizes(total: int) -> list:
-    sizes = [TRIAL_CHUNK] * (total // TRIAL_CHUNK)
-    if total % TRIAL_CHUNK:
-        sizes.append(total % TRIAL_CHUNK)
-    return sizes
+@contextmanager
+def _stage(name: str, seed: int):
+    """Re-raise a failure inside the block as StageError(name, seed).
+
+    ConfigError and StageError pass through unchanged, so a configuration
+    problem found in any stage still reads as one.
+    """
+    try:
+        yield
+    except (ConfigError, StageError):
+        raise
+    except Exception as exc:
+        raise StageError(name, seed, exc) from exc
 
 
 # Worker-side state for process pools; set once per worker by the
@@ -425,16 +437,12 @@ def _init_worker(state, workers: int):
             set_num_threads(threads)
 
 
-def _run_chunk(state, master: int, point_idx: int, kind: str, chunk_idx: int,
-               count: int, noise_power: float) -> np.ndarray:
-    h = state["h_q"] if kind == "q" else state["h_p"]
-    obs = _draw_observations(master, f"trial-{kind}:{point_idx}", chunk_idx, h,
-                             noise_power, count)
+def _estimate(state, obs: np.ndarray, noise_power: float) -> np.ndarray:
+    """Error samples (estimate - source) of one chunk of observations."""
     if state["estimator"] == "ml":
         estimates = state["evaluator"].locate(obs, SIGNAL_POWER, noise_power)
     else:
-        feats = extract_features(obs, state["attenuation"])
-        estimates = state["model"].predict(feats)
+        estimates = state["model"].predict(extract_features(obs, state["attenuation"]))
     return estimates - state["source"][None, :]
 
 
@@ -447,14 +455,14 @@ def _run_point(state, master: int, point_idx: int, noise_power: float,
     """
     errors = {}
     for kind in ("q", "p"):
-        try:
+        with _stage(f"snr[{point_idx}]:{kind}", master):
             errors[kind] = np.concatenate([
-                _run_chunk(state, master, point_idx, kind, chunk_idx, count,
-                           noise_power)
-                for chunk_idx, count in enumerate(_chunk_sizes(trials))
+                _estimate(state, obs, noise_power)
+                for _, obs in observation_chunks(
+                    master, f"trial-{kind}:{point_idx}", state[f"h_{kind}"],
+                    noise_power, trials,
+                )
             ])
-        except Exception as exc:
-            raise StageError(f"snr[{point_idx}]:{kind}", master, exc) from exc
     return errors
 
 
@@ -562,6 +570,38 @@ def build_training_set(config: ExperimentConfig, attenuation: float) -> Training
     return TrainingSet(features=feats, targets=positions)
 
 
+def train_model(config: ExperimentConfig, training: TrainingSet) -> tuple:
+    """(model, loss_curve) of the net that config.net describes, fitted to training.
+
+    The one place config.net becomes train_net's arguments: the weights
+    draw from the "train-net" stream and predictions are clipped to the
+    search volume.
+    """
+    net = config.net
+    return train_net(
+        training.features,
+        training.targets,
+        hidden=net.hidden,
+        epochs=net.epochs,
+        batch_size=net.batch_size,
+        learning_rate=net.learning_rate,
+        seed=derive_seed(config.seed, "train-net", 0),
+        clip_lower=config.geometry.volume[0],
+        clip_upper=config.geometry.volume[1],
+    )
+
+
+def grid_evaluator(config: ExperimentConfig) -> GridEvaluator:
+    """The ML scorer: config.grid's nodes in the presumed environment."""
+    return GridEvaluator.from_scene(
+        config.environment_q,
+        config.geometry.receivers,
+        config.grid,
+        config.n_bins,
+        config.sample_period,
+    )
+
+
 def _prepare_state(config: ExperimentConfig) -> dict:
     """Everything the per-chunk trial runner needs, built deterministically."""
     geometry = config.geometry
@@ -590,13 +630,7 @@ def _prepare_state(config: ExperimentConfig) -> dict:
         "model": None,
     }
     if config.estimator == "ml":
-        state["evaluator"] = GridEvaluator.from_scene(
-            config.environment_q,
-            geometry.receivers,
-            config.grid,
-            config.n_bins,
-            config.sample_period,
-        )
+        state["evaluator"] = grid_evaluator(config)
     return state
 
 
@@ -607,7 +641,7 @@ def run_experiment(
 
     progress, if given, is called with one status string per finished stage.
     Failures inside a stage surface as StageError carrying the stage name
-    and the master seed.
+    and the master seed; a ConfigError passes through unchanged.
     """
     started = time.monotonic()
 
@@ -615,34 +649,15 @@ def run_experiment(
         if progress is not None:
             progress(text)
 
-    try:
+    with _stage("setup", config.seed):
         state = _prepare_state(config)
-    except (ConfigError, StageError):
-        raise
-    except Exception as exc:
-        raise StageError("setup", config.seed, exc) from exc
 
     loss_curve = None
     if config.estimator == "net":
-        try:
-            training = build_training_set(config, state["attenuation"])
-            model, loss_curve = train_net(
-                training.features,
-                training.targets,
-                hidden=config.net.hidden,
-                epochs=config.net.epochs,
-                batch_size=config.net.batch_size,
-                learning_rate=config.net.learning_rate,
-                seed=derive_seed(config.seed, "train-net", 0),
-                clip_lower=config.geometry.volume[0],
-                clip_upper=config.geometry.volume[1],
+        with _stage("train", config.seed):
+            state["model"], loss_curve = train_model(
+                config, build_training_set(config, state["attenuation"])
             )
-            del training  # the sweep needs only the model
-            state["model"] = model
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError("train", config.seed, exc) from exc
         note(f"trained net, final loss {loss_curve[-1]:.4g}")
 
     noise_powers = [noise_level(state["attenuation"], db) for db in config.snr_db]
@@ -656,17 +671,13 @@ def run_experiment(
     if workers <= 1:
         results = [_run_point(state, *task) for task in tasks]
     else:
-        try:
+        with _stage("trials", config.seed):
             results = _run_pooled(state, tasks, workers)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError("trials", config.seed, exc) from exc
 
     points = []
     excluded = []
     for idx, db in enumerate(config.snr_db):
-        try:
+        with _stage(f"snr[{idx}]:assemble", config.seed):
             gather = results[idx]
             evaluation = bounds_mod.strong_bound(
                 gather["q"], gather["p"], k_nn=config.csd_k
@@ -693,10 +704,6 @@ def run_experiment(
                 trials=config.trials,
                 seed=config.seed,
             )
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(f"snr[{idx}]:assemble", config.seed, exc) from exc
         points.append(point)
         excluded.append(evaluation.excluded_points)
         note(
@@ -823,6 +830,49 @@ def parse_curve_csv(path) -> list:
     return points
 
 
+def write_positions(path, positions) -> None:
+    """Write (count, 3) positions as an "x,y,z" CSV, floats in repr."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("x,y,z\n")
+        for row in positions:
+            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def _write_observations(out_dir, config: ExperimentConfig, stage: str, h,
+                        count: int, snr_db: float, attenuation: float,
+                        extra: dict) -> dict:
+    """Draw count observations from stage's stream and write them to out_dir.
+
+    h is as in observation_chunks; the noise sits snr_db below the average
+    received signal. Writes observations.bin and meta.json (count, SNR,
+    noise power, attenuation, seed and bins, plus extra); returns the paths.
+    """
+    noise_power = noise_level(attenuation, snr_db)
+    values = None
+    for rows, obs in observation_chunks(config.seed, stage, h, noise_power, count):
+        if values is None:
+            values = np.empty((count, *obs.shape[1:]), dtype=complex)
+        values[rows] = obs
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {"observations": out / "observations.bin", "meta": out / "meta.json"}
+    signal_mod.save_observations(paths["observations"], values, seed=config.seed)
+    meta = {
+        "count": count,
+        "snr_db": snr_db,
+        "noise_power": noise_power,
+        "attenuation": attenuation,
+        "seed": config.seed,
+        "n_bins": config.n_bins,
+        "sample_period": config.sample_period,
+        **extra,
+    }
+    with open(paths["meta"], "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(meta, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return paths
+
+
 def generate_dataset(
     config: ExperimentConfig, count: int, snr_db: float, out_dir
 ) -> dict:
@@ -834,43 +884,39 @@ def generate_dataset(
     """
     if count < 1:
         raise ConfigError("dataset count must be >= 1")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    state_rng = np.random.default_rng(derive_seed(config.seed, "dataset-positions", 0))
-    positions = _uniform_positions(state_rng, config.geometry.volume, count)
+    rng = np.random.default_rng(derive_seed(config.seed, "dataset-positions", 0))
+    positions = _uniform_positions(rng, config.geometry.volume, count)
     _, attenuation = derive_scene(config)
-    noise_power = noise_level(attenuation, snr_db)
-    values = None
-    for rows, obs in observation_chunks(
-        config.seed, "dataset-observations", _presumed_stacks(config, positions),
-        noise_power, count,
-    ):
-        if values is None:
-            values = np.empty((count, *obs.shape[1:]), dtype=complex)
-        values[rows] = obs
+    paths = _write_observations(
+        out_dir, config, "dataset-observations", _presumed_stacks(config, positions),
+        count, snr_db, attenuation, {"config": config_to_dict(config)},
+    )
+    paths["labels"] = Path(out_dir) / "labels.csv"
+    write_positions(paths["labels"], positions)
+    return paths
 
-    obs_path = out / "observations.bin"
-    signal_mod.save_observations(obs_path, values, seed=config.seed)
-    labels_path = out / "labels.csv"
-    with open(labels_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("x,y,z\n")
-        for row in positions:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
-    meta_path = out / "meta.json"
-    meta = {
-        "count": count,
-        "snr_db": snr_db,
-        "noise_power": noise_power,
-        "attenuation": attenuation,
-        "seed": config.seed,
-        "n_bins": config.n_bins,
-        "sample_period": config.sample_period,
-        "config": config_to_dict(config),
-    }
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return {"observations": obs_path, "labels": labels_path, "meta": meta_path}
+
+def simulate(config: ExperimentConfig, count: int, snr_db: float,
+             environment: str, out_dir) -> np.ndarray:
+    """Observations of the config's source to disk; returns the source.
+
+    environment "q" draws them in the presumed environment, "p" in the
+    actual one, from the "simulate" stream; the noise level is set by the
+    presumed environment's attenuation either way. Writes observations.bin
+    and meta.json.
+    """
+    if count < 1:
+        raise ConfigError("simulate count must be >= 1")
+    env = config.environment_q if environment == "q" else config.environment_p
+    source, attenuation = derive_scene(config)
+    h = signal_mod.response_stack(
+        env, config.geometry.receivers, source, config.n_bins, config.sample_period
+    )
+    _write_observations(
+        out_dir, config, "simulate", h, count, snr_db, attenuation,
+        {"source": [float(v) for v in source], "environment": environment},
+    )
+    return source
 
 
 def default_experiment_config() -> dict:

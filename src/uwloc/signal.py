@@ -10,6 +10,8 @@ responses h and stores observations; uwloc.harness draws s and v.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from . import channel
@@ -47,8 +49,6 @@ def response_stack(
     position,
     n_bins: int,
     sample_period: float,
-    *,
-    min_distance: float = channel.DEFAULT_MIN_DISTANCE,
 ) -> np.ndarray:
     """The (L, N) complex response stack for one source position."""
     stacks = response_stack_batch(
@@ -57,7 +57,6 @@ def response_stack(
         np.asarray(position, dtype=float)[None, :],
         n_bins,
         sample_period,
-        min_distance=min_distance,
     )
     return stacks[0]
 
@@ -69,7 +68,6 @@ def response_stack_batch(
     n_bins: int,
     sample_period: float,
     *,
-    min_distance: float = channel.DEFAULT_MIN_DISTANCE,
     check_distance: bool = True,
     chunk: int = 256,
 ) -> np.ndarray:
@@ -94,7 +92,6 @@ def response_stack_batch(
             env,
             recv,
             positions[start:stop],
-            min_distance=min_distance,
             check_distance=check_distance,
         )
         angle = delays[..., None] * omegas  # (m, L, R, N)
@@ -113,54 +110,58 @@ def save_observations(path, values: np.ndarray, seed) -> None:
     """Write a (T, L, N) block of observations as a binary dump.
 
     A one-line ASCII header "UWOBS1 L=<L> N=<N> count=<T> seed=<seed>" is
-    followed by the float64 little-endian payload: row-major over
-    (observation, receiver, bin), each complex entry stored as interleaved
-    re, im.
+    followed by the raw little-endian complex128 ("<c16") payload:
+    row-major over (observation, receiver, bin), each entry re then im as
+    float64. A complex128 block on a little-endian host is written from its
+    own buffer, with no copy.
     """
-    values = np.asarray(values, dtype=complex)
-    if values.ndim != 3 or 0 in values.shape:
+    block = np.ascontiguousarray(values, dtype="<c16")
+    if block.ndim != 3 or 0 in block.shape:
         raise ConfigError("expected a non-empty observation block (count, L, N)")
-    count, l_count, n_bins = values.shape
-    flat = values.reshape(count, l_count * n_bins)
-    interleaved = np.empty((count, 2 * l_count * n_bins), dtype=np.float64)
-    interleaved[:, 0::2] = flat.real
-    interleaved[:, 1::2] = flat.imag
+    count, l_count, n_bins = block.shape
     header = f"{_DUMP_MAGIC} L={l_count} N={n_bins} count={count} seed={seed}\n"
     with open(path, "wb") as handle:
         handle.write(header.encode("ascii"))
-        handle.write(interleaved.astype("<f8").tobytes())
+        handle.write(block.data)
 
 
 def load_observations(path):
     """Read an observation dump; returns (values (T, L, N), header dict).
 
-    Anything but a well-formed dump (another file, a malformed header, a
-    corrupt, misshapen or non-finite (NaN or infinite) payload) raises
-    ConfigError.
+    The payload is read straight into the returned "<c16" array, so every
+    bit written comes back. Anything but a well-formed dump (another file,
+    a malformed header, a corrupt, misshapen or non-finite (NaN or
+    infinite) payload) raises ConfigError.
     """
     with open(path, "rb") as handle:
         first = handle.readline()
-        payload = handle.read()
-    parts = first.decode("ascii", errors="replace").split()
-    if not parts or parts[0] != _DUMP_MAGIC:
-        raise ConfigError("not an observation dump")
-    try:
-        meta = dict(item.split("=", 1) for item in parts[1:])
-        l_count, n_bins, count = (int(meta[key]) for key in ("L", "N", "count"))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"observation dump header is malformed: {first!r}") from exc
-    if min(l_count, n_bins, count) < 1:
-        raise ConfigError(f"observation dump header is malformed: {first!r}")
-    width = 2 * l_count * n_bins
-    try:
-        rows = np.frombuffer(payload, dtype="<f8").reshape(count, width)
-    except ValueError as exc:
-        raise ConfigError(f"observation dump payload is corrupt: {exc}") from exc
-    finite = np.isfinite(rows).all(axis=1)
+        parts = first.decode("ascii", errors="replace").split()
+        if not parts or parts[0] != _DUMP_MAGIC:
+            raise ConfigError("not an observation dump")
+        try:
+            meta = dict(item.split("=", 1) for item in parts[1:])
+            l_count, n_bins, count = (int(meta[key]) for key in ("L", "N", "count"))
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(
+                f"observation dump header is malformed: {first!r}"
+            ) from exc
+        if min(l_count, n_bins, count) < 1:
+            raise ConfigError(f"observation dump header is malformed: {first!r}")
+        # The size is checked before the header's count sizes an allocation.
+        size = os.fstat(handle.fileno()).st_size - handle.tell()
+        expected = 16 * count * l_count * n_bins
+        if size == expected:
+            values = np.empty((count, l_count, n_bins), dtype="<c16")
+            size = handle.readinto(values.view(np.uint8))
+        if size != expected:
+            raise ConfigError(
+                f"observation dump payload is corrupt: {size} bytes, "
+                f"the header needs {expected}"
+            )
+    finite = np.isfinite(values).reshape(count, -1).all(axis=1)
     if not finite.all():
         raise ConfigError(
             f"observation dump payload is not finite in observation "
             f"{int(np.argmin(finite))}"
         )
-    values = rows[:, 0::2] + 1j * rows[:, 1::2]
-    return values.reshape(count, l_count, n_bins), meta
+    return values, meta

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from uwloc import channel
 from uwloc.channel import (
     DEFAULT_MIN_DISTANCE,
     Environment,
@@ -292,7 +293,7 @@ class TestImageMethod:
 
 
 class TestAverageAttenuation:
-    def test_stub_arrivals(self):
+    def test_stub_arrivals(self, monkeypatch):
         # Two receivers with one ray each of amplitude 1 and sqrt(3):
         # energies 1 and 3, mean 2, regardless of sampled positions.
         env = iso_env()
@@ -309,8 +310,8 @@ class TestAverageAttenuation:
             gains[:, 1, 0] = math.sqrt(3.0)
             return delays, gains
 
-        got = average_attenuation(env, geo, sample_count=64, rng_seed=0,
-                                  arrivals_fn=stub)
+        monkeypatch.setattr(channel, "arrivals_batch", stub)
+        got = average_attenuation(env, geo, sample_count=64, rng_seed=0)
         assert got == pytest.approx(2.0, rel=1e-12)
 
     def test_single_point_volume(self):

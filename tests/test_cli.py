@@ -8,7 +8,6 @@ import pytest
 
 from test_harness import tiny_config_dict
 from uwloc.cli import main
-from uwloc.csd import save_samples
 from uwloc.harness import parse_curve_csv
 from uwloc.signal import load_observations, save_observations
 
@@ -66,10 +65,20 @@ class TestExitCodes:
         assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["localize", "--data", "data", "--out", "loc"],
+        ["bound", "--errors-q", "eq.csv", "--errors-p", "ep.csv"],
+    ])
+    def test_seed_only_where_it_is_read(self, config_path, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--config", config_path, "--seed", "3"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
     def test_estimation_failure_is_numeric_error(self, tmp_path, capsys):
         p_path, q_path = tmp_path / "p.csv", tmp_path / "q.csv"
-        save_samples(p_path, np.ones((3, 1)) * np.arange(3)[:, None])
-        save_samples(q_path, np.ones((8, 1)) * np.arange(8)[:, None])
+        np.savetxt(p_path, np.ones((3, 1)) * np.arange(3)[:, None], delimiter=",")
+        np.savetxt(q_path, np.ones((8, 1)) * np.arange(8)[:, None], delimiter=",")
         code = main(
             ["estimate-csd", "--samples-p", str(p_path), "--samples-q", str(q_path),
              "--k", "5"]
@@ -207,6 +216,24 @@ class TestDataCommands:
         estimates = np.loadtxt(out / "estimates.csv", delimiter=",", skiprows=1)
         assert estimates.shape == (64, 3)
 
+    @pytest.mark.parametrize("labels", ["short", "two_columns"])
+    def test_train_rejects_malformed_labels(self, net_config_path, tmp_path, capsys,
+                                            labels):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--config", net_config_path, "--out", str(data_dir),
+                     "--count", "20", "--snr-db", "15"]) == 0
+        rows = np.loadtxt(data_dir / "labels.csv", delimiter=",", skiprows=1)
+        rows = rows[:-5] if labels == "short" else rows[:, :2]
+        np.savetxt(data_dir / "labels.csv", rows, delimiter=",", header="x,y,z",
+                   comments="")
+        capsys.readouterr()
+        out = tmp_path / "model"
+        code = main(["train", "--config", net_config_path, "--data", str(data_dir),
+                     "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_localize_net_without_model_is_config_error(
         self, config_path, tmp_path
     ):
@@ -222,8 +249,8 @@ class TestAnalysisCommands:
     def test_bound_reports_json(self, config_path, tmp_path, capsys):
         rng = np.random.default_rng(1)
         q_path, p_path = tmp_path / "eq.csv", tmp_path / "ep.csv"
-        save_samples(q_path, rng.standard_normal((200, 3)))
-        save_samples(p_path, rng.standard_normal((200, 3)) + 0.2)
+        np.savetxt(q_path, rng.standard_normal((200, 3)), delimiter=",")
+        np.savetxt(p_path, rng.standard_normal((200, 3)) + 0.2, delimiter=",")
         out = tmp_path / "bound"
         code = main(["bound", "--config", config_path,
                      "--errors-q", str(q_path), "--errors-p", str(p_path),
@@ -242,8 +269,8 @@ class TestAnalysisCommands:
                                                    capsys):
         rng = np.random.default_rng(3)
         q_path, p_path = tmp_path / "eq.csv", tmp_path / "ep.csv"
-        save_samples(q_path, rng.standard_normal((50, 3)))
-        save_samples(p_path, rng.standard_normal((50, 3)))
+        np.savetxt(q_path, rng.standard_normal((50, 3)), delimiter=",")
+        np.savetxt(p_path, rng.standard_normal((50, 3)), delimiter=",")
         files = ["--config", config_path, "--errors-q", str(q_path),
                  "--errors-p", str(p_path)]
         for bad in ("-0.5", "nan"):
@@ -262,8 +289,8 @@ class TestAnalysisCommands:
     def test_estimate_csd_reports_json(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         p_path, q_path = tmp_path / "p.csv", tmp_path / "q.csv"
-        save_samples(p_path, rng.standard_normal(400))
-        save_samples(q_path, rng.standard_normal(500))
+        np.savetxt(p_path, rng.standard_normal(400), delimiter=",")
+        np.savetxt(q_path, rng.standard_normal(500), delimiter=",")
         out = tmp_path / "csd"
         code = main(["estimate-csd", "--samples-p", str(p_path),
                      "--samples-q", str(q_path), "--k", "4", "--out", str(out)])

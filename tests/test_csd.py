@@ -8,10 +8,10 @@ import pytest
 
 from uwloc.bounds import csd_exact
 from uwloc.csd import (
+    _knn_distances_brute,
+    _knn_distances_kdtree,
     estimate_csd,
-    knn_radius,
     load_samples,
-    save_samples,
 )
 from uwloc.errors import EstimationError
 
@@ -23,35 +23,25 @@ def gaussian_1d(rng, n, std):
 class TestKnnRadius:
     def test_collinear_hand_values(self):
         points = np.array([[0.0], [1.0], [2.0]])
-        assert knn_radius(points, [0.0], 1) == 0.0
-        assert knn_radius(points, [0.0], 2) == 1.0
-        # with the self match skipped the second-nearest other point is 2
-        assert knn_radius(points, [0.0], 2, exclude_self=True) == 2.0
+        for search in (_knn_distances_kdtree, _knn_distances_brute):
+            assert search(points, np.array([[0.0]]), 3).tolist() == [[0.0, 1.0, 2.0]]
+            assert search(points, np.array([[0.0]]), 1).tolist() == [[0.0]]
 
     def test_exclude_self_shifts_rank(self):
+        # estimate_csd skips a P sample's self match by taking rank k + 1
+        # of P queried at itself
         points = np.array([[0.0], [1.0], [2.0]])
-        got = [knn_radius(points, p, 1, exclude_self=True) for p in points]
-        assert got == [1.0, 1.0, 1.0]
+        assert _knn_distances_kdtree(points, points, 2)[:, 1].tolist() == [1.0, 1.0, 1.0]
 
     def test_backends_agree(self):
         rng = np.random.default_rng(0)
         points = rng.standard_normal((200, 3))
         queries = rng.standard_normal((25, 3))
         for k in (1, 3, 7):
-            for q in queries:
-                tree = knn_radius(points, q, k, method="kdtree")
-                brute = knn_radius(points, q, k, method="brute")
-                assert tree == pytest.approx(brute, rel=1e-12)
-
-    def test_rejects_insufficient_points(self):
-        with pytest.raises(EstimationError):
-            knn_radius(np.ones((3, 1)), [1.0], 4)
-        with pytest.raises(EstimationError):
-            knn_radius(np.ones((3, 1)), [1.0], 3, exclude_self=True)
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(EstimationError):
-            knn_radius(np.ones((3, 1)), [1.0], 1, method="voronoi")
+            tree = _knn_distances_kdtree(points, queries, k)
+            brute = _knn_distances_brute(points, queries, k)
+            assert tree.shape == brute.shape == (25, k)
+            np.testing.assert_allclose(tree, brute, rtol=1e-12)
 
 
 class TestEstimateCsd:
@@ -178,14 +168,14 @@ class TestSampleFiles:
         rng = np.random.default_rng(9)
         samples = rng.standard_normal((40, 3))
         path = tmp_path / "samples.csv"
-        save_samples(path, samples)
+        np.savetxt(path, samples, delimiter=",")
         got = load_samples(path)
         np.testing.assert_array_equal(got, samples)
 
     def test_round_trip_1d_becomes_column(self, tmp_path):
         samples = np.array([0.25, -1.5, 3.0])
         path = tmp_path / "scalar.csv"
-        save_samples(path, samples)
+        np.savetxt(path, samples, delimiter=",")
         got = load_samples(path)
         assert got.shape == (3, 1)
         np.testing.assert_array_equal(got[:, 0], samples)

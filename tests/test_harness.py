@@ -24,11 +24,10 @@ from uwloc.harness import (
     CurvePoint,
     ExperimentConfig,
     ExperimentResult,
-    _chunk_sizes,
     _init_worker,
     _openblas_functions,
     _prepare_state,
-    _run_chunk,
+    _run_point,
     _uniform_positions,
     build_training_set,
     config_from_dict,
@@ -165,9 +164,13 @@ class TestDrawContract:
 
         state["evaluator"] = Recorder()
         noise_power = hand_noise_power(attenuation, 20.0)
-        _run_chunk(state, config.seed, 1, "p", 2, 7, noise_power)
+        trials = 2 * TRIAL_CHUNK + 7
+        errors = _run_point(state, config.seed, 1, noise_power, trials)
+        assert [obs.shape[0] for obs in seen] == [TRIAL_CHUNK, TRIAL_CHUNK, 7] * 2
         want = hand_drawn(config.seed, "trial-p:1", 2, state["h_p"], noise_power, 7)
-        assert np.array_equal(seen[0], want)
+        assert np.array_equal(seen[5], want)
+        for kind in ("q", "p"):
+            assert np.array_equal(errors[kind], np.tile(-source, (trials, 1)))
 
     def test_training_features(self):
         size = TRIAL_CHUNK + 20
@@ -227,12 +230,6 @@ class TestDrawContract:
 
 
 class TestChunking:
-    def test_chunk_sizes(self):
-        assert _chunk_sizes(2 * TRIAL_CHUNK + 50) == [TRIAL_CHUNK, TRIAL_CHUNK, 50]
-        assert _chunk_sizes(TRIAL_CHUNK) == [TRIAL_CHUNK]
-        assert _chunk_sizes(3) == [3]
-        assert _chunk_sizes(0) == []
-
     def test_uniform_positions_cover_volume(self):
         volume = np.array([[0.0, 0.0, 0.0], [10.0, 20.0, 30.0]])
         rng = np.random.default_rng(0)
@@ -565,6 +562,23 @@ class TestRunExperiment:
         # finished before the failure was seen); no queued point starts. A
         # pool fed through Executor.map ran four.
         assert len(os.listdir(record)) <= 2
+
+    def test_config_error_in_a_later_stage_is_not_wrapped(self, monkeypatch, tmp_path,
+                                                           capsys):
+        def reject(self, observations, signal_power, noise_power, **kw):
+            raise ConfigError("injected configuration problem")
+
+        # Forked pool workers inherit the patched class.
+        monkeypatch.setattr(GridEvaluator, "locate", reject)
+        data = tiny_config_dict()
+        for workers in (1, 2):
+            with pytest.raises(ConfigError, match="injected configuration problem"):
+                run_experiment(config_from_dict(data), workers=workers)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        code = main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: injected configuration problem" in capsys.readouterr().err
 
     def test_matched_environments(self):
         data = tiny_config_dict(trials=80)

@@ -258,6 +258,34 @@ class TestObservationDump:
         assert np.array_equal(loaded, values)
         assert meta == {"L": "2", "N": "4", "count": "5", "seed": "321"}
 
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        # Signed zeros too: each entry's re and im come back bit for bit,
+        # and the payload is the raw little-endian complex128 block.
+        values = self.make_values(np.random.default_rng(11))
+        values[0, 0, 0] = complex(-0.0, -0.0)
+        values[1, 1, 2] = complex(0.0, -0.0)
+        values[2, 0, 3] = complex(-0.0, 0.0)
+        path = tmp_path / "obs.bin"
+        save_observations(path, values, seed=0)
+        loaded, _ = load_observations(path)
+        assert loaded.view(np.uint64).tobytes() == values.view(np.uint64).tobytes()
+        raw = path.read_bytes()
+        assert raw[raw.index(b"\n") + 1 :] == values.astype("<c16").tobytes()
+
+    def test_save_writes_from_the_block_itself(self, tmp_path):
+        # numpy reports its buffers to tracemalloc; a complex128 block needs
+        # no interleaved or byte-string copy.
+        values = self.make_values(np.random.default_rng(12), count=2000, l_count=4,
+                                  n_bins=64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_observations(tmp_path / "obs.bin", values, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * values.nbytes, peak
+
     def test_rejects_bad_shape_and_format(self, tmp_path):
         rng = np.random.default_rng(8)
         with pytest.raises(ConfigError):
