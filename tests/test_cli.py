@@ -216,22 +216,49 @@ class TestDataCommands:
         estimates = np.loadtxt(out / "estimates.csv", delimiter=",", skiprows=1)
         assert estimates.shape == (64, 3)
 
-    @pytest.mark.parametrize("labels", ["short", "two_columns"])
-    def test_train_rejects_malformed_labels(self, net_config_path, tmp_path, capsys,
-                                            labels):
-        data_dir = tmp_path / "data"
-        assert main(["gen-data", "--config", net_config_path, "--out", str(data_dir),
+    @staticmethod
+    def malformed_labels(config_path, data_dir, labels):
+        """A 20-observation dataset whose labels.csv is 5 rows short or 2 wide."""
+        assert main(["gen-data", "--config", config_path, "--out", str(data_dir),
                      "--count", "20", "--snr-db", "15"]) == 0
         rows = np.loadtxt(data_dir / "labels.csv", delimiter=",", skiprows=1)
         rows = rows[:-5] if labels == "short" else rows[:, :2]
         np.savetxt(data_dir / "labels.csv", rows, delimiter=",", header="x,y,z",
                    comments="")
+
+    @pytest.mark.parametrize("labels", ["short", "two_columns"])
+    def test_train_rejects_malformed_labels(self, net_config_path, tmp_path, capsys,
+                                            labels):
+        data_dir = tmp_path / "data"
+        self.malformed_labels(net_config_path, data_dir, labels)
         capsys.readouterr()
         out = tmp_path / "model"
         code = main(["train", "--config", net_config_path, "--data", str(data_dir),
                      "--out", str(out)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("labels", ["short", "two_columns"])
+    def test_localize_rejects_malformed_labels(self, config_path, tmp_path, capsys,
+                                               labels):
+        data_dir = tmp_path / "data"
+        self.malformed_labels(config_path, data_dir, labels)
+        capsys.readouterr()
+        out = tmp_path / "loc"
+        code = main(["localize", "--config", config_path, "--data", str(data_dir),
+                     "--out", str(out)])
+        assert code == 2
+        assert "labels.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    def test_source_near_receiver_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(tiny_config_dict(source=[3.0, 0.0, 30.0])))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "far-field minimum" in capsys.readouterr().err
         assert not out.exists()
 
     def test_localize_net_without_model_is_config_error(

@@ -98,13 +98,15 @@ class TestEstimateCsd:
         assert shuffled.raw == base.raw
         assert shuffled.clamped == base.clamped
 
-    def test_duplicates_warn_and_are_excluded(self):
-        # A zero self radius at k=2 needs three coincident copies.
+    def test_duplicates_are_counted_not_warned(self):
+        # A zero self radius at k=2 needs three coincident copies. The
+        # count is the one report: no warning is raised.
         rng = np.random.default_rng(5)
         p = rng.standard_normal((50, 1))
         p_dup = np.concatenate([p, p[:3], p[:3]])
         q = rng.standard_normal((60, 1))
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = estimate_csd(p_dup, q, k=2)
         assert got.excluded_points == 9
         assert got.n == 56
@@ -157,10 +159,8 @@ class TestEstimateCsd:
     def test_all_excluded_raises(self):
         p = np.zeros((10, 1))
         q = np.linspace(0.0, 1.0, 12).reshape(-1, 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(EstimationError):
-                estimate_csd(p, q, k=2)
+        with pytest.raises(EstimationError):
+            estimate_csd(p, q, k=2)
 
 
 class TestSampleFiles:

@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from uwloc import localize
 from uwloc.channel import Environment
 from uwloc.errors import ConfigError, TrainingError
 from uwloc.localize import (
@@ -42,11 +44,12 @@ def iso_env(depth=100.0, speed=1500.0):
     )
 
 
-def small_grid(counts=(7, 7, 5)):
+def small_grid(counts=(7, 7, 5), interpolate=False):
     return GridSpec(
         lower=np.array([60.0, 60.0, 40.0]),
         upper=np.array([120.0, 120.0, 60.0]),
         counts=np.array(counts),
+        peak_interpolation=interpolate,
     )
 
 
@@ -81,21 +84,21 @@ class TestGridSpec:
         np.testing.assert_array_equal(nodes[-1], spec.upper)
 
     def test_steps_and_floor(self):
-        spec = GridSpec([0.0, 0.0, 0.0], [60.0, 60.0, 20.0], [7, 7, 5])
+        spec = GridSpec([0.0, 0.0, 0.0], [60.0, 60.0, 20.0], [7, 7, 5], False)
         np.testing.assert_array_equal(spec.steps(), [10.0, 10.0, 5.0])
         want = np.linalg.norm([10.0, 10.0, 5.0]) / math.sqrt(12.0)
         assert spec.quantization_floor() == pytest.approx(want, rel=1e-12)
 
     def test_single_count_axis_is_flat(self):
-        spec = GridSpec([0.0, 0.0, 50.0], [10.0, 10.0, 50.0], [3, 3, 1])
+        spec = GridSpec([0.0, 0.0, 50.0], [10.0, 10.0, 50.0], [3, 3, 1], False)
         assert spec.steps()[2] == 0.0
         assert np.all(spec.nodes()[:, 2] == 50.0)
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ConfigError):
-            GridSpec([0.0, 0.0, 0.0], [1.0, -1.0, 1.0], [2, 2, 2])
+            GridSpec([0.0, 0.0, 0.0], [1.0, -1.0, 1.0], [2, 2, 2], False)
         with pytest.raises(ConfigError):
-            GridSpec([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2, 0, 2])
+            GridSpec([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2, 0, 2], False)
 
 
 class TestConcentratedLoglikelihood:
@@ -145,8 +148,8 @@ class TestGridEvaluator:
         evaluator = GridEvaluator.from_scene(env, RECEIVERS, spec, N_BINS, SAMPLE_PERIOD)
         node = spec.nodes()[137]
         obs = observe(env, node, 1e-6, seed=4)
-        got = evaluator.locate(obs, 1.0, 1e-6, interpolate=False)
-        np.testing.assert_array_equal(got, node)
+        got = evaluator.locate(obs[None], 1.0, 1e-6)
+        np.testing.assert_array_equal(got, [node])
 
     def test_matches_exhaustive_argmax(self):
         env = iso_env()
@@ -165,10 +168,12 @@ class TestGridEvaluator:
                 for node in nodes
             ]
             want = nodes[int(np.argmax(scores))]
-            got = evaluator.locate(x, 1.0, 0.2, interpolate=False)
-            np.testing.assert_array_equal(got, want)
+            got = evaluator.locate(x[None], 1.0, 0.2)
+            np.testing.assert_array_equal(got, [want])
 
-    def test_batch_matches_single(self):
+    def test_batch_matches_single(self, monkeypatch):
+        # Chunks of 2 split the batch of 3 across two screens.
+        monkeypatch.setattr(localize, "_LOCATE_CHUNK", 2)
         env = iso_env()
         spec = small_grid(counts=(5, 5, 3))
         evaluator = GridEvaluator.from_scene(env, RECEIVERS, spec, N_BINS, SAMPLE_PERIOD)
@@ -176,17 +181,17 @@ class TestGridEvaluator:
             [observe(env, np.array([70.0, 110.0, 45.0]), 0.1, seed=s)
              for s in (8, 9, 10)]
         )
-        got = evaluator.locate(batch, 1.0, 0.1, interpolate=False, chunk=2)
-        singles = [evaluator.locate(b, 1.0, 0.1, interpolate=False) for b in batch]
-        np.testing.assert_array_equal(got, np.stack(singles))
+        got = evaluator.locate(batch, 1.0, 0.1)
+        singles = [evaluator.locate(b[None], 1.0, 0.1) for b in batch]
+        np.testing.assert_array_equal(got, np.concatenate(singles))
 
     def test_phase_rotation_leaves_estimate_unchanged(self):
         env = iso_env()
         spec = small_grid(counts=(5, 5, 3))
         evaluator = GridEvaluator.from_scene(env, RECEIVERS, spec, N_BINS, SAMPLE_PERIOD)
         x = observe(env, np.array([100.0, 80.0, 55.0]), 0.1, seed=11)
-        base = evaluator.locate(x, 1.0, 0.1, interpolate=False)
-        rotated = evaluator.locate(np.exp(1.3j) * x, 1.0, 0.1, interpolate=False)
+        base = evaluator.locate(x[None], 1.0, 0.1)
+        rotated = evaluator.locate(np.exp(1.3j) * x[None], 1.0, 0.1)
         np.testing.assert_array_equal(rotated, base)
 
     def test_zero_signal_power_ties_to_first_node(self):
@@ -194,8 +199,8 @@ class TestGridEvaluator:
         spec = small_grid(counts=(3, 3, 3))
         evaluator = GridEvaluator.from_scene(env, RECEIVERS, spec, N_BINS, SAMPLE_PERIOD)
         obs = observe(env, np.array([90.0, 90.0, 50.0]), 0.1, seed=12)
-        got = evaluator.locate(obs, 0.0, 1.0, interpolate=False)
-        np.testing.assert_array_equal(got, spec.nodes()[0])
+        got = evaluator.locate(obs[None], 0.0, 1.0)
+        np.testing.assert_array_equal(got, spec.nodes()[:1])
 
     def test_high_snr_rmse_within_quantization_floor(self):
         env = iso_env()
@@ -209,7 +214,7 @@ class TestGridEvaluator:
             [observe(env, nodes[i], noise, seed=1000 + t)
              for t, i in enumerate(picks)]
         )
-        got = evaluator.locate(batch, 1.0, noise, interpolate=False)
+        got = evaluator.locate(batch, 1.0, noise)
         rmse = float(np.sqrt(np.mean(np.sum((got - nodes[picks]) ** 2, axis=1))))
         assert rmse <= spec.quantization_floor()
 
@@ -217,10 +222,11 @@ class TestGridEvaluator:
         env = iso_env()
         spec = small_grid()
         evaluator = GridEvaluator.from_scene(env, RECEIVERS, spec, N_BINS, SAMPLE_PERIOD)
+        interpolating = GridEvaluator(small_grid(interpolate=True), evaluator.stacks)
         true = np.array([87.0, 93.0, 51.0])  # off grid
-        obs = observe(env, true, 1e-6, seed=14)
-        plain = evaluator.locate(obs, 1.0, 1e-6, interpolate=False)
-        interp = evaluator.locate(obs, 1.0, 1e-6, interpolate=True)
+        obs = observe(env, true, 1e-6, seed=14)[None]
+        plain = evaluator.locate(obs, 1.0, 1e-6)[0]
+        interp = interpolating.locate(obs, 1.0, 1e-6)[0]
         assert np.any(interp != plain)
         np.testing.assert_array_less(np.abs(interp - plain), spec.steps() / 2 + 1e-9)
         # the sub-grid correction should not hurt here
@@ -235,7 +241,7 @@ class TestGridEvaluator:
         # The one-entry cache must be rebuilt whenever either power changes,
         # including a return to a level it held before.
         env = iso_env()
-        spec = small_grid(counts=(5, 5, 3))
+        spec = small_grid(counts=(5, 5, 3), interpolate=True)
         evaluator = GridEvaluator.from_scene(env, RECEIVERS, spec, N_BINS, SAMPLE_PERIOD)
         batch = np.stack(
             [observe(env, np.array([78.0, 96.0, 47.0]), 0.1, seed=s) for s in (15, 16)]
@@ -243,8 +249,8 @@ class TestGridEvaluator:
         for signal_power, noise_power in ((1.0, 0.1), (1.0, 2.0), (1.0, 0.1), (0.05, 0.1)):
             fresh = GridEvaluator.from_scene(env, RECEIVERS, spec, N_BINS, SAMPLE_PERIOD)
             np.testing.assert_array_equal(
-                evaluator.locate(batch, signal_power, noise_power, interpolate=True),
-                fresh.locate(batch, signal_power, noise_power, interpolate=True),
+                evaluator.locate(batch, signal_power, noise_power),
+                fresh.locate(batch, signal_power, noise_power),
             )
 
     @pytest.mark.parametrize("l_count", [1, 2, 3, 4, 5])
@@ -288,21 +294,21 @@ class TestGridEvaluator:
         assert peak - base <= 1.5 * kept, (peak - base, kept)
 
     def test_rejects_negative_signal_power(self):
-        spec = GridSpec([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3, 1, 1])
+        spec = GridSpec([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3, 1, 1], False)
         evaluator = GridEvaluator(spec, np.ones((3, 2, 4), dtype=complex))
         with pytest.raises(ValueError):
-            evaluator.locate(np.ones((2, 4)), -1.0, 1.0)
+            evaluator.locate(np.ones((1, 2, 4)), -1.0, 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite_observation(self, bad):
-        spec = GridSpec([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3, 1, 1])
+        spec = GridSpec([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3, 1, 1], False)
         evaluator = GridEvaluator(spec, np.ones((3, 2, 4), dtype=complex))
         x = np.ones((3, 2, 4), dtype=complex)
         x[1, 0, 0] = bad
         with pytest.raises(ValueError, match="observation 1 "):
             evaluator.locate(x, 1.0, 1.0)
         with pytest.raises(ValueError, match="observation 0 "):
-            evaluator.locate(x[1], 1.0, 1.0)
+            evaluator.locate(x[1:], 1.0, 1.0)
 
     def test_near_ties_follow_float64_scores(self):
         # Nodes 11-19 are nodes 0-8 moved by about 1e-7 relative, node 20 is
@@ -317,10 +323,10 @@ class TestGridEvaluator:
         base = cnormal(11, 3, 5)
         twins = base[:9] * (1.0 + 1e-7 * cnormal(9, 3, 5))
         stacks = np.concatenate([base, twins, base[9:10] * (1.0 + 1e-9), base[10:]])
-        spec = GridSpec([0.0, 0.0, 0.0], [21.0, 0.0, 0.0], [22, 1, 1])
+        spec = GridSpec([0.0, 0.0, 0.0], [21.0, 0.0, 0.0], [22, 1, 1], False)
         evaluator = GridEvaluator(spec, stacks)
         batch = 3.0 * base + 0.1 * cnormal(11, 3, 5)
-        got = evaluator.locate(batch, 1.0, 0.1, interpolate=False)
+        got = evaluator.locate(batch, 1.0, 0.1)
         for centre, (x, pos) in enumerate(zip(batch, got)):
             scores = np.array(
                 [concentrated_loglikelihood(x, h, 1.0, 0.1) for h in stacks]
@@ -335,7 +341,7 @@ class TestGridEvaluator:
 
     def test_interpolation_matches_float64_parabola(self):
         env = iso_env()
-        spec = small_grid()
+        spec = small_grid(interpolate=True)
         nodes = spec.nodes()
         stacks = response_stack_batch(
             env, RECEIVERS, nodes, N_BINS, SAMPLE_PERIOD, check_distance=False
@@ -344,7 +350,7 @@ class TestGridEvaluator:
         noise = 0.02
         true = np.array([87.0, 93.0, 51.0])
         batch = np.stack([observe(env, true, noise, seed=s) for s in range(30, 42)])
-        got = evaluator.locate(batch, 1.0, noise, interpolate=True)
+        got = evaluator.locate(batch, 1.0, noise)
         steps = spec.steps()
         strides = (spec.counts[1] * spec.counts[2], spec.counts[2], 1)
         for x, pos in zip(batch, got):
@@ -390,7 +396,7 @@ class TestFusedScorerProperty:
     @given(case=scorer_case())
     def test_argmax_matches_loglikelihood(self, case):
         stacks, observations, signal_power, noise_power = case
-        spec = GridSpec([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [stacks.shape[0], 1, 1])
+        spec = GridSpec([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [stacks.shape[0], 1, 1], False)
         evaluator = GridEvaluator(spec, stacks)
         want = []
         for x in observations:
@@ -401,15 +407,16 @@ class TestFusedScorerProperty:
             top, second = np.sort(scores)[::-1][:2]
             assume(top - second > 1e-9 * (1.0 + abs(top)))
             want.append(spec.nodes()[int(np.argmax(scores))])
-        got = evaluator.locate(observations, signal_power, noise_power,
-                               interpolate=False, chunk=2)
+        # Chunks of 2 split a batch of 3 across two screens.
+        with mock.patch.object(localize, "_LOCATE_CHUNK", 2):
+            got = evaluator.locate(observations, signal_power, noise_power)
         np.testing.assert_array_equal(got, np.stack(want))
 
 
 class TestExtractFeatures:
     def test_hand_layout(self):
-        x = np.array([[1 + 2j, 3 - 1j], [0.5j, -2 + 0j]])
-        got = extract_features(x)
+        x = np.array([[[1 + 2j, 3 - 1j], [0.5j, -2 + 0j]]])
+        got = extract_features(x, 1.0)
         mags = [abs(1 + 2j), abs(3 - 1j), 0.5, 2.0]
         cross = [(1 + 2j) * np.conj(0.5j), (3 - 1j) * np.conj(-2 + 0j)]
         want = np.array(
@@ -418,32 +425,32 @@ class TestExtractFeatures:
             + [c.real for c in cross]
             + [c.imag for c in cross]
         )
-        np.testing.assert_allclose(got, want, rtol=1e-15)
+        np.testing.assert_allclose(got, [want], rtol=1e-15)
 
     def test_feature_count(self):
         l_count, n_bins, trials = 4, 8, 3
         x = np.zeros((trials, l_count, n_bins), dtype=complex)
-        got = extract_features(x)
+        got = extract_features(x, 1.0)
         pairs = l_count * (l_count - 1) // 2
         assert got.shape == (trials, 2 * l_count * n_bins + 2 * pairs * n_bins)
         assert np.all(got == 0.0)
 
     def test_phase_rotation_invariance(self):
         rng = np.random.default_rng(16)
-        x = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
-        base = extract_features(x)
-        rotated = extract_features(np.exp(0.77j) * x)
+        x = rng.standard_normal((2, 3, 16)) + 1j * rng.standard_normal((2, 3, 16))
+        base = extract_features(x, 1.0)
+        rotated = extract_features(np.exp(0.77j) * x, 1.0)
         np.testing.assert_allclose(rotated, base, rtol=1e-12, atol=1e-12)
 
     def test_attenuation_scaling(self):
         rng = np.random.default_rng(17)
-        x = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        x = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
         att = 0.3
-        scaled = extract_features(x, attenuation=att)
-        manual = extract_features(x / math.sqrt(att))
+        scaled = extract_features(x, att)
+        manual = extract_features(x / math.sqrt(att), 1.0)
         np.testing.assert_allclose(scaled, manual, rtol=1e-12)
         with pytest.raises(ConfigError):
-            extract_features(x, attenuation=0.0)
+            extract_features(x, 0.0)
 
 
 class TestTrainingSet:
@@ -454,6 +461,17 @@ class TestTrainingSet:
             TrainingSet(np.ones((4, 2)), np.ones((4, 2)))
         ts = TrainingSet(np.ones((4, 2)), np.ones((4, 3)))
         assert ts.count == 4
+
+
+def fit(features, targets, **net):
+    """train_net with its predictions clipped to the targets' box."""
+    return train_net(
+        features,
+        targets,
+        clip_lower=np.min(targets, axis=0),
+        clip_upper=np.max(targets, axis=0),
+        **net,
+    )
 
 
 def reference_train(features, targets, hidden, epochs, batch_size,
@@ -538,7 +556,7 @@ class TestTrainNet:
         feats[:, 2] = 3.0
         targets = rng.uniform([0, 0, 10], [50, 60, 20], size=(70, 3))
         args = dict(hidden=(16, 8), epochs=4, batch_size=32, learning_rate=3e-3)
-        model, curve = train_net(feats, targets, seed=9, **args)
+        model, curve = fit(feats, targets, seed=9, **args)
         weights, biases, f_scale, want_curve = reference_train(
             feats, targets, seed=9, **args
         )
@@ -560,7 +578,10 @@ class TestTrainNet:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            model, _ = train_net(feats, targets, hidden=(16,), epochs=1, seed=2)
+            model, _ = fit(
+                feats, targets, hidden=(16,), epochs=1, batch_size=256,
+                learning_rate=1e-3, seed=2,
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -571,7 +592,7 @@ class TestTrainNet:
         rng = np.random.default_rng(18)
         feats = rng.standard_normal((24, 6))
         targets = rng.uniform(0.0, 100.0, size=(24, 3))
-        model, curve = train_net(
+        model, curve = fit(
             feats,
             targets,
             hidden=(48,),
@@ -591,8 +612,9 @@ class TestTrainNet:
         a = rng.standard_normal((5, 3))
         feats = rng.standard_normal((600, 5))
         targets = feats @ a + np.array([10.0, -4.0, 2.0])
-        model, _ = train_net(
-            feats, targets, hidden=(32, 32), epochs=200, batch_size=128, seed=2
+        model, _ = fit(
+            feats, targets, hidden=(32, 32), epochs=200, batch_size=128,
+            learning_rate=1e-3, seed=2,
         )
         fresh = rng.standard_normal((200, 5))
         pred = model.predict(fresh)
@@ -609,12 +631,13 @@ class TestTrainNet:
         rng = np.random.default_rng(20)
         feats = rng.standard_normal((40, 4))
         targets = rng.standard_normal((40, 3))
-        m1, c1 = train_net(feats, targets, hidden=(16,), epochs=10, seed=7)
-        m2, c2 = train_net(feats, targets, hidden=(16,), epochs=10, seed=7)
+        net = dict(hidden=(16,), epochs=10, batch_size=256, learning_rate=1e-3)
+        m1, c1 = fit(feats, targets, seed=7, **net)
+        m2, c2 = fit(feats, targets, seed=7, **net)
         np.testing.assert_array_equal(c1, c2)
         for w1, w2 in zip(m1.weights, m2.weights):
             np.testing.assert_array_equal(w1, w2)
-        m3, _ = train_net(feats, targets, hidden=(16,), epochs=10, seed=8)
+        m3, _ = fit(feats, targets, seed=8, **net)
         assert any(
             not np.array_equal(w1, w3) for w1, w3 in zip(m1.weights, m3.weights)
         )
@@ -630,32 +653,41 @@ class TestTrainNet:
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                train_net(
+                fit(
                     feats,
                     targets,
                     hidden=(16, 16),
                     epochs=50,
+                    batch_size=256,
                     learning_rate=1e100,
                     seed=3,
                 )
 
-    def test_clip_defaults_to_target_box(self):
+    def test_predictions_clipped_to_given_box(self):
+        # The box need not be the targets' own: the pipeline passes the
+        # search volume.
         rng = np.random.default_rng(22)
         feats = rng.standard_normal((30, 4))
         targets = rng.uniform([0, 0, 10], [50, 60, 20], size=(30, 3))
-        model, _ = train_net(feats, targets, hidden=(8,), epochs=5, seed=4)
-        np.testing.assert_array_equal(model.clip_lower, targets.min(axis=0))
-        np.testing.assert_array_equal(model.clip_upper, targets.max(axis=0))
+        lower, upper = np.array([5.0, -3.0, 12.0]), np.array([40.0, 70.0, 18.0])
+        model, _ = train_net(
+            feats, targets, hidden=(8,), epochs=5, batch_size=256,
+            learning_rate=1e-3, seed=4, clip_lower=lower, clip_upper=upper,
+        )
+        np.testing.assert_array_equal(model.clip_lower, lower)
+        np.testing.assert_array_equal(model.clip_upper, upper)
         wild = model.predict(100.0 * rng.standard_normal((20, 4)))
-        assert np.all(wild >= model.clip_lower) and np.all(wild <= model.clip_upper)
+        assert np.all(wild >= lower) and np.all(wild <= upper)
+        assert np.any(wild == lower) and np.any(wild == upper)
 
     def test_rejects_bad_inputs(self):
+        net = dict(hidden=(4,), epochs=1, batch_size=256, learning_rate=1e-3, seed=0)
         with pytest.raises(TrainingError):
-            train_net(np.ones((1, 2)), np.ones((1, 3)))
+            fit(np.ones((1, 2)), np.ones((1, 3)), **net)
         with pytest.raises(TrainingError):
-            train_net(np.ones((4, 2)), np.ones((3, 3)))
+            fit(np.ones((4, 2)), np.ones((3, 3)), **net)
         with pytest.raises(TrainingError):
-            train_net(np.ones((4, 2)), np.ones((4, 3)), epochs=0)
+            fit(np.ones((4, 2)), np.ones((4, 3)), **(net | {"epochs": 0}))
 
 
 class TestModelIo:
@@ -663,7 +695,10 @@ class TestModelIo:
         rng = np.random.default_rng(seed)
         feats = rng.standard_normal((30, 5))
         targets = rng.standard_normal((30, 3))
-        model, _ = train_net(feats, targets, hidden=(8, 4), epochs=3, seed=5)
+        model, _ = fit(
+            feats, targets, hidden=(8, 4), epochs=3, batch_size=256,
+            learning_rate=1e-3, seed=5,
+        )
         return model, feats
 
     def test_round_trip(self, tmp_path):
@@ -686,14 +721,6 @@ class TestModelIo:
         ):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
         np.testing.assert_array_equal(loaded.predict(feats), model.predict(feats))
-
-    def test_predict_single_matches_batch(self):
-        # the BLAS vector and matrix paths may differ in the last ulp
-        model, feats = self.make_model()
-        batch = model.predict(feats)
-        np.testing.assert_allclose(
-            model.predict(feats[0]), batch[0], rtol=1e-12, atol=1e-15
-        )
 
     def test_rejects_corrupt_files(self, tmp_path):
         model, _ = self.make_model()
@@ -719,4 +746,6 @@ class TestModelIo:
     def test_predict_rejects_wrong_width(self):
         model, _ = self.make_model()
         with pytest.raises(ValueError):
-            model.predict(np.ones(7))
+            model.predict(np.ones((2, 7)))
+        with pytest.raises(ValueError):
+            model.predict(np.ones(5))

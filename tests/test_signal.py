@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from uwloc import signal as signal_mod
 from uwloc.channel import Environment, arrivals_batch
 from uwloc.errors import ConfigError
 from uwloc.harness import SIGNAL_POWER, observation_chunks
@@ -129,16 +130,17 @@ class TestResponseStack:
             )
             np.testing.assert_allclose(stack[l], want, rtol=1e-12)
 
-    def test_batch_chunking_invariant(self):
+    def test_batch_chunking_invariant(self, monkeypatch):
         env = self.iso_env()
         receivers = [[0.0, 0.0, 30.0], [200.0, 50.0, 60.0]]
         rng = np.random.default_rng(3)
         positions = rng.uniform([50, 50, 20], [250, 250, 80], size=(9, 3))
         full = response_stack_batch(env, receivers, positions, 8, 0.01)
-        chunked = response_stack_batch(env, receivers, positions, 8, 0.01, chunk=4)
+        monkeypatch.setattr(signal_mod, "_STACK_CHUNK", 4)
+        chunked = response_stack_batch(env, receivers, positions, 8, 0.01)
         assert np.array_equal(full, chunked)
 
-    def test_batch_equals_exp_formula_bitwise(self):
+    def test_batch_equals_exp_formula_bitwise(self, monkeypatch):
         # The phases are built from cos and -sin; the stacks must carry the
         # same bits as exp(-j w tau) summed with the gains, at any chunk.
         env = self.iso_env()
@@ -151,9 +153,8 @@ class TestResponseStack:
         phases = np.exp(-1j * delays[..., None] * omegas[None, None, None, :])
         want = np.einsum("mlr,mlrn->mln", gains, phases)
         for chunk in (1, 7, 1024):
-            got = response_stack_batch(
-                env, receivers, positions, n_bins, t_s, chunk=chunk
-            )
+            monkeypatch.setattr(signal_mod, "_STACK_CHUNK", chunk)
+            got = response_stack_batch(env, receivers, positions, n_bins, t_s)
             assert np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()
 
