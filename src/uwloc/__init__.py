@@ -37,7 +37,6 @@ from .channel import (
 from .csd import CsdEstimate, estimate_csd
 from .errors import (
     ConfigError,
-    DegenerateGeometryError,
     EstimationError,
     StageError,
     StructureError,

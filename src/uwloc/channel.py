@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGeometryError
+from .errors import ConfigError
 
 DEFAULT_MIN_DISTANCE = 10.0
 
@@ -56,10 +56,10 @@ class Geometry:
 
     receivers is (L, 3); volume is (2, 3) holding the min and max corners.
     The source position is not part of the geometry: the harness takes it
-    from the experiment config or draws it. A source closer than
-    DEFAULT_MIN_DISTANCE to a receiver is outside the far-field model:
-    arrivals_batch raises DegenerateGeometryError for it unless told not
-    to check, and the harness rejects such a source with ConfigError.
+    from the experiment config or draws it. The far-field model holds only
+    at least DEFAULT_MIN_DISTANCE from every receiver, so the experiment
+    config checks the volume, the grid box and an explicit source with
+    box_issues when it is built, and nothing downstream checks again.
     """
 
     receivers: np.ndarray
@@ -107,8 +107,40 @@ def validate_environment(env: Environment) -> list[str]:
     return issues
 
 
+def box_distance(receivers, box) -> np.ndarray:
+    """(L,) distance from each receiver r to the box [lo, hi], |r - clip(r, lo, hi)|.
+
+    A point is the box with lo = hi.
+    """
+    lo, hi = box
+    return np.linalg.norm(receivers - np.clip(receivers, lo, hi), axis=1)
+
+
+def box_issues(boxes: dict, receivers, water_depth: float) -> list[str]:
+    """The far-field rules that the named boxes [lo, hi] break, one message each.
+
+    Each box must lie in the water column [0, water_depth] and keep
+    DEFAULT_MIN_DISTANCE from every receiver, so that every position in it
+    has a finite, meaningful 1/d gain. An empty list means all keep them.
+    """
+    issues = []
+    for label, (lo, hi) in boxes.items():
+        if lo[2] < 0 or hi[2] > water_depth:
+            issues.append(f"{label} depths must lie in [0, water_depth]")
+        gaps = box_distance(receivers, (lo, hi))
+        nearest = int(np.argmin(gaps))
+        if gaps[nearest] < DEFAULT_MIN_DISTANCE:
+            issues.append(
+                f"{label} is {gaps[nearest]:.3g} m from the receiver at "
+                f"{receivers[nearest].tolist()}, below the far-field "
+                f"minimum {DEFAULT_MIN_DISTANCE:g} m"
+            )
+    return issues
+
+
 def validate_geometry(geometry: Geometry, env: Environment) -> list[str]:
-    """Check Geometry invariants against an environment's water column."""
+    """Check Geometry invariants, the volume's far-field rules included, against
+    an environment's water column."""
     issues = []
     recv = geometry.receivers
     if recv.ndim != 2 or recv.shape[1] != 3 or recv.shape[0] < 1:
@@ -124,9 +156,7 @@ def validate_geometry(geometry: Geometry, env: Environment) -> list[str]:
     depth = float(env.water_depth)
     if np.any(recv[:, 2] < 0) or np.any(recv[:, 2] > depth):
         issues.append("receiver depths must lie in [0, water_depth]")
-    if lo[2] < 0 or hi[2] > depth:
-        issues.append("volume depths must lie in [0, water_depth]")
-    return issues
+    return issues + box_issues({"volume": vol}, recv, depth)
 
 
 class _SlownessTable:
@@ -250,20 +280,13 @@ def _image_table(water_depth: float, max_bounces: int):
     )
 
 
-def arrivals_batch(
-    env: Environment,
-    receivers,
-    positions,
-    *,
-    check_distance: bool = True,
-):
+def arrivals_batch(env: Environment, receivers, positions):
     """Image-method arrivals from many source positions to all receivers.
 
     Returns (delays, gains) of shape (M, L, R), sorted by ascending delay
     along the last axis. Gains follow spherical spreading 1/d, per-bounce
-    reflection products, and absorption 10^(-alpha d / 20). With
-    check_distance, a source within DEFAULT_MIN_DISTANCE of a receiver
-    raises DegenerateGeometryError.
+    reflection products, and absorption 10^(-alpha d / 20); positions are
+    far-field by the experiment config's box_issues check.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     receivers = np.atleast_2d(np.asarray(receivers, dtype=float))
@@ -276,13 +299,6 @@ def arrivals_batch(
     horiz = np.linalg.norm(
         positions[:, None, :2] - receivers[None, :, :2], axis=-1
     )  # (M, L)
-    direct = np.hypot(horiz, z_src[:, None] - z_rec[None, :])
-    if check_distance and np.any(direct < DEFAULT_MIN_DISTANCE):
-        worst = float(direct.min())
-        raise DegenerateGeometryError(
-            f"source-receiver distance {worst:.3g} m below minimum "
-            f"{DEFAULT_MIN_DISTANCE:g} m"
-        )
 
     max_bounces = budget + 2
     while True:
@@ -321,15 +337,15 @@ def average_attenuation(
     """Mean over uniform volume positions of the receiver-mean CIR energy.
 
     CIR energy per receiver is the sum of squared gain magnitudes. The
-    minimum-distance check is bypassed: volume sampling almost surely avoids
-    degenerate points and the 1/d^2 energy stays integrable.
+    volume keeps DEFAULT_MIN_DISTANCE from every receiver (box_issues), so
+    every sample's 1/d^2 energy is finite.
     """
     if sample_count < 1:
         raise ConfigError("sample_count must be >= 1")
     rng = np.random.default_rng(rng_seed)
     lo, hi = geometry.volume
     points = rng.uniform(lo, hi, size=(int(sample_count), 3))
-    _, gains = arrivals_batch(env, geometry.receivers, points, check_distance=False)
+    _, gains = arrivals_batch(env, geometry.receivers, points)
     energy = np.sum(np.abs(gains) ** 2, axis=2)  # (M, L)
     return float(energy.mean(axis=1).mean())
 
@@ -367,7 +383,7 @@ def environment_from_dict(data: dict) -> Environment:
 _GEOMETRY_KEYS = {"receivers", "volume"}
 
 
-def geometry_from_dict(data: dict, env: Environment | None = None) -> Geometry:
+def geometry_from_dict(data: dict) -> Geometry:
     if not isinstance(data, dict):
         raise ConfigError("geometry must be a JSON object")
     unknown = set(data) - _GEOMETRY_KEYS
@@ -380,10 +396,6 @@ def geometry_from_dict(data: dict, env: Environment | None = None) -> Geometry:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad geometry config: {exc}") from exc
-    if env is not None:
-        issues = validate_geometry(geometry, env)
-        if issues:
-            raise ConfigError("invalid geometry: " + "; ".join(issues))
     return geometry
 
 

@@ -27,20 +27,13 @@ from . import __version__, bounds, csd, harness, localize
 from . import signal as signal_mod
 from .errors import (
     ConfigError,
-    DegenerateGeometryError,
     EstimationError,
     StageError,
     StructureError,
     TrainingError,
 )
 
-_NUMERIC_ERRORS = (
-    StageError,
-    EstimationError,
-    TrainingError,
-    StructureError,
-    DegenerateGeometryError,
-)
+_NUMERIC_ERRORS = (StageError, EstimationError, TrainingError, StructureError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -134,8 +127,8 @@ def _load_dataset(data_dir):
     """(values, labels or None, noise_power, attenuation) of a data directory.
 
     A meta.json that is not JSON or lacks a numeric noise_power or
-    attenuation, or a labels.csv that does not hold one x,y,z row per
-    observation, raises ConfigError.
+    attenuation, or a labels.csv that does not hold one numeric x,y,z row
+    per observation, raises ConfigError.
     """
     data = Path(data_dir)
     values, _ = signal_mod.load_observations(data / "observations.bin")
@@ -153,7 +146,10 @@ def _load_dataset(data_dir):
     labels = None
     labels_path = data / "labels.csv"
     if labels_path.exists():
-        labels = np.loadtxt(labels_path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            labels = np.loadtxt(labels_path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{labels_path} is not numeric: {exc}") from exc
         if labels.shape != (values.shape[0], 3):
             raise ConfigError(
                 f"{labels_path} holds {labels.shape[0]} rows of "

@@ -1,16 +1,18 @@
 """Exception types shared by the uwloc modules.
 
 The CLI maps these onto process exit codes: configuration problems exit 2,
-numerical/condition failures exit 3, and IO failures exit 4.
+numerical/condition failures exit 3, and IO failures exit 4. A scene outside
+the far-field model is a configuration problem, caught when the experiment
+config is built.
 """
 
 
 class ConfigError(ValueError):
-    """Invalid environment, geometry, or experiment configuration."""
+    """Invalid environment, geometry, or experiment configuration.
 
-
-class DegenerateGeometryError(ValueError):
-    """Source and receiver closer than the configured minimum distance."""
+    Includes a volume, grid box or source outside the water column or within
+    channel.DEFAULT_MIN_DISTANCE of a receiver.
+    """
 
 
 class StructureError(ValueError):

@@ -20,9 +20,11 @@ noise v, real parts then imaginary parts, shape (count, L, N).
 
 Each pipeline step is one function here that the sweep and the command
 line both call: observation_chunks (every draw), derive_scene,
-source_response (which also rejects a source too close to a receiver),
-build_training_set, train_model, grid_evaluator, and the dump writers
-simulate and generate_dataset.
+source_response, build_training_set, train_model, grid_evaluator, and the
+dump writers simulate and generate_dataset. Every position a step forms is
+far-field: building an ExperimentConfig checks that the volume, the grid
+box and an explicit source lie in both water columns and keep
+channel.DEFAULT_MIN_DISTANCE from every receiver.
 
 Workers: with workers > 1 the sweep runs in a pool of min(workers, SNR
 points) forked processes, one task per SNR point holding both
@@ -152,13 +154,26 @@ class ExperimentConfig:
             raise ConfigError(f"snr_db values must be finite, got {list(self.snr_db)}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        column = min(self.environment_q, self.environment_p,
+                     key=lambda env: env.water_depth)
+        _check_scene(channel.validate_geometry(self.geometry, column))
         if self.grid is None:
             self.grid = _grid_from_dict({}, self.geometry.volume)
+        boxes = {"grid box": (self.grid.lower, self.grid.upper)}
         if self.source is not None:
             try:
                 self.source = np.asarray(self.source, dtype=float).reshape(3)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"source needs 3 coordinates: {exc}") from exc
+            boxes["source"] = (self.source, self.source)
+        _check_scene(
+            channel.box_issues(boxes, self.geometry.receivers, column.water_depth)
+        )
+
+
+def _check_scene(problems: list[str]) -> None:
+    if problems:
+        raise ConfigError("invalid scene: " + "; ".join(problems))
 
 
 _GRID_KEYS = {"counts", "lower", "upper", "peak_interpolation"}
@@ -246,9 +261,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     env_q = channel.environment_from_dict(data["environment_q"])
     env_p = channel.environment_from_dict(data["environment_p"])
     geometry = channel.geometry_from_dict(data["geometry"])
-    problems = channel.validate_geometry(geometry, env_q)
-    if problems:
-        raise ConfigError("invalid scene: " + "; ".join(problems))
 
     net = _section(data, "net")
     unknown = set(net) - set(_NET_TYPES)
@@ -539,20 +551,9 @@ def noise_level(attenuation: float, snr_db: float) -> float:
 
 def source_response(config: ExperimentConfig, env: channel.Environment,
                     source: np.ndarray) -> np.ndarray:
-    """The (L, N) response of env at the source, the one check of its distance.
-
-    A source closer than channel.DEFAULT_MIN_DISTANCE to a receiver is
-    outside the far-field model and raises ConfigError before any draw.
-    """
-    receivers = config.geometry.receivers
-    dist = np.linalg.norm(receivers - source[None, :], axis=1)
-    if dist.min() < channel.DEFAULT_MIN_DISTANCE:
-        raise ConfigError(
-            f"source {source.tolist()} is {dist.min():.3g} m from a receiver, "
-            f"below the far-field minimum {channel.DEFAULT_MIN_DISTANCE:g} m"
-        )
+    """The (L, N) response of env at the source."""
     return signal_mod.response_stack(
-        env, receivers, source, config.n_bins, config.sample_period
+        env, config.geometry.receivers, source, config.n_bins, config.sample_period
     )
 
 

@@ -222,11 +222,7 @@ class GridEvaluator:
     def from_scene(
         cls, env, receivers, spec: GridSpec, n_bins: int, sample_period: float
     ) -> "GridEvaluator":
-        # Grid nodes may legitimately sit close to a receiver; the distance
-        # guard stays off here and applies only to actual sources.
-        stacks = response_stack_batch(
-            env, receivers, spec.nodes(), n_bins, sample_period, check_distance=False
-        )
+        stacks = response_stack_batch(env, receivers, spec.nodes(), n_bins, sample_period)
         return cls(spec, stacks)
 
     def _level(self, signal_power: float, noise_power: float) -> tuple:

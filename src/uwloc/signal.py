@@ -71,8 +71,6 @@ def response_stack_batch(
     positions,
     n_bins: int,
     sample_period: float,
-    *,
-    check_distance: bool = True,
 ) -> np.ndarray:
     """Response stacks for many positions; returns (M, L, N) complex.
 
@@ -91,12 +89,7 @@ def response_stack_batch(
     out = np.empty((total, recv.shape[0], n_bins), dtype=complex)
     for start in range(0, total, _STACK_CHUNK):
         stop = min(start + _STACK_CHUNK, total)
-        delays, gains = channel.arrivals_batch(
-            env,
-            recv,
-            positions[start:stop],
-            check_distance=check_distance,
-        )
+        delays, gains = channel.arrivals_batch(env, recv, positions[start:stop])
         angle = delays[..., None] * omegas  # (m, L, R, N)
         phases = np.empty(angle.shape, dtype=complex)
         np.cos(angle, out=phases.real)

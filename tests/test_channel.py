@@ -1,9 +1,12 @@
 """Waveguide arrival model: geometry, delays, gains, scene I/O."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from uwloc import channel
@@ -13,6 +16,7 @@ from uwloc.channel import (
     Geometry,
     arrivals_batch,
     average_attenuation,
+    box_distance,
     environment_from_dict,
     environment_to_dict,
     geometry_from_dict,
@@ -21,7 +25,8 @@ from uwloc.channel import (
     validate_environment,
     validate_geometry,
 )
-from uwloc.errors import ConfigError, DegenerateGeometryError
+from uwloc.errors import ConfigError
+from uwloc.harness import ExperimentConfig
 
 
 def iso_env(depth=100.0, speed=1500.0, surface=-1.0, bottom=0.5,
@@ -127,6 +132,52 @@ class TestValidation:
             volume=[[10.0, 10.0, 20.0], [90.0, 90.0, 80.0]],
         )
         assert validate_geometry(geo, env)
+
+    def test_near_source_rejected_at_config_load(self):
+        env = iso_env()
+        geo = Geometry(
+            receivers=[[0.0, 0.0, 50.0]],
+            volume=[[100.0, 100.0, 20.0], [200.0, 200.0, 80.0]],
+        )
+        with pytest.raises(ConfigError, match="source is 3 m .* far-field minimum"):
+            ExperimentConfig(env, env, geo, 8, 0.01, source=[3.0, 0.0, 50.0])
+        # a source at the threshold passes
+        ExperimentConfig(env, env, geo, 8, 0.01, source=[10.0, 0.0, 50.0])
+        assert DEFAULT_MIN_DISTANCE == 10.0
+
+
+@st.composite
+def box_case(draw):
+    """Random receivers (L, 3), a box [lo, hi] and points drawn inside it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    l_count = draw(st.integers(1, 5))
+    receivers = rng.uniform(-200.0, 200.0, size=(l_count, 3))
+    corners = rng.uniform(-100.0, 100.0, size=(2, 3))
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    if draw(st.booleans()):
+        hi = lo.copy()  # a point
+    inside = rng.uniform(lo, hi, size=(20, 3))
+    return receivers, lo, hi, inside
+
+
+class TestBoxDistance:
+    @settings(max_examples=150, deadline=None)
+    @given(case=box_case())
+    def test_is_the_nearest_point_of_the_box(self, case):
+        receivers, lo, hi, inside = case
+        got = box_distance(receivers, (lo, hi))
+        assert got.shape == (receivers.shape[0],)
+        corners = np.array(list(itertools.product(*zip(lo, hi))))
+        for points in (corners, inside):
+            gaps = np.linalg.norm(receivers[:, None, :] - points[None, :, :], axis=-1)
+            assert np.all(got <= gaps.min(axis=1) * (1 + 1e-12) + 1e-12)
+        # a point of the box attains it: each coordinate moves onto the
+        # nearer face only when it lies outside the box's range
+        nearest = np.where(receivers < lo, lo, np.where(receivers > hi, hi, receivers))
+        assert np.all((nearest >= lo) & (nearest <= hi))
+        np.testing.assert_allclose(
+            got, np.linalg.norm(receivers - nearest, axis=1), rtol=1e-12
+        )
 
 
 class TestStratifiedDelay:
@@ -281,18 +332,6 @@ class TestImageMethod:
             envelope = 1.0 / (c_min * delays[0, 0])
             assert np.all(np.abs(gains[0, 0]) <= envelope * (1 + 1e-12))
 
-    def test_min_distance_guard(self):
-        env = iso_env()
-        receiver, source = [[0.0, 0.0, 50.0]], [[3.0, 0.0, 50.0]]
-        with pytest.raises(DegenerateGeometryError):
-            arrivals_batch(env, receiver, source)
-        # the guard is off where the caller asks (grid nodes, volume samples)
-        delays, _ = arrivals_batch(env, receiver, source, check_distance=False)
-        assert delays.shape == (1, 1, 4)
-        # a source at the threshold passes
-        arrivals_batch(env, receiver, [[10.0, 0.0, 50.0]])
-        assert DEFAULT_MIN_DISTANCE == 10.0
-
 
 class TestAverageAttenuation:
     def test_stub_arrivals(self, monkeypatch):
@@ -368,9 +407,9 @@ class TestSceneIO:
     def test_round_trip(self):
         scene = self.scene_dict()
         env = environment_from_dict(scene["environment"])
-        geo = geometry_from_dict(scene["geometry"], env)
+        geo = geometry_from_dict(scene["geometry"])
         env2 = environment_from_dict(environment_to_dict(env))
-        geo2 = geometry_from_dict(geometry_to_dict(geo), env2)
+        geo2 = geometry_from_dict(geometry_to_dict(geo))
         assert np.array_equal(env.ssp, env2.ssp)
         assert env.surface_reflection == env2.surface_reflection
         assert env.bottom_reflection == env2.bottom_reflection
@@ -401,11 +440,10 @@ class TestSceneIO:
         # would be accepted and then ignored, so it is an unknown key.
         scene = self.scene_dict()
         scene["geometry"]["source"] = [300.0, 200.0, 50.0]
-        env = environment_from_dict(scene["environment"])
         with pytest.raises(ConfigError, match="unknown geometry keys"):
-            geometry_from_dict(scene["geometry"], env)
+            geometry_from_dict(scene["geometry"])
         with pytest.raises(ConfigError, match="JSON object"):
-            geometry_from_dict([[0.0, 0.0, 30.0]], env)
+            geometry_from_dict([[0.0, 0.0, 30.0]])
 
     def test_batch_matches_single(self):
         env = layered_env()

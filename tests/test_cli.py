@@ -218,15 +218,20 @@ class TestDataCommands:
 
     @staticmethod
     def malformed_labels(config_path, data_dir, labels):
-        """A 20-observation dataset whose labels.csv is 5 rows short or 2 wide."""
+        """A 20-observation dataset whose labels.csv is 5 rows short, 2 wide,
+        or ends in a non-numeric row."""
         assert main(["gen-data", "--config", config_path, "--out", str(data_dir),
                      "--count", "20", "--snr-db", "15"]) == 0
+        if labels == "non_numeric":
+            with open(data_dir / "labels.csv", "a", encoding="utf-8") as handle:
+                handle.write("a,b,c\n")
+            return
         rows = np.loadtxt(data_dir / "labels.csv", delimiter=",", skiprows=1)
         rows = rows[:-5] if labels == "short" else rows[:, :2]
         np.savetxt(data_dir / "labels.csv", rows, delimiter=",", header="x,y,z",
                    comments="")
 
-    @pytest.mark.parametrize("labels", ["short", "two_columns"])
+    @pytest.mark.parametrize("labels", ["short", "two_columns", "non_numeric"])
     def test_train_rejects_malformed_labels(self, net_config_path, tmp_path, capsys,
                                             labels):
         data_dir = tmp_path / "data"
@@ -239,7 +244,7 @@ class TestDataCommands:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("labels", ["short", "two_columns"])
+    @pytest.mark.parametrize("labels", ["short", "two_columns", "non_numeric"])
     def test_localize_rejects_malformed_labels(self, config_path, tmp_path, capsys,
                                                labels):
         data_dir = tmp_path / "data"
@@ -259,6 +264,34 @@ class TestDataCommands:
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert "far-field minimum" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, overrides, message",
+        [
+            ("experiment",
+             {"grid": {"counts": [5, 5, 3], "lower": [0, 0, 30], "upper": [48, 48, 50]}},
+             "grid box is 0 m from the receiver at [0.0, 0.0, 30.0]"),
+            ("gen-data",
+             {"geometry": {"receivers": [[0, 0, 30], [240, 0, 40], [0, 240, 55],
+                                         [84, 84, 50]],
+                           "volume": [[60, 60, 40], [108, 108, 60]]}},
+             "volume is 0 m from the receiver at [84.0, 84.0, 50.0]"),
+            ("experiment",
+             {"grid": {"counts": [5, 5, 3], "lower": [60, 60, -40],
+                       "upper": [108, 108, -10]}},
+             "grid box depths must lie in [0, water_depth]"),
+        ],
+        ids=["grid_through_receiver", "receiver_in_volume", "grid_above_surface"],
+    )
+    def test_scene_outside_far_field_is_config_error(self, tmp_path, capsys, command,
+                                                     overrides, message):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(tiny_config_dict(**overrides)))
+        out = tmp_path / "out"
+        count = ["--count", "2000"] if command == "gen-data" else []
+        assert main([command, "--config", str(path), "--out", str(out), *count]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_localize_net_without_model_is_config_error(

@@ -1,6 +1,7 @@
 """Experiment orchestration: seeds, config, trials, and curve output."""
 
 import copy
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -42,7 +43,7 @@ from uwloc.harness import (
     parse_curve_csv,
     run_experiment,
 )
-from uwloc.localize import GridEvaluator, extract_features
+from uwloc.localize import GridEvaluator, GridSpec, extract_features
 from uwloc.signal import load_observations, response_stack_batch
 
 
@@ -426,6 +427,19 @@ class TestConfig:
         data["geometry"]["receivers"][0][2] = 500.0  # below the seabed
         with pytest.raises(ConfigError, match="invalid scene"):
             config_from_dict(data)
+
+    def test_far_field_checked_however_config_is_built(self):
+        # dataclasses.replace is how the CLI applies --seed
+        config = config_from_dict(tiny_config_dict())
+        near = GridSpec([0.0, 0.0, 30.0], [48.0, 48.0, 50.0], [5, 5, 3], True)
+        with pytest.raises(ConfigError, match="grid box is 0 m"):
+            dataclasses.replace(config, grid=near)
+        with pytest.raises(ConfigError, match="source is 5 m"):
+            dataclasses.replace(config, source=[0.0, 0.0, 35.0])
+        # the actual column (99 m) is the shallower one
+        with pytest.raises(ConfigError, match="source depths"):
+            dataclasses.replace(config, source=[84.0, 84.0, 99.5])
+        assert dataclasses.replace(config, seed=5).seed == 5
 
     def test_default_config_is_valid(self):
         config = config_from_dict(default_experiment_config())

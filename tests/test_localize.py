@@ -343,9 +343,7 @@ class TestGridEvaluator:
         env = iso_env()
         spec = small_grid(interpolate=True)
         nodes = spec.nodes()
-        stacks = response_stack_batch(
-            env, RECEIVERS, nodes, N_BINS, SAMPLE_PERIOD, check_distance=False
-        )
+        stacks = response_stack_batch(env, RECEIVERS, nodes, N_BINS, SAMPLE_PERIOD)
         evaluator = GridEvaluator(spec, stacks)
         noise = 0.02
         true = np.array([87.0, 93.0, 51.0])

@@ -173,9 +173,7 @@ class TestResponseStack:
             positions = rng.uniform([50, 50, 20], [250, 250, 80], size=(count, 3))
             tracemalloc.start()
             try:
-                out = response_stack_batch(
-                    env, receivers, positions, n_bins, 0.01, check_distance=False
-                )
+                out = response_stack_batch(env, receivers, positions, n_bins, 0.01)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
