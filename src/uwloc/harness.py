@@ -26,14 +26,19 @@ far-field: building an ExperimentConfig checks that the volume, the grid
 box and an explicit source lie in both water columns and keep
 channel.DEFAULT_MIN_DISTANCE from every receiver.
 
-Workers: with workers > 1 the sweep runs in a pool of min(workers, SNR
-points) forked processes, one task per SNR point holding both
-environments' chunks, so a point's GridEvaluator design is built once.
-Each worker caps the OpenBLAS that numpy loaded at max(1, cores //
-workers) threads (see _init_worker); the parent's BLAS is never changed,
-and workers = 1 runs every point in the parent without a pool. A point is
-handed to the pool only when a worker is free, so a failure starts no
-further point; it surfaces as the same StageError in both cases.
+Workers: every process of a sweep gets share = max(1, cores // W) of the
+cores, W = min(workers, SNR points). With W > 1 the sweep runs in a pool
+of W forked processes, one task per SNR point holding both environments'
+chunks, so a point's GridEvaluator design is built once; each worker caps
+the OpenBLAS that numpy loaded at share threads (see _init_worker). With
+W = 1 every point runs in the parent without a pool. There, for the net
+estimator on a share of at least 2 cores, each point's q and p halves run
+on two threads, and for the trial phase the parent's OpenBLAS is capped
+at max(1, share // 2) threads and restored afterwards (see _trial_phase);
+the ML estimator keeps its halves serial. A point is handed to the pool
+only when a worker is free, so a failure starts no further point; it
+surfaces as the same StageError in every case, the q half's before the p
+half's.
 
 SNR accounting: the reported target SNR is average received signal power
 over noise power, so the noise power at a grid point is
@@ -52,7 +57,12 @@ import os
 import time
 import zlib
 from collections.abc import Callable
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -403,14 +413,15 @@ def _stage(name: str, seed: int):
 _WORKER_STATE = None
 
 
-def _openblas_functions(name: str) -> list:
-    """The ctypes function openblas_<name> of each OpenBLAS this process loaded.
+def _openblas_functions(*names: str) -> list:
+    """Per OpenBLAS this process loaded, its ctypes functions openblas_<name>.
 
     Libraries are found as threadpoolctl finds them: every mapped file of
-    /proc/self/maps whose name holds "openblas" is opened with RTLD_NOLOAD,
-    and the first exported symbol among scipy_openblas_<name>64_,
-    scipy_openblas_<name>, openblas_<name>64_ and openblas_<name> is taken.
-    Empty where /proc/self/maps does not exist or no OpenBLAS is loaded.
+    /proc/self/maps whose name holds "openblas" is opened with RTLD_NOLOAD.
+    Each library gives one tuple, a function per name, under the first
+    symbol scheme among scipy_openblas_<name>64_, scipy_openblas_<name>,
+    openblas_<name>64_ and openblas_<name> that exports every name. Empty
+    where /proc/self/maps does not exist or no OpenBLAS is loaded.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as handle:
@@ -428,14 +439,39 @@ def _openblas_functions(name: str) -> list:
         except OSError:
             continue
         for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
-            function = getattr(library, f"{prefix}openblas_{name}{suffix}", None)
-            if function is not None:
-                functions.append(function)
+            found = tuple(
+                getattr(library, f"{prefix}openblas_{name}{suffix}", None)
+                for name in names
+            )
+            if None not in found:
+                functions.append(found)
                 break
     return functions
 
 
-def _init_worker(state, workers: int):
+def _set_blas_threads(threads: int) -> list:
+    """Set every OpenBLAS this process loaded to `threads` threads.
+
+    Returns (set_num_threads, previous count) per library, so a caller
+    restores exactly what it changed; empty where no OpenBLAS is loaded.
+    """
+    changed = []
+    for get_threads, set_threads in _openblas_functions(
+        "get_num_threads", "set_num_threads"
+    ):
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        changed.append((set_threads, get_threads()))
+        set_threads(threads)
+    return changed
+
+
+def _core_share(workers: int) -> int:
+    """Cores per process when `workers` processes split this one's CPUs."""
+    return max(1, len(os.sched_getaffinity(0)) // workers)
+
+
+def _init_worker(state):
     """Keep the run state and cap BLAS at this worker's share of the cores.
 
     Without the cap every forked worker keeps the parent's BLAS thread
@@ -443,11 +479,7 @@ def _init_worker(state, workers: int):
     """
     global _WORKER_STATE
     _WORKER_STATE = state
-    setters = _openblas_functions("set_num_threads")
-    if setters:
-        threads = max(1, len(os.sched_getaffinity(0)) // workers)
-        for set_num_threads in setters:
-            set_num_threads(threads)
+    _set_blas_threads(state["share"])
 
 
 def _estimate(state, obs: np.ndarray, noise_power: float) -> np.ndarray:
@@ -460,23 +492,54 @@ def _estimate(state, obs: np.ndarray, noise_power: float) -> np.ndarray:
 
 
 def _run_point(state, master: int, point_idx: int, noise_power: float,
-               trials: int) -> dict:
+               trials: int, halves: ThreadPoolExecutor | None = None) -> dict:
     """Error samples {"q": (trials, 3), "p": (trials, 3)} of one SNR point.
 
-    A failure surfaces as StageError("snr[i]:q" or "snr[i]:p"), the same
-    in a pool worker as in the parent.
+    With a halves executor the q and p halves run on its threads, else one
+    after the other; every chunk draws from its own stream either way. A
+    failure surfaces as StageError("snr[i]:q" or "snr[i]:p"), the q half's
+    first, the same in a pool worker as in the parent.
     """
-    errors = {}
-    for kind in ("q", "p"):
+    def half(kind):
         with _stage(f"snr[{point_idx}]:{kind}", master):
-            errors[kind] = np.concatenate([
+            return np.concatenate([
                 _estimate(state, obs, noise_power)
                 for _, obs in observation_chunks(
                     master, f"trial-{kind}:{point_idx}", state[f"h_{kind}"],
                     noise_power, trials,
                 )
             ])
-    return errors
+
+    if halves is None:
+        return {kind: half(kind) for kind in ("q", "p")}
+    running = {kind: halves.submit(half, kind) for kind in ("q", "p")}
+    return {kind: future.result() for kind, future in running.items()}
+
+
+@contextmanager
+def _trial_phase(state):
+    """The halves executor for _run_point in the parent, or None (serial).
+
+    Only the net estimator on a share of at least 2 cores, with an
+    OpenBLAS whose threads can be set, gets one: two threads, with every
+    OpenBLAS capped at max(1, share // 2) threads so the two halves'
+    GEMMs do not oversubscribe the cores. The old counts come back on
+    exit, also after a failure. The ML estimator stays serial: a second
+    thread would hold a second (T, G) screen and its own malloc arena.
+    """
+    share = state["share"]
+    changed = []
+    if state["estimator"] == "net" and share >= 2:
+        changed = _set_blas_threads(max(1, share // 2))
+    if not changed:
+        yield None
+        return
+    try:
+        with ThreadPoolExecutor(max_workers=2) as halves:
+            yield halves
+    finally:
+        for set_threads, count in changed:
+            set_threads(count)
 
 
 def _worker_entry(args):
@@ -494,7 +557,7 @@ def _run_pooled(state, tasks: list, workers: int) -> list:
     results = [None] * len(tasks)
     failures = {}
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(state, workers)
+        max_workers=workers, initializer=_init_worker, initargs=(state,)
     ) as pool:
         running = {}
 
@@ -674,8 +737,10 @@ def run_experiment(
         for idx in range(len(config.snr_db))
     ]
     workers = min(workers, len(tasks))
+    state["share"] = _core_share(workers)
     if workers <= 1:
-        results = [_run_point(state, *task) for task in tasks]
+        with _trial_phase(state) as halves:
+            results = [_run_point(state, *task, halves=halves) for task in tasks]
     else:
         with _stage("trials", config.seed):
             results = _run_pooled(state, tasks, workers)

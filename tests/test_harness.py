@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import threading
 import time
 import tracemalloc
 import zlib
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uwloc import channel
+from uwloc import channel, harness
 from uwloc.cli import main
 from uwloc.errors import ConfigError, StageError
 from uwloc.harness import (
@@ -29,6 +30,7 @@ from uwloc.harness import (
     _openblas_functions,
     _prepare_state,
     _run_point,
+    _set_blas_threads,
     _uniform_positions,
     build_training_set,
     config_from_dict,
@@ -88,6 +90,16 @@ def tiny_config_dict(**overrides):
     }
     data.update(overrides)
     return data
+
+
+TINY_NET = {
+    "train_size": 64,
+    "train_snr_db": 15.0,
+    "hidden": [16],
+    "epochs": 3,
+    "batch_size": 32,
+    "learning_rate": 3e-3,
+}
 
 
 class TestDeriveSeed:
@@ -498,17 +510,7 @@ class TestRunExperiment:
             assert point.trials == 40 and point.seed == 99
 
     def test_net_deterministic_and_worker_invariant(self, tmp_path):
-        data = tiny_config_dict(
-            estimator="net",
-                        net={
-                "train_size": 64,
-                "train_snr_db": 15.0,
-                "hidden": [16],
-                "epochs": 3,
-                "batch_size": 32,
-                "learning_rate": 3e-3,
-            },
-        )
+        data = tiny_config_dict(estimator="net", net=TINY_NET)
         first = run_experiment(config_from_dict(data), workers=1)
         pooled = run_experiment(config_from_dict(data), workers=2)
         rows = [p.row() for p in first.points]
@@ -617,14 +619,7 @@ class TestRunExperiment:
             estimator="net",
             trials=8,
             snr_db=[10.0],
-            net={
-                "train_size": 64,
-                "train_snr_db": 15.0,
-                "hidden": [16],
-                "epochs": 3,
-                "batch_size": 32,
-                "learning_rate": 3e-3,
-            },
+            net=TINY_NET,
         )
         result = run_experiment(config_from_dict(data), workers=1)
         (point,) = result.points
@@ -649,7 +644,12 @@ _POOL_BARRIER = None
 def _worker_blas_threads(_):
     # Both tasks wait here, so each of the two workers runs one of them.
     _POOL_BARRIER.wait(timeout=30)
-    return os.getpid(), [int(get()) for get in _openblas_functions("get_num_threads")]
+    return os.getpid(), blas_threads()
+
+
+def blas_threads():
+    """The thread count of every OpenBLAS this process loaded."""
+    return [int(get()) for get, in _openblas_functions("get_num_threads")]
 
 
 class TestWorkerBlasThreads:
@@ -657,16 +657,130 @@ class TestWorkerBlasThreads:
         getters = _openblas_functions("get_num_threads")
         if not getters:
             pytest.skip("numpy is not linked against OpenBLAS")
-        parent = [int(get()) for get in getters]
+        parent = blas_threads()
         monkeypatch.setitem(globals(), "_POOL_BARRIER", multiprocessing.Barrier(2))
+        share = max(1, len(os.sched_getaffinity(0)) // 2)
         with ProcessPoolExecutor(
-            max_workers=2, initializer=_init_worker, initargs=({}, 2)
+            max_workers=2, initializer=_init_worker, initargs=({"share": share},)
         ) as pool:
             seen = dict(pool.map(_worker_blas_threads, range(2)))
-        share = max(1, len(os.sched_getaffinity(0)) // 2)
         assert len(seen) == 2
         assert all(threads == [share] * len(getters) for threads in seen.values())
-        assert [int(get()) for get in getters] == parent
+        assert blas_threads() == parent
+
+
+def force_core_share(monkeypatch, share):
+    """Run the sweep as if each of its processes had `share` cores."""
+    monkeypatch.setattr(harness, "_core_share", lambda workers: share)
+
+
+def record_trial_draws(monkeypatch, on_draw):
+    """Call on_draw(stage) before each trial chunk's draw, in the drawing thread."""
+    draw = harness._draw_observations
+
+    def recording(master, stage, *args):
+        if stage.startswith("trial-"):
+            on_draw(stage)
+        return draw(master, stage, *args)
+
+    monkeypatch.setattr(harness, "_draw_observations", recording)
+
+
+class TestThreadedHalves:
+    """At one worker the net's q and p halves run on two threads."""
+
+    def net_data(self, **overrides):
+        return tiny_config_dict(estimator="net", net=TINY_NET, **overrides)
+
+    def test_threaded_serial_and_pooled_agree(self, monkeypatch):
+        # Two chunks per half, so each thread draws more than one stream.
+        data = self.net_data(trials=TRIAL_CHUNK + 7)
+        runs = [run_experiment(config_from_dict(data), workers=2)]
+        threads = set()
+        record_trial_draws(monkeypatch, lambda stage: threads.add(threading.get_ident()))
+        for share in (2, 1):
+            force_core_share(monkeypatch, share)
+            runs.append(run_experiment(config_from_dict(data), workers=1))
+            if share == 2 and _openblas_functions("set_num_threads"):
+                assert threads and threading.get_ident() not in threads
+        first = runs[0]
+        for result in runs[1:]:
+            assert [p.row() for p in result.points] == [p.row() for p in first.points]
+            for key in ("net_loss_curve", "csd_excluded_points"):
+                assert result.metadata[key] == first.metadata[key]
+
+    @pytest.mark.parametrize("failing, stage", [
+        ({"trial-p:1"}, "snr[1]:p"),
+        ({"trial-q:1", "trial-p:1"}, "snr[1]:q"),
+    ])
+    def test_failure_order(self, monkeypatch, tmp_path, capsys, failing, stage):
+        def fail(drawn):
+            if drawn in failing:
+                if drawn.startswith("trial-q"):
+                    time.sleep(0.2)  # the q half fails last, yet is raised first
+                raise ValueError(f"injected draw failure at {drawn}")
+
+        record_trial_draws(monkeypatch, fail)
+        force_core_share(monkeypatch, 2)
+        data = self.net_data()
+        for workers in (1, 2):
+            with pytest.raises(StageError) as info:
+                run_experiment(config_from_dict(data), workers=workers)
+            assert info.value.stage == stage
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        for workers in ("1", "2"):
+            code = main(["experiment", "--config", str(path), "--workers", workers,
+                         "--out", str(tmp_path / f"out{workers}")])
+            assert code == 3
+            assert f"stage '{stage}' failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("share", [2, 6])
+    def test_blas_capped_in_the_halves_and_restored(self, monkeypatch, share):
+        if not _openblas_functions("get_num_threads"):
+            pytest.skip("numpy is not linked against OpenBLAS")
+        seen = []
+        features = harness.extract_features
+
+        def recording(observations, attenuation):
+            if threading.current_thread() is not threading.main_thread():
+                seen.append(blas_threads())
+            return features(observations, attenuation)
+
+        monkeypatch.setattr(harness, "extract_features", recording)
+        force_core_share(monkeypatch, share)
+        changed = _set_blas_threads(4)  # a count neither cap equals
+        try:
+            before = blas_threads()
+            run_experiment(config_from_dict(self.net_data()), workers=1)
+            assert seen and all(
+                threads == [max(1, share // 2)] * len(before) for threads in seen
+            )
+            assert blas_threads() == before
+
+            def fail(stage):
+                raise ValueError("injected draw failure")
+
+            record_trial_draws(monkeypatch, fail)
+            with pytest.raises(StageError):
+                run_experiment(config_from_dict(self.net_data()), workers=1)
+            assert blas_threads() == before
+        finally:
+            for set_threads, count in changed:
+                set_threads(count)
+
+    def test_ml_halves_stay_on_one_thread(self, monkeypatch):
+        threads = set()
+        locate = GridEvaluator.locate
+
+        def recording(self, observations, signal_power, noise_power):
+            threads.add(threading.get_ident())
+            return locate(self, observations, signal_power, noise_power)
+
+        monkeypatch.setattr(GridEvaluator, "locate", recording)
+        force_core_share(monkeypatch, 2)
+        run_experiment(config_from_dict(tiny_config_dict()), workers=1)
+        assert threads == {threading.get_ident()}
 
 
 class TestGenerateDataset:
