@@ -19,9 +19,11 @@ the waveform s, real parts then imaginary parts, shape (count, N); then the
 noise v, real parts then imaginary parts, shape (count, L, N).
 
 Each pipeline step is one function here that the sweep and the command
-line both call: observation_chunks (every draw), derive_scene,
-source_response, build_training_set, train_model, grid_evaluator, and the
-dump writers simulate and generate_dataset. Every position a step forms is
+line both call: observation_chunks (every draw; the sweep's trials share
+its chunking and per-chunk draw, so that threads can take their chunks one
+at a time), derive_scene, source_response, build_training_set,
+train_model, grid_evaluator, and the dump writers simulate and
+generate_dataset. Every position a step forms is
 far-field: building an ExperimentConfig checks that the volume, the grid
 box and an explicit source lie in both water columns and keep
 channel.DEFAULT_MIN_DISTANCE from every receiver.
@@ -32,13 +34,14 @@ of W forked processes, one task per SNR point holding both environments'
 chunks, so a point's GridEvaluator design is built once; each worker caps
 the OpenBLAS that numpy loaded at share threads (see _init_worker). With
 W = 1 every point runs in the parent without a pool. There, for the net
-estimator on a share of at least 2 cores, each point's q and p halves run
-on two threads, and for the trial phase the parent's OpenBLAS is capped
-at max(1, share // 2) threads and restored afterwards (see _trial_phase);
-the ML estimator keeps its halves serial. A point is handed to the pool
-only when a worker is free, so a failure starts no further point; it
-surfaces as the same StageError in every case, the q half's before the p
-half's.
+estimator on a share of at least 2 cores, the chunks of every point's q
+and p halves are queued on two threads, each taking the next chunk when
+it is free, and for the trial phase the parent's OpenBLAS is capped at
+max(1, share // 2) threads and restored afterwards (see _trial_phase and
+_run_points); the ML estimator keeps its chunks serial. A point is handed
+to the pool only when a worker is free, so a failure starts no further
+point; it surfaces as the same StageError in every case, the q half's
+before the p half's.
 
 SNR accounting: the reported target SNR is average received signal power
 over noise power, so the noise power at a grid point is
@@ -65,6 +68,7 @@ from concurrent.futures import (
 )
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -385,11 +389,16 @@ def observation_chunks(master: int, stage: str, h: np.ndarray | Callable,
     responses. A caller with one response per observation thus builds one
     chunk's stack at a time and never holds the (count, L, N) stack.
     """
-    for chunk_idx, start in enumerate(range(0, count, TRIAL_CHUNK)):
-        rows = slice(start, min(start + TRIAL_CHUNK, count))
+    for chunk_idx, rows in enumerate(_chunk_rows(count)):
         block = h(rows) if callable(h) else h
         yield rows, _draw_observations(master, stage, chunk_idx, block,
-                                       noise_power, rows.stop - start)
+                                       noise_power, rows.stop - rows.start)
+
+
+def _chunk_rows(count: int) -> list:
+    """The row slice of each TRIAL_CHUNK-sized chunk of count observations."""
+    return [slice(start, min(start + TRIAL_CHUNK, count))
+            for start in range(0, count, TRIAL_CHUNK)]
 
 
 @contextmanager
@@ -491,41 +500,60 @@ def _estimate(state, obs: np.ndarray, noise_power: float) -> np.ndarray:
     return estimates - state["source"][None, :]
 
 
-def _run_point(state, master: int, point_idx: int, noise_power: float,
-               trials: int, halves: ThreadPoolExecutor | None = None) -> dict:
-    """Error samples {"q": (trials, 3), "p": (trials, 3)} of one SNR point.
+def _trial_chunk(state, master: int, point_idx: int, kind: str,
+                 noise_power: float, chunk_idx: int, count: int) -> np.ndarray:
+    """Error samples (count, 3) of one chunk of SNR point point_idx's q or p half."""
+    obs = _draw_observations(master, f"trial-{kind}:{point_idx}", chunk_idx,
+                             state[f"h_{kind}"], noise_power, count)
+    return _estimate(state, obs, noise_power)
 
-    With a halves executor the q and p halves run on its threads, else one
-    after the other; every chunk draws from its own stream either way. A
-    failure surfaces as StageError("snr[i]:q" or "snr[i]:p"), the q half's
-    first, the same in a pool worker as in the parent.
+
+def _run_points(state, tasks: list,
+                threads: ThreadPoolExecutor | None = None) -> list:
+    """Error samples {"q": (trials, 3), "p": (trials, 3)} of each task's point.
+
+    Without threads each chunk runs when its point is assembled. With a
+    thread executor every chunk of every point is queued at once, in the
+    serial order, and a free thread takes the next one, so no point waits
+    for its slower half and a thread slowed by a busy core holds up only
+    its own chunk. Every chunk draws from its own stream either way, and
+    the points are assembled in order, so the results and the failure are
+    the serial ones: StageError("snr[i]:q" or "snr[i]:p") of the first
+    failing half, the same in a pool worker as in the parent.
     """
-    def half(kind):
-        with _stage(f"snr[{point_idx}]:{kind}", master):
-            return np.concatenate([
-                _estimate(state, obs, noise_power)
-                for _, obs in observation_chunks(
-                    master, f"trial-{kind}:{point_idx}", state[f"h_{kind}"],
-                    noise_power, trials,
-                )
-            ])
+    def start(*chunk):
+        if threads is None:
+            return partial(_trial_chunk, state, *chunk)
+        return threads.submit(_trial_chunk, state, *chunk).result
 
-    if halves is None:
-        return {kind: half(kind) for kind in ("q", "p")}
-    running = {kind: halves.submit(half, kind) for kind in ("q", "p")}
-    return {kind: future.result() for kind, future in running.items()}
+    pending = [
+        {kind: [start(master, point_idx, kind, noise_power, chunk_idx,
+                      rows.stop - rows.start)
+                for chunk_idx, rows in enumerate(_chunk_rows(trials))]
+         for kind in ("q", "p")}
+        for master, point_idx, noise_power, trials in tasks
+    ]
+    results = []
+    for (master, point_idx, *_), halves in zip(tasks, pending):
+        errors = {}
+        for kind, chunks in halves.items():
+            with _stage(f"snr[{point_idx}]:{kind}", master):
+                errors[kind] = np.concatenate([chunk() for chunk in chunks])
+        results.append(errors)
+    return results
 
 
 @contextmanager
 def _trial_phase(state):
-    """The halves executor for _run_point in the parent, or None (serial).
+    """The thread executor for _run_points in the parent, or None (serial).
 
     Only the net estimator on a share of at least 2 cores, with an
     OpenBLAS whose threads can be set, gets one: two threads, with every
-    OpenBLAS capped at max(1, share // 2) threads so the two halves'
-    GEMMs do not oversubscribe the cores. The old counts come back on
-    exit, also after a failure. The ML estimator stays serial: a second
-    thread would hold a second (T, G) screen and its own malloc arena.
+    OpenBLAS capped at max(1, share // 2) threads so the two threads'
+    GEMMs do not oversubscribe the cores. On exit the chunks still queued
+    are dropped, the running ones finish and the old counts come back,
+    also after a failure. The ML estimator stays serial: a second thread
+    would hold a second (T, G) screen and its own malloc arena.
     """
     share = state["share"]
     changed = []
@@ -534,20 +562,21 @@ def _trial_phase(state):
     if not changed:
         yield None
         return
+    threads = ThreadPoolExecutor(max_workers=2)
     try:
-        with ThreadPoolExecutor(max_workers=2) as halves:
-            yield halves
+        yield threads
     finally:
+        threads.shutdown(cancel_futures=True)
         for set_threads, count in changed:
             set_threads(count)
 
 
-def _worker_entry(args):
-    return _run_point(_WORKER_STATE, *args)
+def _worker_entry(task):
+    return _run_points(_WORKER_STATE, [task])[0]
 
 
 def _run_pooled(state, tasks: list, workers: int) -> list:
-    """_run_point over tasks in a pool, at most `workers` points in flight.
+    """_run_points over tasks in a pool, at most `workers` points in flight.
 
     A point is submitted only when a worker is free, so after a failure
     nothing is left queued: the points in flight finish, no new one starts,
@@ -739,8 +768,8 @@ def run_experiment(
     workers = min(workers, len(tasks))
     state["share"] = _core_share(workers)
     if workers <= 1:
-        with _trial_phase(state) as halves:
-            results = [_run_point(state, *task, halves=halves) for task in tasks]
+        with _trial_phase(state) as threads:
+            results = _run_points(state, tasks, threads)
     else:
         with _stage("trials", config.seed):
             results = _run_pooled(state, tasks, workers)

@@ -29,7 +29,7 @@ from uwloc.harness import (
     _init_worker,
     _openblas_functions,
     _prepare_state,
-    _run_point,
+    _run_points,
     _set_blas_threads,
     _uniform_positions,
     build_training_set,
@@ -178,7 +178,7 @@ class TestDrawContract:
         state["evaluator"] = Recorder()
         noise_power = hand_noise_power(attenuation, 20.0)
         trials = 2 * TRIAL_CHUNK + 7
-        errors = _run_point(state, config.seed, 1, noise_power, trials)
+        errors, = _run_points(state, [(config.seed, 1, noise_power, trials)])
         assert [obs.shape[0] for obs in seen] == [TRIAL_CHUNK, TRIAL_CHUNK, 7] * 2
         want = hand_drawn(config.seed, "trial-p:1", 2, state["h_p"], noise_power, 7)
         assert np.array_equal(seen[5], want)
@@ -687,7 +687,7 @@ def record_trial_draws(monkeypatch, on_draw):
 
 
 class TestThreadedHalves:
-    """At one worker the net's q and p halves run on two threads."""
+    """At one worker the net's trial chunks run on two threads."""
 
     def net_data(self, **overrides):
         return tiny_config_dict(estimator="net", net=TINY_NET, **overrides)
@@ -708,6 +708,28 @@ class TestThreadedHalves:
             assert [p.row() for p in result.points] == [p.row() for p in first.points]
             for key in ("net_loss_curve", "csd_excluded_points"):
                 assert result.metadata[key] == first.metadata[key]
+
+    def test_a_held_chunk_holds_up_no_other(self, monkeypatch):
+        # One chunk per half. The first chunk drawn waits until the last one
+        # is drawn, so the other thread has to take every other chunk, the
+        # next point's too, without waiting for the held half.
+        if not _openblas_functions("set_num_threads"):
+            pytest.skip("numpy is not linked against OpenBLAS")
+        config = config_from_dict(self.net_data())
+        last = f"trial-p:{len(config.snr_db) - 1}"
+        drawn = threading.Event()
+        first = threading.Lock()
+
+        def hold_first(stage):
+            if stage == last:
+                drawn.set()
+            elif first.acquire(blocking=False):
+                assert drawn.wait(timeout=30), "the held chunk stalled the others"
+
+        record_trial_draws(monkeypatch, hold_first)
+        force_core_share(monkeypatch, 2)
+        run_experiment(config, workers=1)
+        assert first.locked() and drawn.is_set()
 
     @pytest.mark.parametrize("failing, stage", [
         ({"trial-p:1"}, "snr[1]:p"),
