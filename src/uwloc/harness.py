@@ -29,7 +29,11 @@ box and an explicit source lie in both water columns and keep
 channel.DEFAULT_MIN_DISTANCE from every receiver.
 
 Workers: every process of a sweep gets share = max(1, cores // W) of the
-cores, W = min(workers, SNR points). With W > 1 the sweep runs in a pool
+cores, W = min(workers, SNR points), cores being signal.core_count(). Set-up
+runs in the parent before any pool: its response stacks (the ML grid, the
+net's training set) are built on one thread per core inside each
+signal.response_stack_batch call, and those threads end with the call, so
+no thread is alive when a pool forks. With W > 1 the sweep runs in a pool
 of W forked processes, one task per SNR point holding both environments'
 chunks, so a point's GridEvaluator design is built once; each worker caps
 the OpenBLAS that numpy loaded at share threads (see _init_worker). With
@@ -477,7 +481,7 @@ def _set_blas_threads(threads: int) -> list:
 
 def _core_share(workers: int) -> int:
     """Cores per process when `workers` processes split this one's CPUs."""
-    return max(1, len(os.sched_getaffinity(0)) // workers)
+    return max(1, signal_mod.core_count() // workers)
 
 
 def _init_worker(state):

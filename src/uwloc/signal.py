@@ -11,11 +11,24 @@ responses h and stores observations; uwloc.harness draws s and v.
 from __future__ import annotations
 
 import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import channel
 from .errors import ConfigError
+
+
+def core_count() -> int:
+    """The number of CPUs this process may run on, at least 1.
+
+    That is its CPU affinity set where the OS has one (Linux), else
+    os.cpu_count() (macOS has no sched_getaffinity).
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def angular_frequencies(n_bins: int, sample_period: float) -> np.ndarray:
@@ -76,26 +89,73 @@ def response_stack_batch(
 
     The phases exp(-j w tau) are written as cos and -sin straight into one
     complex buffer, with no complex argument tensor. Work is chunked over
-    positions, so beyond the (M, L, N) output the transient is one chunk's
-    float64 angle and complex128 phase tensors, _STACK_CHUNK*L*R*N*24 bytes
-    for R arrivals per path (about 9 MB at L = 4, R = 6 and N = 64), plus
-    its arrival tables, whatever M is. Each position's stack is the same
-    for any chunk size.
+    positions, and each chunk's rows are split into one block per thread,
+    min(core_count(), chunk) threads made for this call. The calling
+    thread computes each chunk's arrivals, the next chunk's while the
+    threads work. A thread fills a block's angle and phase tensors in a
+    buffer slot of its own and sums them with the gains straight into
+    those rows of the output; it takes the next block, of this chunk or
+    the next, as soon as it is free. The slots are allocated here once and
+    together hold one chunk's float64 angle and complex128 phase tensors,
+    so beyond the (M, L, N) output the transient is _STACK_CHUNK*L*R*N*24
+    bytes for R arrivals per path (about 9 MB at L = 4, R = 6 and
+    N = 64), plus three chunks' arrival tables, whatever M and the thread
+    count are. Each position's stack is the same, to the bit, for any
+    chunk size and thread count; a failure in a thread is raised here,
+    and no thread outlives the call.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     omegas = angular_frequencies(n_bins, sample_period)
     total = positions.shape[0]
     recv = np.atleast_2d(np.asarray(receivers, dtype=float))
     out = np.empty((total, recv.shape[0], n_bins), dtype=complex)
-    for start in range(0, total, _STACK_CHUNK):
-        stop = min(start + _STACK_CHUNK, total)
-        delays, gains = channel.arrivals_batch(env, recv, positions[start:stop])
-        angle = delays[..., None] * omegas  # (m, L, R, N)
-        phases = np.empty(angle.shape, dtype=complex)
-        np.cos(angle, out=phases.real)
-        np.sin(angle, out=phases.imag)
-        np.negative(phases.imag, out=phases.imag)
-        out[start:stop] = np.einsum("mlr,mlrn->mln", gains, phases)
+    if total == 0:
+        return out
+
+    def arrivals(start):
+        return channel.arrivals_batch(env, recv, positions[start:start + _STACK_CHUNK])
+
+    delays, gains = arrivals(0)
+    threads = min(core_count(), delays.shape[0])
+    rows = -(-delays.shape[0] // threads)
+    angle = np.empty((threads, rows, *delays.shape[1:], n_bins))
+    phases = np.empty(angle.shape, dtype=complex)
+    # At most `threads` blocks run at once, so a slot is always free.
+    free = queue.SimpleQueue()
+    for slot in range(threads):
+        free.put(slot)
+
+    def fill(delays, gains, start):
+        """The stacks of positions start + (0 .. len(delays)) in a free slot."""
+        slot = free.get()
+        try:
+            count = delays.shape[0]
+            angle_rows, phase_rows = angle[slot, :count], phases[slot, :count]
+            np.multiply(delays[..., None], omegas, out=angle_rows)
+            np.cos(angle_rows, out=phase_rows.real)
+            np.sin(angle_rows, out=phase_rows.imag)
+            np.negative(phase_rows.imag, out=phase_rows.imag)
+            np.einsum("mlr,mlrn->mln", gains, phase_rows,
+                      out=out[start:start + count])
+        finally:
+            free.put(slot)
+
+    with ThreadPoolExecutor(threads) as pool:
+        previous = []
+        for start in range(0, total, _STACK_CHUNK):
+            current = [
+                pool.submit(fill, delays[lo:lo + rows], gains[lo:lo + rows], start + lo)
+                for lo in range(0, delays.shape[0], rows)
+            ]
+            if start + _STACK_CHUNK < total:
+                delays, gains = arrivals(start + _STACK_CHUNK)
+            # Two chunks in flight keep every thread busy; waiting for the
+            # older one bounds the arrival tables held.
+            for future in previous:
+                future.result()
+            previous = current
+        for future in previous:
+            future.result()
     return out
 
 

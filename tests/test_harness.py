@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uwloc import channel, harness
+from uwloc import channel, harness, signal as signal_mod
 from uwloc.cli import main
 from uwloc.errors import ConfigError, StageError
 from uwloc.harness import (
@@ -659,7 +659,7 @@ class TestWorkerBlasThreads:
             pytest.skip("numpy is not linked against OpenBLAS")
         parent = blas_threads()
         monkeypatch.setitem(globals(), "_POOL_BARRIER", multiprocessing.Barrier(2))
-        share = max(1, len(os.sched_getaffinity(0)) // 2)
+        share = harness._core_share(2)
         with ProcessPoolExecutor(
             max_workers=2, initializer=_init_worker, initargs=({"share": share},)
         ) as pool:
@@ -667,6 +667,31 @@ class TestWorkerBlasThreads:
         assert len(seen) == 2
         assert all(threads == [share] * len(getters) for threads in seen.values())
         assert blas_threads() == parent
+
+
+class TestCoreCount:
+    def test_without_sched_getaffinity(self, monkeypatch):
+        # macOS has no os.sched_getaffinity; the count falls back to
+        # os.cpu_count(), and to 1 where that is unknown.
+        want = [p.row() for p in
+                run_experiment(config_from_dict(tiny_config_dict()), workers=1).points]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert signal_mod.core_count() == (os.cpu_count() or 1)
+        assert harness._core_share(1) == signal_mod.core_count()
+        result = run_experiment(config_from_dict(tiny_config_dict()), workers=1)
+        assert [p.row() for p in result.points] == want
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert signal_mod.core_count() == 1
+
+    @pytest.mark.parametrize("estimator", ["ml", "net"])
+    def test_one_worker_sweep_leaves_no_thread(self, monkeypatch, estimator):
+        # Stacks and, for the net, the trial halves run on threads here;
+        # none may be left alive for a later --workers 2 pool to fork.
+        monkeypatch.setattr(signal_mod, "core_count", lambda: 2)
+        before = threading.active_count()
+        data = tiny_config_dict(estimator=estimator, net=TINY_NET)
+        run_experiment(config_from_dict(data), workers=1)
+        assert threading.active_count() == before
 
 
 def force_core_share(monkeypatch, share):

@@ -1,6 +1,7 @@
 """Frequency-domain observation model: grids, steering, synthesis, dumps."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -139,6 +140,42 @@ class TestResponseStack:
         monkeypatch.setattr(signal_mod, "_STACK_CHUNK", 4)
         chunked = response_stack_batch(env, receivers, positions, 8, 0.01)
         assert np.array_equal(full, chunked)
+        # The ragged last chunk has one row, fewer than two or three threads.
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(signal_mod, "core_count", lambda n=threads: n)
+            threaded = response_stack_batch(env, receivers, positions, 8, 0.01)
+            assert threaded.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("failing_chunk", [1, 2])
+    def test_batch_thread_failure_is_raised_and_no_thread_outlives(self, monkeypatch,
+                                                                   failing_chunk):
+        # Chunks of 4 rows: the second chunk, or the ragged last one, fails.
+        env = self.iso_env()
+        receivers = [[0.0, 0.0, 30.0], [200.0, 50.0, 60.0]]
+        positions = np.random.default_rng(6).uniform([50, 50, 20], [250, 250, 80],
+                                                     size=(9, 3))
+        monkeypatch.setattr(signal_mod, "_STACK_CHUNK", 4)
+        monkeypatch.setattr(signal_mod, "core_count", lambda: 2)
+        before = threading.active_count()
+        einsum = np.einsum
+
+        class Boom(Exception):
+            pass
+
+        def fail_in_one_chunk(*args, out, **kwargs):
+            # Each row block is summed into a view of the (M, L, N) output.
+            first_row = (out.ctypes.data - out.base.ctypes.data) // out[0].nbytes
+            if first_row // 4 == failing_chunk:
+                raise Boom
+            return einsum(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", fail_in_one_chunk)
+        with pytest.raises(Boom):
+            response_stack_batch(env, receivers, positions, 8, 0.01)
+        assert threading.active_count() == before
+        monkeypatch.setattr(np, "einsum", einsum)
+        response_stack_batch(env, receivers, positions, 8, 0.01)
+        assert threading.active_count() == before
 
     def test_batch_equals_exp_formula_bitwise(self, monkeypatch):
         # The phases are built from cos and -sin; the stacks must carry the
