@@ -35,8 +35,3 @@ class StageError(RuntimeError):
         self.stage = stage
         self.seed = seed
         self.cause = cause
-
-    def __reduce__(self):
-        # Rebuild from the constructor arguments, so a pool worker can
-        # raise it and the parent receives the same stage.
-        return type(self), (self.stage, self.seed, self.cause)

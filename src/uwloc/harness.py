@@ -20,8 +20,8 @@ noise v, real parts then imaginary parts, shape (count, L, N).
 
 Each pipeline step is one function here that the sweep and the command
 line both call: observation_chunks (every draw; the sweep's trials share
-its chunking and per-chunk draw, so that threads can take their chunks one
-at a time), derive_scene, source_response, build_training_set,
+its chunking and per-chunk draw, so that each chunk can run as its own
+unit), derive_scene, source_response, build_training_set,
 train_model, grid_evaluator, and the dump writers simulate and
 generate_dataset. Every position a step forms is
 far-field: building an ExperimentConfig checks that the volume, the grid
@@ -33,19 +33,17 @@ cores, W = min(workers, SNR points), cores being signal.core_count(). Set-up
 runs in the parent before any pool: its response stacks (the ML grid, the
 net's training set) are built on one thread per core inside each
 signal.response_stack_batch call, and those threads end with the call, so
-no thread is alive when a pool forks. With W > 1 the sweep runs in a pool
-of W forked processes, one task per SNR point holding both environments'
-chunks, so a point's GridEvaluator design is built once; each worker caps
-the OpenBLAS that numpy loaded at share threads (see _init_worker). With
-W = 1 every point runs in the parent without a pool. There, for the net
-estimator on a share of at least 2 cores, the chunks of every point's q
-and p halves are queued on two threads, each taking the next chunk when
-it is free, and for the trial phase the parent's OpenBLAS is capped at
-max(1, share // 2) threads and restored afterwards (see _trial_phase and
-_run_points); the ML estimator keeps its chunks serial. A point is handed
-to the pool only when a worker is free, so a failure starts no further
-point; it surfaces as the same StageError in every case, the q half's
-before the p half's.
+no thread is alive when a pool forks. The trials then run as units, one
+chunk of one point's q or p half each, through one scheduler (_run_points)
+on one of three executors, which _trial_phase picks: with W > 1 a pool of
+W forked processes, each capping the OpenBLAS that numpy loaded at share
+threads (see _init_worker); with W = 1, for the net estimator on a share of
+at least 2 cores, two threads in the parent, whose OpenBLAS is capped at
+share // 2 threads for the trial phase and restored afterwards; otherwise
+none, and each unit runs on the calling thread. At most one unit per
+worker or thread is in flight, and a freed one takes the next unit in the
+serial order, so a failure starts no further unit; it surfaces as the same
+StageError at every worker count, the q half's before the p half's.
 
 SNR accounting: the reported target SNR is average received signal power
 over noise power, so the noise power at a grid point is
@@ -66,6 +64,8 @@ import zlib
 from collections.abc import Callable
 from concurrent.futures import (
     FIRST_COMPLETED,
+    BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
@@ -223,7 +223,8 @@ _OPTIONAL_TYPES = {
     "source": lambda v: None if v is None else np.asarray(v, dtype=float),
     "attenuation_samples": _whole,
 }
-_REQUIRED_KEYS = ("environment_q", "environment_p", "geometry", "n_bins", "sample_period")
+_REQUIRED_TYPES = {"n_bins": _whole, "sample_period": float}
+_REQUIRED_KEYS = ("environment_q", "environment_p", "geometry", *_REQUIRED_TYPES)
 _TOP_KEYS = {*_REQUIRED_KEYS, *_OPTIONAL_TYPES, "grid", "net"}
 
 
@@ -288,8 +289,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         environment_q=env_q,
         environment_p=env_p,
         geometry=geometry,
-        n_bins=int(data["n_bins"]),
-        sample_period=float(data["sample_period"]),
+        **_convert(data, _REQUIRED_TYPES, "config"),
         grid=_grid_from_dict(_section(data, "grid"), geometry.volume),
         net=NetConfig(**_convert(net, _NET_TYPES, "net")),
         **_convert(data, _OPTIONAL_TYPES, "config"),
@@ -409,12 +409,12 @@ def _chunk_rows(count: int) -> list:
 def _stage(name: str, seed: int):
     """Re-raise a failure inside the block as StageError(name, seed).
 
-    ConfigError and StageError pass through unchanged, so a configuration
-    problem found in any stage still reads as one.
+    ConfigError passes through unchanged, so a configuration problem found
+    in any stage still reads as one.
     """
     try:
         yield
-    except (ConfigError, StageError):
+    except ConfigError:
         raise
     except Exception as exc:
         raise StageError(name, seed, exc) from exc
@@ -422,7 +422,7 @@ def _stage(name: str, seed: int):
 
 # Worker-side state for process pools; set once per worker by the
 # initializer, so the grid stacks reach a worker once (a forked worker
-# inherits them), not with every task.
+# inherits them), not with every unit.
 _WORKER_STATE = None
 
 
@@ -512,111 +512,107 @@ def _trial_chunk(state, master: int, point_idx: int, kind: str,
     return _estimate(state, obs, noise_power)
 
 
-def _run_points(state, tasks: list,
-                threads: ThreadPoolExecutor | None = None) -> list:
+def _pooled_chunk(*unit) -> np.ndarray:
+    """_trial_chunk in a pool worker, on the state that _init_worker kept."""
+    return _trial_chunk(_WORKER_STATE, *unit)
+
+
+def _inline_chunk(state, *unit) -> Future:
+    """_trial_chunk run now, on the calling thread, as a finished Future."""
+    future = Future()
+    try:
+        future.set_result(_trial_chunk(state, *unit))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+def _run_points(tasks: list, submit: Callable, slots: int) -> list:
     """Error samples {"q": (trials, 3), "p": (trials, 3)} of each task's point.
 
-    Without threads each chunk runs when its point is assembled. With a
-    thread executor every chunk of every point is queued at once, in the
-    serial order, and a free thread takes the next one, so no point waits
-    for its slower half and a thread slowed by a busy core holds up only
-    its own chunk. Every chunk draws from its own stream either way, and
-    the points are assembled in order, so the results and the failure are
-    the serial ones: StageError("snr[i]:q" or "snr[i]:p") of the first
-    failing half, the same in a pool worker as in the parent.
+    A unit is one chunk of one point's q or p half, and units start in the
+    serial order: every chunk of point 0's q half, then of its p half, then
+    point 1, and so on. submit(*unit) starts a unit and returns its Future
+    (_trial_phase gives submit and slots). At most `slots` units are in
+    flight and a freed slot takes the next one, so a slow chunk holds up
+    only itself; after the first failure seen no unit starts. Every chunk
+    draws from its own stream and the outcomes are assembled in order, so
+    the results and the failure are the serial ones whatever ran the units:
+    StageError("snr[i]:q" or "snr[i]:p") of the first failing half.
     """
-    def start(*chunk):
-        if threads is None:
-            return partial(_trial_chunk, state, *chunk)
-        return threads.submit(_trial_chunk, state, *chunk).result
-
-    pending = [
-        {kind: [start(master, point_idx, kind, noise_power, chunk_idx,
-                      rows.stop - rows.start)
-                for chunk_idx, rows in enumerate(_chunk_rows(trials))]
-         for kind in ("q", "p")}
+    units = [
+        (master, point_idx, kind, noise_power, chunk_idx, rows.stop - rows.start)
         for master, point_idx, noise_power, trials in tasks
+        for kind in ("q", "p")
+        for chunk_idx, rows in enumerate(_chunk_rows(trials))
     ]
+    futures, running = [], set()
+    for unit in units:
+        if len(running) == slots:
+            done, running = wait(running, return_when=FIRST_COMPLETED)
+            if any(future.exception() for future in done):
+                break
+        try:
+            future = submit(*unit)
+        except BrokenExecutor as exc:  # a worker died since the last wait
+            future = Future()
+            future.set_exception(exc)
+        futures.append(future)
+        running.add(future)
+    wait(running)
+
+    outcomes = iter(futures)
     results = []
-    for (master, point_idx, *_), halves in zip(tasks, pending):
+    for master, point_idx, _, trials in tasks:
         errors = {}
-        for kind, chunks in halves.items():
+        for kind in ("q", "p"):
             with _stage(f"snr[{point_idx}]:{kind}", master):
-                errors[kind] = np.concatenate([chunk() for chunk in chunks])
+                errors[kind] = np.concatenate(
+                    [next(outcomes).result() for _ in _chunk_rows(trials)]
+                )
         results.append(errors)
     return results
 
 
 @contextmanager
-def _trial_phase(state):
-    """The thread executor for _run_points in the parent, or None (serial).
+def _trial_phase(state, workers: int):
+    """(submit, slots) for _run_points: the one place that picks where units run.
 
-    Only the net estimator on a share of at least 2 cores, with an
-    OpenBLAS whose threads can be set, gets one: two threads, with every
-    OpenBLAS capped at max(1, share // 2) threads so the two threads'
-    GEMMs do not oversubscribe the cores. On exit the chunks still queued
-    are dropped, the running ones finish and the old counts come back,
-    also after a failure. The ML estimator stays serial: a second thread
-    would hold a second (T, G) screen and its own malloc arena.
+    - W > 1: a pool of W forked processes, each keeping the state and
+      capping its OpenBLAS at state["share"] threads (see _init_worker). A
+      unit reaches a worker as its arguments only, through _pooled_chunk,
+      so the state is never pickled per unit.
+    - W = 1, the net estimator, a share of at least 2 cores and an OpenBLAS
+      whose threads can be set: two threads, with every OpenBLAS capped at
+      share // 2 threads so the two threads' GEMMs do not oversubscribe the
+      cores. The old counts come back on exit, also after a failure.
+    - Otherwise no executor: each unit runs on the calling thread. The ML
+      estimator stays there at W = 1, as a second thread would hold a
+      second (T, G) screen and its own malloc arena.
     """
-    share = state["share"]
-    changed = []
-    if state["estimator"] == "net" and share >= 2:
-        changed = _set_blas_threads(max(1, share // 2))
-    if not changed:
-        yield None
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(state,)
+        ) as pool:
+            yield partial(pool.submit, _pooled_chunk), workers
         return
-    threads = ThreadPoolExecutor(max_workers=2)
+    changed = []
+    if state["estimator"] == "net" and state["share"] >= 2:
+        changed = _set_blas_threads(state["share"] // 2)
+    if not changed:
+        yield partial(_inline_chunk, state), 1
+        return
     try:
-        yield threads
+        with ThreadPoolExecutor(max_workers=2) as threads:
+            yield partial(threads.submit, _trial_chunk, state), 2
     finally:
-        threads.shutdown(cancel_futures=True)
         for set_threads, count in changed:
             set_threads(count)
 
 
-def _worker_entry(task):
-    return _run_points(_WORKER_STATE, [task])[0]
-
-
-def _run_pooled(state, tasks: list, workers: int) -> list:
-    """_run_points over tasks in a pool, at most `workers` points in flight.
-
-    A point is submitted only when a worker is free, so after a failure
-    nothing is left queued: the points in flight finish, no new one starts,
-    and the lowest failing point's error is raised. Points are submitted in
-    order, so that is the point the serial loop fails at.
-    """
-    results = [None] * len(tasks)
-    failures = {}
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(state,)
-    ) as pool:
-        running = {}
-
-        def collect(futures):
-            for future in futures:
-                idx = running.pop(future)
-                try:
-                    results[idx] = future.result()
-                except Exception as exc:
-                    failures[idx] = exc
-
-        for idx, task in enumerate(tasks):
-            if len(running) == workers:
-                collect(wait(running, return_when=FIRST_COMPLETED).done)
-            if failures:
-                break
-            running[pool.submit(_worker_entry, task)] = idx
-        collect(list(running))
-    if failures:
-        raise failures[min(failures)]
-    return results
-
-
 def _uniform_positions(rng, volume: np.ndarray, count: int) -> np.ndarray:
     lo, hi = volume
-    return rng.uniform(0.0, 1.0, size=(count, 3)) * (hi - lo)[None, :] + lo[None, :]
+    return rng.uniform(lo, hi, size=(count, 3))
 
 
 def derive_scene(config: ExperimentConfig) -> tuple:
@@ -764,19 +760,14 @@ def run_experiment(
 
     noise_powers = [noise_level(state["attenuation"], db) for db in config.snr_db]
 
-    # One task per SNR point: its q and p chunks share the point's design.
     tasks = [
         (config.seed, idx, noise_powers[idx], config.trials)
         for idx in range(len(config.snr_db))
     ]
     workers = min(workers, len(tasks))
     state["share"] = _core_share(workers)
-    if workers <= 1:
-        with _trial_phase(state) as threads:
-            results = _run_points(state, tasks, threads)
-    else:
-        with _stage("trials", config.seed):
-            results = _run_pooled(state, tasks, workers)
+    with _trial_phase(state, workers) as (submit, slots):
+        results = _run_points(tasks, submit, slots)
 
     points = []
     excluded = []

@@ -6,12 +6,13 @@ import json
 import math
 import multiprocessing
 import os
-import pickle
 import threading
 import time
 import tracemalloc
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from uwloc.harness import (
     ExperimentConfig,
     ExperimentResult,
     _init_worker,
+    _inline_chunk,
     _openblas_functions,
     _prepare_state,
     _run_points,
@@ -178,7 +180,8 @@ class TestDrawContract:
         state["evaluator"] = Recorder()
         noise_power = hand_noise_power(attenuation, 20.0)
         trials = 2 * TRIAL_CHUNK + 7
-        errors, = _run_points(state, [(config.seed, 1, noise_power, trials)])
+        errors, = _run_points([(config.seed, 1, noise_power, trials)],
+                              partial(_inline_chunk, state), 1)
         assert [obs.shape[0] for obs in seen] == [TRIAL_CHUNK, TRIAL_CHUNK, 7] * 2
         want = hand_drawn(config.seed, "trial-p:1", 2, state["h_p"], noise_power, 7)
         assert np.array_equal(seen[5], want)
@@ -400,6 +403,10 @@ class TestConfig:
             ({"net": {"train_snr_db": math.nan}}, "train_snr_db"),
             ({"snr_db": [math.nan]}, "snr_db"),
             ({"trials": 40.5}, "'trials'"),
+            ({"n_bins": "abc"}, "'n_bins'"),
+            ({"n_bins": None}, "'n_bins'"),
+            ({"n_bins": 3.7}, "'n_bins'"),
+            ({"sample_period": "x"}, "'sample_period'"),
         ):
             with pytest.raises(ConfigError, match=match):
                 config_from_dict(tiny_config_dict(**bad))
@@ -475,12 +482,6 @@ class TestStageError:
         assert isinstance(err.cause, ValueError)
         assert "snr[3]:q" in str(err) and "42" in str(err) and "boom" in str(err)
 
-    def test_pickle_round_trip(self):
-        err = pickle.loads(pickle.dumps(StageError("snr[3]:q", 1, ValueError("boom"))))
-        assert (err.stage, err.seed) == ("snr[3]:q", 1)
-        assert isinstance(err.cause, ValueError) and str(err.cause) == "boom"
-        assert str(err) == str(StageError("snr[3]:q", 1, ValueError("boom")))
-
 
 class TestRunExperiment:
     def test_deterministic_and_worker_invariant(self):
@@ -508,6 +509,12 @@ class TestRunExperiment:
         for point in first.points:
             assert point.bound_strong >= point.rmse_q
             assert point.trials == 40 and point.seed == 99
+
+        # Three chunks per half, which two workers may split between them.
+        data = tiny_config_dict(trials=2 * TRIAL_CHUNK + 7)
+        serial = run_experiment(config_from_dict(data), workers=1)
+        pooled = run_experiment(config_from_dict(data), workers=2)
+        assert [p.row() for p in pooled.points] == [p.row() for p in serial.points]
 
     def test_net_deterministic_and_worker_invariant(self, tmp_path):
         data = tiny_config_dict(estimator="net", net=TINY_NET)
@@ -578,6 +585,42 @@ class TestRunExperiment:
         # finished before the failure was seen); no queued point starts. A
         # pool fed through Executor.map ran four.
         assert len(os.listdir(record)) <= 2
+
+    def test_a_dying_worker_names_its_half(self, monkeypatch, tmp_path, capsys):
+        parent = os.getpid()
+        locate = GridEvaluator.locate
+
+        def die_in_a_worker(self, observations, signal_power, noise_power, **kw):
+            if os.getpid() != parent:
+                os._exit(1)
+            return locate(self, observations, signal_power, noise_power, **kw)
+
+        # Forked pool workers inherit the patched class. Every chunk kills
+        # its worker, so the first unit, point 0's q half, breaks the pool.
+        monkeypatch.setattr(GridEvaluator, "locate", die_in_a_worker)
+        data = tiny_config_dict()
+        with pytest.raises(StageError) as info:
+            run_experiment(config_from_dict(data), workers=2)
+        assert info.value.stage == "snr[0]:q"
+        assert isinstance(info.value.cause, BrokenProcessPool)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        code = main(["experiment", "--config", str(path), "--workers", "2",
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "stage 'snr[0]:q' failed" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_a_pool_broken_before_a_submit_names_that_half(self):
+        # A worker that dies between two units leaves the next submit to
+        # raise; that unit's half carries the failure.
+        def broken(*unit):
+            raise BrokenProcessPool("a worker died")
+
+        with pytest.raises(StageError) as info:
+            _run_points([(99, 0, 1.0, 40)], broken, 2)
+        assert info.value.stage == "snr[0]:q"
+        assert isinstance(info.value.cause, BrokenProcessPool)
 
     def test_config_error_in_a_later_stage_is_not_wrapped(self, monkeypatch, tmp_path,
                                                            capsys):
