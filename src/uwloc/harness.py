@@ -29,21 +29,26 @@ box and an explicit source lie in both water columns and keep
 channel.DEFAULT_MIN_DISTANCE from every receiver.
 
 Workers: every process of a sweep gets share = max(1, cores // W) of the
-cores, W = min(workers, SNR points), cores being signal.core_count(). Set-up
-runs in the parent before any pool: its response stacks (the ML grid, the
-net's training set) are built on one thread per core inside each
+cores, W = min(workers, SNR points), cores being signal.core_count(). Before
+set-up starts any thread, run_experiment limits glibc malloc to one arena
+(_one_malloc_arena), so threads do not each keep their own freed memory.
+Set-up runs in the parent before any pool: its response stacks (the ML
+grid, the net's training set) are built on one thread per core inside each
 signal.response_stack_batch call, and those threads end with the call, so
 no thread is alive when a pool forks. The trials then run as units, one
 chunk of one point's q or p half each, through one scheduler (_run_points)
 on one of three executors, which _trial_phase picks: with W > 1 a pool of
 W forked processes, each capping the OpenBLAS that numpy loaded at share
-threads (see _init_worker); with W = 1, for the net estimator on a share of
-at least 2 cores, two threads in the parent, whose OpenBLAS is capped at
+threads (see _init_worker); with W = 1 on a share of at least 2 cores, for
+either estimator, two threads in the parent, whose OpenBLAS is capped at
 share // 2 threads for the trial phase and restored afterwards; otherwise
 none, and each unit runs on the calling thread. At most one unit per
 worker or thread is in flight, and a freed one takes the next unit in the
 serial order, so a failure starts no further unit; it surfaces as the same
-StageError at every worker count, the q half's before the p half's.
+StageError at every worker count, the q half's before the p half's. Two ML
+threads share one GridEvaluator: a point's q and p chunks use the same
+noise level, and a chunk at the next level waits inside locate until the
+other thread is done with the current one (see GridEvaluator).
 
 SNR accounting: the reported target SNR is average received signal power
 over noise power, so the noise power at a grid point is
@@ -72,7 +77,7 @@ from concurrent.futures import (
 )
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -362,25 +367,34 @@ class ExperimentResult:
     metadata: dict
 
 
-def _complex_normal(rng, shape, power: float) -> np.ndarray:
-    scale = math.sqrt(power / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
 def _draw_observations(master: int, stage: str, chunk_idx: int, h: np.ndarray,
                        noise_power: float, count: int) -> np.ndarray:
     """One chunk of count observations x = s h + v, shape (count, L, N).
 
     h is one (L, N) response shared by every observation or a (count, L, N)
     stack with one response per observation. The draw order is the one in
-    the module docstring.
+    the module docstring. Every draw passes through one float64 scratch
+    buffer into the real or imaginary part it scales, so beyond the result
+    no complex temporary is made; the bits are those of
+    s = sqrt(P/2) (re + 1j im) per draw and x = s h + v.
     """
     if noise_power < 0:
         raise ConfigError("noise power must be >= 0")
     rng = np.random.default_rng(derive_seed(master, stage, chunk_idx))
-    waveform = _complex_normal(rng, (count, h.shape[-1]), SIGNAL_POWER)
-    noise = _complex_normal(rng, (count, *h.shape[-2:]), noise_power)
-    return waveform[:, None, :] * h + noise
+    shape = (count, *h.shape[-2:])
+    scratch = np.empty(math.prod(shape))
+    waveform = np.empty((count, shape[-1]), dtype=complex)
+    draws = scratch[: waveform.size].reshape(waveform.shape)
+    for part in (waveform.real, waveform.imag):
+        rng.standard_normal(out=draws)
+        np.multiply(draws, math.sqrt(SIGNAL_POWER / 2.0), out=part)
+    observations = waveform[:, None, :] * h
+    draws = scratch.reshape(shape)
+    for part in (observations.real, observations.imag):
+        rng.standard_normal(out=draws)
+        draws *= math.sqrt(noise_power / 2.0)
+        part += draws
+    return observations
 
 
 def observation_chunks(master: int, stage: str, h: np.ndarray | Callable,
@@ -477,6 +491,27 @@ def _set_blas_threads(threads: int) -> list:
         changed.append((set_threads, get_threads()))
         set_threads(threads)
     return changed
+
+
+# mallopt's parameter number for the arena limit, from glibc's malloc.h.
+_M_ARENA_MAX = -8
+
+
+@cache
+def _one_malloc_arena() -> None:
+    """Limit glibc malloc to its main arena, once per process.
+
+    Each thread that allocates would otherwise get an arena of its own,
+    which keeps the memory that thread frees. Arenas made before the call
+    stay in use, so it has to run before any thread allocates. Where the C
+    library has no mallopt it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def _core_share(workers: int) -> int:
@@ -582,13 +617,14 @@ def _trial_phase(state, workers: int):
       capping its OpenBLAS at state["share"] threads (see _init_worker). A
       unit reaches a worker as its arguments only, through _pooled_chunk,
       so the state is never pickled per unit.
-    - W = 1, the net estimator, a share of at least 2 cores and an OpenBLAS
-      whose threads can be set: two threads, with every OpenBLAS capped at
-      share // 2 threads so the two threads' GEMMs do not oversubscribe the
-      cores. The old counts come back on exit, also after a failure.
-    - Otherwise no executor: each unit runs on the calling thread. The ML
-      estimator stays there at W = 1, as a second thread would hold a
-      second (T, G) screen and its own malloc arena.
+    - W = 1, a share of at least 2 cores and an OpenBLAS whose threads can
+      be set: two threads, with every OpenBLAS capped at share // 2 threads
+      so the two threads' GEMMs do not oversubscribe the cores. The old
+      counts come back on exit, also after a failure. The rule is the same
+      for both estimators: the ML scorer screens a block of nodes at a time
+      and keeps one design for both threads, and malloc keeps one arena,
+      so two ML threads hold about what one did.
+    - Otherwise no executor: each unit runs on the calling thread.
     """
     if workers > 1:
         with ProcessPoolExecutor(
@@ -597,7 +633,7 @@ def _trial_phase(state, workers: int):
             yield partial(pool.submit, _pooled_chunk), workers
         return
     changed = []
-    if state["estimator"] == "net" and state["share"] >= 2:
+    if state["share"] >= 2:
         changed = _set_blas_threads(state["share"] // 2)
     if not changed:
         yield partial(_inline_chunk, state), 1
@@ -742,6 +778,7 @@ def run_experiment(
     and the master seed; a ConfigError passes through unchanged.
     """
     started = time.monotonic()
+    _one_malloc_arena()
 
     def note(text):
         if progress is not None:

@@ -8,16 +8,17 @@ dropped. Ties on the grid resolve to the lowest linear node index.
 
 That score is linear in the per-bin receiver auto and cross spectra of the
 observation, so GridEvaluator screens a chunk of T observations over G
-nodes with one float32 GEMM: a (T, L*L*N) matrix of the trials' spectra
+nodes with float32 GEMMs: a (T, L*L*N) matrix of the trials' spectra
 against a (G, L*L*N) design, both with the column layout given in the
-GridEvaluator docstring. The design is the noise-free node products
-(built once) weighted for one (signal power, noise power) pair and kept
-in a one-entry cache. A written-out rounding bound on the float32 scores
-selects the nodes that can still be the maximum; only those, and the
-winner's axis neighbors, are rescored in float64, so the argmax and the
-peak interpolation are those of the float64 score. Memory: float32
-products and design plus the complex stacks, about 3*G*L*L*N*4 bytes at
-L = 4 receivers.
+GridEvaluator docstring, one block of _SCREEN_NODES nodes at a time. The
+design is the noise-free node products (built once) weighted for one
+(signal power, noise power) level and rewritten in place when the level
+changes. A written-out rounding bound on the float32 scores selects the
+nodes that can still be the maximum; only those, and the winner's axis
+neighbors, are rescored in float64, so the argmax and the peak
+interpolation are those of the float64 score. Memory: float32 products
+and design plus the complex stacks, about 3*G*L*L*N*4 bytes at L = 4
+receivers.
 
 The learned path regresses position from a phase-invariant feature vector
 with a small fully-connected network implemented here on plain numpy, so
@@ -27,6 +28,8 @@ training is deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,8 +127,23 @@ _TINY32 = float(np.finfo(np.float32).tiny)
 _SAFE32 = 2.0**120
 # Trial/node pairs rescored per gather, bounding the (pairs, L, N) buffer.
 _RESCORE_PAIRS = 256
-# Trials screened per GEMM, bounding the (trials, G) float32 screen.
+# Trials screened per pass, bounding the (trials, K) float32 spectra.
 _LOCATE_CHUNK = 512
+# Nodes screened per GEMM, bounding the (trials, nodes) float32 screen.
+_SCREEN_NODES = 1024
+
+
+def _float32_floor(values: np.ndarray) -> np.ndarray:
+    """The least float32 at or above each float64 value.
+
+    For any float32 x, x >= value exactly when x >= this, so the screen
+    compares in float32 with the outcome of the float64 comparison.
+    """
+    with np.errstate(over="ignore"):
+        out = values.astype(np.float32)
+        low = out < values
+        out[low] = np.nextafter(out[low], np.float32(np.inf))
+    return out
 
 
 class GridEvaluator:
@@ -153,11 +171,13 @@ class GridEvaluator:
     real and the imaginary parts of x_l conj(x_l'). The design D is the
     products weighted per node and bin by w. D in float32, w and the
     offset in float64 and the per-bin maximum m_k = max_g w_gk |h_gk|^2
-    depend only on (signal_power, noise_power) and live in a one-entry
-    cache, so the q and p trials of one sweep point share them.
+    depend only on the level (signal_power, noise_power). They are kept
+    for the current level, so the q and p trials of one sweep point
+    share them, also when the two run on two threads at once.
 
-    A chunk of T trials is screened by one float32 GEMM, z @ D^T - offset,
-    laid out (T, G). Rounding the inputs, each K-term dot product
+    A chunk of T trials is screened by float32 GEMMs, z @ D^T - offset,
+    one (T, _SCREEN_NODES) block of nodes at a time. Rounding the inputs,
+    each K-term dot product
     (|fl(a^T b) - a^T b| <= gamma_K |a|^T |b|, Higham 2002, section 3.1)
     and the offset subtraction move every float32 score of trial t from
     S_g by less than
@@ -171,7 +191,11 @@ class GridEvaluator:
     float64 rescore; the last term, with tiny = 2^-126, covers underflow
     (gradual or flushed to zero) and is negligible at any usual scale.
     Every node within 2 e_t of the trial's float32 maximum is a candidate,
-    so the float64 maximizers are always among them. The candidates, and
+    so the float64 maximizers are always among them. Each block keeps the
+    nodes within 2 e_t of its own maximum, which include every such node
+    of the block, and the end of the screen drops those below the overall
+    maximum - 2 e_t; the candidates are thus those of one (T, G) screen.
+    The candidates, and
     the axis neighbors of the winner for interpolation, are rescored in
     float64 from |h^H x|^2; the argmax (ties to the lowest node index) and
     the parabola use those scores. A trial in which a float32 value could
@@ -183,6 +207,13 @@ class GridEvaluator:
     3*G*L*L*N*4 bytes at L = 4. Construction writes the products one
     receiver or receiver pair at a time, so beyond what the evaluator
     keeps its transient is a few (G, N) buffers, under G*N*24 bytes.
+    The design is one buffer, allocated by the first locate call and
+    rewritten in place at each new level, so two designs never coexist.
+    locate may run on several threads at once: a call at a new level
+    waits its turn until no other call uses the current level, and only
+    then rewrites the design. Beyond the level, a call holds one block's
+    (T, _SCREEN_NODES) float32 screen and bool mask, with T at most
+    _LOCATE_CHUNK, whatever G is.
     """
 
     def __init__(self, spec: GridSpec, stacks: np.ndarray):
@@ -212,7 +243,7 @@ class GridEvaluator:
             np.multiply(
                 cross.imag, -2.0, out=self.products[:, l_count + n_pairs + p, :]
             )
-        self._cache = None  # ((signal_power, noise_power), level)
+        self._reset_level()
         shape = spec.shape
         self.strides = np.array(
             [shape[1] * shape[2], shape[2], 1], dtype=int
@@ -225,24 +256,66 @@ class GridEvaluator:
         stacks = response_stack_batch(env, receivers, spec.nodes(), n_bins, sample_period)
         return cls(spec, stacks)
 
-    def _level(self, signal_power: float, noise_power: float) -> tuple:
-        """(design32 (G, K), weight (G, N), offset (G,), m (N,)), cached."""
+    def _reset_level(self):
+        """No level and no design buffer yet; a fresh turn lock."""
+        self._turn = threading.Condition()
+        self._key = None  # (signal_power, noise_power) of self._data
+        self._data = None
+        self._users = 0  # locate calls using the current level
+        self._design = None
+
+    def __getstate__(self):
+        # A lock does not pickle; the level is rebuilt on first use.
+        state = self.__dict__.copy()
+        for name in ("_turn", "_key", "_data", "_users", "_design"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._reset_level()
+
+    @contextmanager
+    def _level(self, signal_power: float, noise_power: float):
+        """(design32 (G, K), weight (G, N), offset (G,), m (N,)) for one call.
+
+        A call at a new level waits until no other call uses the current
+        one, then rewrites the one design buffer in place.
+        """
         key = (signal_power, noise_power)
-        if self._cache is None or self._cache[0] != key:
-            self._cache = None  # free the old design before building the new
-            gain = signal_power * self.energies + noise_power  # (G, N)
-            weight = signal_power / (noise_power * gain)
-            with np.errstate(over="ignore", invalid="ignore"):
-                # Overflow here makes every trial fail the safety test.
-                design = self.products * weight.astype(np.float32)[:, None, :]
-            level = (
-                design.reshape(design.shape[0], -1),
-                weight,
-                np.sum(np.log(gain), axis=1),
-                np.max(weight * self.energies, axis=0),
+        with self._turn:
+            while self._key != key and self._users:
+                self._turn.wait()
+            if self._key != key:
+                self._key, self._data = None, None  # the design is about to change
+                self._data = self._build_level(signal_power, noise_power)
+                self._key = key
+            self._users += 1
+            level = self._data
+        try:
+            yield level
+        finally:
+            with self._turn:
+                self._users -= 1
+                if not self._users:
+                    self._turn.notify_all()
+
+    def _build_level(self, signal_power: float, noise_power: float) -> tuple:
+        gain = signal_power * self.energies + noise_power  # (G, N)
+        weight = signal_power / (noise_power * gain)
+        if self._design is None:
+            self._design = np.empty(self.products.shape, np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Overflow here makes every trial fail the safety test.
+            np.multiply(
+                self.products, weight.astype(np.float32)[:, None, :], out=self._design
             )
-            self._cache = (key, level)
-        return self._cache[1]
+        return (
+            self._design.reshape(self._design.shape[0], -1),
+            weight,
+            np.sum(np.log(gain), axis=1),
+            np.max(weight * self.energies, axis=0),
+        )
 
     def locate(
         self, observations, signal_power: float, noise_power: float
@@ -266,16 +339,16 @@ class GridEvaluator:
             raise ValueError(
                 f"observation {int(np.argmin(finite))} has a non-finite entry"
             )
-        level = self._level(signal_power, noise_power)
         total = obs.shape[0]
         out = np.empty((total, 3))
-        for start in range(0, total, _LOCATE_CHUNK):
-            block = obs[start : start + _LOCATE_CHUNK]
-            best, peak = self._argmax(block, level)
-            pos = self.nodes[best]
-            if self.spec.peak_interpolation:
-                self._interpolate(block, level, best, peak, pos)
-            out[start : start + block.shape[0]] = pos
+        with self._level(signal_power, noise_power) as level:
+            for start in range(0, total, _LOCATE_CHUNK):
+                block = obs[start : start + _LOCATE_CHUNK]
+                best, peak = self._argmax(block, level)
+                pos = self.nodes[best]
+                if self.spec.peak_interpolation:
+                    self._interpolate(block, level, best, peak, pos)
+                out[start : start + block.shape[0]] = pos
         return out
 
     def _argmax(self, block: np.ndarray, level: tuple) -> tuple:
@@ -289,8 +362,6 @@ class GridEvaluator:
             stats = np.concatenate(
                 [power, cross.real, cross.imag], axis=1, dtype=np.float32
             ).reshape(block.shape[0], -1)
-            screen = stats @ design.T  # (T, G)
-            screen -= offset.astype(np.float32)
 
         terms = stats.shape[1]
         norms = np.sum(power, axis=1)  # (T, N): |x_tk|^2
@@ -309,11 +380,29 @@ class GridEvaluator:
             & (top_norm < _SAFE32)
             & (max(top_weight, top_bin) < _SAFE32)
         )
-        floor = np.where(safe, np.max(screen, axis=1) - 2.0 * bound, -np.inf)
-        candidates = screen >= floor[:, None]
-        candidates[~safe] = True
-
-        trials, nodes = np.divmod(np.flatnonzero(candidates), screen.shape[1])
+        node_count = design.shape[0]
+        top = np.full(block.shape[0], -np.inf)
+        kept, values = [], []
+        for start in range(0, node_count, _SCREEN_NODES):
+            part = slice(start, start + _SCREEN_NODES)
+            with np.errstate(over="ignore", invalid="ignore"):
+                screen = stats @ design[part].T  # (T, nodes of the block)
+                screen -= offset[part].astype(np.float32)
+                peak = np.max(screen, axis=1)
+                np.maximum(top, peak, out=top)
+                candidates = screen >= _float32_floor(peak - 2.0 * bound)[:, None]
+            candidates[~safe] = True
+            flat = np.flatnonzero(candidates)
+            trials, nodes = np.divmod(flat, screen.shape[1])
+            kept.append(trials * node_count + (start + nodes))
+            values.append(screen.ravel()[flat])
+        kept = np.concatenate(kept)
+        trials = kept // node_count
+        with np.errstate(invalid="ignore"):
+            floor = np.where(safe, top - 2.0 * bound, -np.inf)
+        keep = (np.concatenate(values) >= floor[trials]) | ~safe[trials]
+        # Sorted flat indices put the candidates in (trial, node) order.
+        trials, nodes = np.divmod(np.sort(kept[keep]), node_count)
         exact = self._rescore(block, trials, nodes, level)
         # trials is sorted, so each trial's group starts where it changes;
         # sort each group by descending score, then ascending node.

@@ -737,6 +737,16 @@ class TestCoreCount:
         assert threading.active_count() == before
 
 
+class TestMallocArena:
+    def test_a_c_library_without_mallopt_is_skipped(self, monkeypatch):
+        # macOS's libc has no mallopt; the arena limit is then left alone.
+        class NoMallopt:
+            pass
+
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: NoMallopt())
+        harness._one_malloc_arena.__wrapped__()
+
+
 def force_core_share(monkeypatch, share):
     """Run the sweep as if each of its processes had `share` cores."""
     monkeypatch.setattr(harness, "_core_share", lambda workers: share)
@@ -754,28 +764,35 @@ def record_trial_draws(monkeypatch, on_draw):
     monkeypatch.setattr(harness, "_draw_observations", recording)
 
 
-class TestThreadedHalves:
-    """At one worker the net's trial chunks run on two threads."""
+ESTIMATORS = ("net", "ml")
 
-    def net_data(self, **overrides):
-        return tiny_config_dict(estimator="net", net=TINY_NET, **overrides)
+
+class TestThreadedHalves:
+    """At one worker the trial chunks run on two threads, for either estimator."""
+
+    def data(self, estimator="net", **overrides):
+        return tiny_config_dict(estimator=estimator, net=TINY_NET, **overrides)
 
     def test_threaded_serial_and_pooled_agree(self, monkeypatch):
-        # Two chunks per half, so each thread draws more than one stream.
-        data = self.net_data(trials=TRIAL_CHUNK + 7)
-        runs = [run_experiment(config_from_dict(data), workers=2)]
-        threads = set()
-        record_trial_draws(monkeypatch, lambda stage: threads.add(threading.get_ident()))
-        for share in (2, 1):
-            force_core_share(monkeypatch, share)
-            runs.append(run_experiment(config_from_dict(data), workers=1))
-            if share == 2 and _openblas_functions("set_num_threads"):
-                assert threads and threading.get_ident() not in threads
-        first = runs[0]
-        for result in runs[1:]:
-            assert [p.row() for p in result.points] == [p.row() for p in first.points]
-            for key in ("net_loss_curve", "csd_excluded_points"):
-                assert result.metadata[key] == first.metadata[key]
+        for estimator in ESTIMATORS:
+            # Two chunks per half, so each thread draws more than one stream.
+            data = self.data(estimator, trials=TRIAL_CHUNK + 7)
+            monkeypatch.undo()
+            runs = [run_experiment(config_from_dict(data), workers=2)]
+            threads = set()
+            record_trial_draws(monkeypatch,
+                               lambda stage: threads.add(threading.get_ident()))
+            for share in (2, 1):
+                force_core_share(monkeypatch, share)
+                runs.append(run_experiment(config_from_dict(data), workers=1))
+                if share == 2 and _openblas_functions("set_num_threads"):
+                    assert threads and threading.get_ident() not in threads
+            first = runs[0]
+            for result in runs[1:]:
+                assert ([p.row() for p in result.points]
+                        == [p.row() for p in first.points])
+                for key in ("net_loss_curve", "csd_excluded_points"):
+                    assert result.metadata.get(key) == first.metadata.get(key)
 
     def test_a_held_chunk_holds_up_no_other(self, monkeypatch):
         # One chunk per half. The first chunk drawn waits until the last one
@@ -783,7 +800,7 @@ class TestThreadedHalves:
         # next point's too, without waiting for the held half.
         if not _openblas_functions("set_num_threads"):
             pytest.skip("numpy is not linked against OpenBLAS")
-        config = config_from_dict(self.net_data())
+        config = config_from_dict(self.data())
         last = f"trial-p:{len(config.snr_db) - 1}"
         drawn = threading.Event()
         first = threading.Lock()
@@ -812,54 +829,63 @@ class TestThreadedHalves:
 
         record_trial_draws(monkeypatch, fail)
         force_core_share(monkeypatch, 2)
-        data = self.net_data()
-        for workers in (1, 2):
-            with pytest.raises(StageError) as info:
-                run_experiment(config_from_dict(data), workers=workers)
-            assert info.value.stage == stage
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(data))
-        for workers in ("1", "2"):
-            code = main(["experiment", "--config", str(path), "--workers", workers,
-                         "--out", str(tmp_path / f"out{workers}")])
-            assert code == 3
-            assert f"stage '{stage}' failed" in capsys.readouterr().err
+        for estimator in ESTIMATORS:
+            data = self.data(estimator)
+            for workers in (1, 2):
+                with pytest.raises(StageError) as info:
+                    run_experiment(config_from_dict(data), workers=workers)
+                assert info.value.stage == stage
+            path = tmp_path / f"{estimator}.json"
+            path.write_text(json.dumps(data))
+            for workers in ("1", "2"):
+                code = main(["experiment", "--config", str(path), "--workers", workers,
+                             "--out", str(tmp_path / f"{estimator}{workers}")])
+                assert code == 3
+                assert f"stage '{stage}' failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("share", [2, 6])
     def test_blas_capped_in_the_halves_and_restored(self, monkeypatch, share):
         if not _openblas_functions("get_num_threads"):
             pytest.skip("numpy is not linked against OpenBLAS")
         seen = []
-        features = harness.extract_features
+        estimate = harness._estimate
 
-        def recording(observations, attenuation):
+        def recording(state, observations, noise_power):
             if threading.current_thread() is not threading.main_thread():
                 seen.append(blas_threads())
-            return features(observations, attenuation)
+            return estimate(state, observations, noise_power)
 
-        monkeypatch.setattr(harness, "extract_features", recording)
-        force_core_share(monkeypatch, share)
+        def fail(stage):
+            raise ValueError("injected draw failure")
+
         changed = _set_blas_threads(4)  # a count neither cap equals
         try:
             before = blas_threads()
-            run_experiment(config_from_dict(self.net_data()), workers=1)
-            assert seen and all(
-                threads == [max(1, share // 2)] * len(before) for threads in seen
-            )
-            assert blas_threads() == before
+            for estimator in ESTIMATORS:
+                monkeypatch.undo()
+                force_core_share(monkeypatch, share)
+                monkeypatch.setattr(harness, "_estimate", recording)
+                seen.clear()
+                run_experiment(config_from_dict(self.data(estimator)), workers=1)
+                assert seen and all(
+                    threads == [max(1, share // 2)] * len(before) for threads in seen
+                )
+                assert blas_threads() == before
 
-            def fail(stage):
-                raise ValueError("injected draw failure")
-
-            record_trial_draws(monkeypatch, fail)
-            with pytest.raises(StageError):
-                run_experiment(config_from_dict(self.net_data()), workers=1)
-            assert blas_threads() == before
+                record_trial_draws(monkeypatch, fail)
+                with pytest.raises(StageError):
+                    run_experiment(config_from_dict(self.data(estimator)), workers=1)
+                assert blas_threads() == before
         finally:
             for set_threads, count in changed:
                 set_threads(count)
 
-    def test_ml_halves_stay_on_one_thread(self, monkeypatch):
+    @pytest.mark.parametrize("share", [2, 1])
+    def test_ml_units_on_two_threads_from_share_2(self, monkeypatch, share):
+        # ML units run off the calling thread at a share of 2 cores, and on
+        # it at a share of 1.
+        if share == 2 and not _openblas_functions("set_num_threads"):
+            pytest.skip("numpy is not linked against OpenBLAS")
         threads = set()
         locate = GridEvaluator.locate
 
@@ -868,9 +894,12 @@ class TestThreadedHalves:
             return locate(self, observations, signal_power, noise_power)
 
         monkeypatch.setattr(GridEvaluator, "locate", recording)
-        force_core_share(monkeypatch, 2)
+        force_core_share(monkeypatch, share)
         run_experiment(config_from_dict(tiny_config_dict()), workers=1)
-        assert threads == {threading.get_ident()}
+        if share == 2:
+            assert threads and threading.get_ident() not in threads
+        else:
+            assert threads == {threading.get_ident()}
 
 
 class TestGenerateDataset:

@@ -1,7 +1,12 @@
 """Grid ML localization, feature extraction, and the learned regressor."""
 
 import math
+import multiprocessing
+import pickle
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -368,6 +373,157 @@ class TestGridEvaluator:
                     delta = np.clip(0.5 * (s_lo - s_hi) / denom, -0.5, 0.5)
                     want[axis] += delta * steps[axis]
             np.testing.assert_allclose(pos, want, rtol=0, atol=1e-9)
+
+
+class TestSharedLevel:
+    """One design buffer, rewritten in place, shared by concurrent calls."""
+
+    def case(self):
+        env = iso_env()
+        spec = small_grid(counts=(5, 5, 3), interpolate=True)
+        evaluator = GridEvaluator.from_scene(env, RECEIVERS, spec, N_BINS, SAMPLE_PERIOD)
+        batch = np.stack(
+            [observe(env, np.array([78.0, 96.0, 47.0]), 0.1, seed=s) for s in range(6)]
+        )
+        return evaluator, batch
+
+    def test_threads_at_two_levels(self, monkeypatch):
+        # Four threads, two per level, more than a 2-core host has cores; a
+        # short switch interval makes the interpreter interleave them often.
+        evaluator, batch = self.case()
+        levels = [(1.0, 0.1), (1.0, 2.0)]
+        want = {
+            level: GridEvaluator(evaluator.spec, evaluator.stacks).locate(batch, *level)
+            for level in levels
+        }
+        users_at_build = []
+        build = GridEvaluator._build_level
+
+        def recording(self, signal_power, noise_power):
+            users_at_build.append(self._users)
+            return build(self, signal_power, noise_power)
+
+        monkeypatch.setattr(GridEvaluator, "_build_level", recording)
+        barrier = threading.Barrier(4)
+        got = {level: [] for level in levels}
+
+        def run(level):
+            barrier.wait(timeout=30)
+            for _ in range(10):
+                got[level].append(evaluator.locate(batch, *level))
+
+        threads = [
+            threading.Thread(target=run, args=(level,), daemon=True)
+            for level in levels * 2
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads), "locate deadlocked"
+        for level in levels:
+            assert len(got[level]) == 20
+            for rows in got[level]:
+                np.testing.assert_array_equal(rows, want[level])
+        # A level is built only while no other call uses the current one.
+        assert users_at_build and set(users_at_build) == {0}
+
+    def test_design_buffer_keeps_its_identity(self):
+        evaluator, batch = self.case()
+        evaluator.locate(batch, 1.0, 0.1)
+        design = evaluator._design
+        for level in ((1.0, 2.0), (0.5, 0.1), (1.0, 0.1)):
+            evaluator.locate(batch, *level)
+            assert evaluator._design is design
+            with evaluator._level(*level) as (weighted, *_):
+                assert np.shares_memory(weighted, design)
+
+    def test_pickle_round_trip_locates_identically(self):
+        evaluator, batch = self.case()
+        want = evaluator.locate(batch, 1.0, 0.1)  # holds a level and its lock
+        clone = pickle.loads(pickle.dumps(evaluator))
+        np.testing.assert_array_equal(clone.locate(batch, 1.0, 0.1), want)
+        np.testing.assert_array_equal(
+            clone.locate(batch, 1.0, 2.0), evaluator.locate(batch, 1.0, 2.0)
+        )
+
+    def test_locates_in_a_spawned_process(self):
+        # spawn (macOS's default) and forkserver pickle what a worker gets.
+        evaluator, batch = self.case()
+        want = evaluator.locate(batch, 1.0, 0.1)
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            got = pool.submit(evaluator.locate, batch, 1.0, 0.1).result(timeout=120)
+        np.testing.assert_array_equal(got, want)
+
+
+class TestBlockedScreen:
+    def test_float32_floor_keeps_every_comparison(self):
+        # For float32 x, x >= v must hold exactly when x >= v's float32 floor.
+        rng = np.random.default_rng(51)
+        info = np.finfo(np.float32)
+        big, tiny = float(info.max), float(info.smallest_subnormal)
+        values = np.concatenate([
+            [np.inf, -np.inf, np.nan, 0.0, -0.0, big, -big, 1.5 * big, -1.5 * big,
+             tiny, 0.5 * tiny, -0.5 * tiny, 1.0 + 2.0**-30],
+            rng.standard_normal(300) * 10.0 ** rng.uniform(-45, 45, 300),
+        ])
+        with np.errstate(over="ignore"):
+            near = values.astype(np.float32)
+            x = np.concatenate([
+                near,
+                np.nextafter(near, np.float32(np.inf)),
+                np.nextafter(near, np.float32(-np.inf)),
+            ])
+        floor = localize._float32_floor(values)
+        assert floor.dtype == np.float32
+        np.testing.assert_array_equal(
+            x[:, None] >= floor[None, :], x[:, None] >= values[None, :]
+        )
+
+    @pytest.mark.parametrize("interpolate", [False, True])
+    def test_block_size_changes_nothing(self, monkeypatch, interpolate):
+        # Nodes 12-23 repeat nodes 0-11, so every trial has exact ties;
+        # trial 0 is scaled past the float32 safety test.
+        rng = np.random.default_rng(50)
+
+        def cnormal(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        base = cnormal(12, 3, 5)
+        stacks = np.concatenate([base, base])
+        spec = GridSpec([0.0, 0.0, 0.0], [30.0, 20.0, 10.0], [4, 3, 2], interpolate)
+        node_count = stacks.shape[0]
+        evaluator = GridEvaluator(spec, stacks)
+        batch = 3.0 * base[[3, 0, 5, 11, 7]] + 0.3 * cnormal(5, 3, 5)
+        batch[0] *= 1e19
+        rescored = []
+        rescore = GridEvaluator._rescore
+
+        def recording(self, block, trials, nodes, level):
+            rescored.append(trials)
+            return rescore(self, block, trials, nodes, level)
+
+        monkeypatch.setattr(GridEvaluator, "_rescore", recording)
+        outputs = []
+        for size in (1, 7, node_count, node_count + 1):
+            monkeypatch.setattr(localize, "_SCREEN_NODES", size)
+            rescored.clear()
+            outputs.append(evaluator.locate(batch, 1.0, 0.1))
+            # The screen's candidates come first: all of trial 0's nodes.
+            assert np.count_nonzero(rescored[0] == 0) == node_count
+        for out in outputs[1:]:
+            np.testing.assert_array_equal(out, outputs[0])
+        if not interpolate:
+            # Each exact tie goes to the lower node: 0, 5, 11 and 7.
+            np.testing.assert_array_equal(
+                outputs[0][1:], spec.nodes()[[0, 5, 11, 7]]
+            )
 
 
 @st.composite
