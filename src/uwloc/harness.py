@@ -46,9 +46,9 @@ none, and each unit runs on the calling thread. At most one unit per
 worker or thread is in flight, and a freed one takes the next unit in the
 serial order, so a failure starts no further unit; it surfaces as the same
 StageError at every worker count, the q half's before the p half's. Two ML
-threads share one GridEvaluator: a point's q and p chunks use the same
-noise level, and a chunk at the next level waits inside locate until the
-other thread is done with the current one (see GridEvaluator).
+threads share one GridEvaluator and its cached noise level: a point's q
+and p chunks use the same level, and a chunk at the next level replaces it
+without waiting for the other thread (see GridEvaluator).
 
 SNR accounting: the reported target SNR is average received signal power
 over noise power, so the noise power at a grid point is
@@ -210,17 +210,26 @@ def _whole(value) -> int:
     return number
 
 
+def _array(convert):
+    """convert applied to each element of a JSON array; anything else raises TypeError."""
+    def parse(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a JSON array, got {value!r}")
+        return tuple(convert(item) for item in value)
+    return parse
+
+
 # JSON key -> conversion; an omitted key keeps the dataclass default.
 _NET_TYPES = {
     "train_size": _whole,
     "train_snr_db": float,
-    "hidden": lambda v: tuple(_whole(h) for h in v),
+    "hidden": _array(_whole),
     "epochs": _whole,
     "batch_size": _whole,
     "learning_rate": float,
 }
 _OPTIONAL_TYPES = {
-    "snr_db": lambda v: tuple(float(x) for x in v),
+    "snr_db": _array(float),
     "trials": _whole,
     "estimator": str,
     "csd_k": _whole,
@@ -243,11 +252,14 @@ def _grid_from_dict(data: dict, volume: np.ndarray) -> GridSpec:
     unknown = set(data) - _GRID_KEYS
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    interpolation = data.get("peak_interpolation", True)
+    if not isinstance(interpolation, bool):
+        raise ConfigError(f"grid peak_interpolation must be true or false: {interpolation!r}")
     return GridSpec(
         lower=data.get("lower", volume[0]),
         upper=data.get("upper", volume[1]),
         counts=data.get("counts", (31, 31, 7)),
-        peak_interpolation=bool(data.get("peak_interpolation", True)),
+        peak_interpolation=interpolation,
     )
 
 
@@ -621,9 +633,9 @@ def _trial_phase(state, workers: int):
       be set: two threads, with every OpenBLAS capped at share // 2 threads
       so the two threads' GEMMs do not oversubscribe the cores. The old
       counts come back on exit, also after a failure. The rule is the same
-      for both estimators: the ML scorer screens a block of nodes at a time
-      and keeps one design for both threads, and malloc keeps one arena,
-      so two ML threads hold about what one did.
+      for both estimators: the ML scorer screens and weights a block of
+      nodes at a time and keeps no design, and malloc keeps one arena, so
+      two ML threads hold about what one did.
     - Otherwise no executor: each unit runs on the calling thread.
     """
     if workers > 1:

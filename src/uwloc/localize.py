@@ -12,13 +12,13 @@ nodes with float32 GEMMs: a (T, L*L*N) matrix of the trials' spectra
 against a (G, L*L*N) design, both with the column layout given in the
 GridEvaluator docstring, one block of _SCREEN_NODES nodes at a time. The
 design is the noise-free node products (built once) weighted for one
-(signal power, noise power) level and rewritten in place when the level
-changes. A written-out rounding bound on the float32 scores selects the
-nodes that can still be the maximum; only those, and the winner's axis
-neighbors, are rescored in float64, so the argmax and the peak
-interpolation are those of the float64 score. Memory: float32 products
-and design plus the complex stacks, about 3*G*L*L*N*4 bytes at L = 4
-receivers.
+(signal power, noise power) level; each block of it is formed just before
+its GEMM, so the whole design is never held. A written-out rounding bound
+on the float32 scores selects the nodes that can still be the maximum;
+only those, and the winner's axis neighbors, are rescored in float64, so
+the argmax and the peak interpolation are those of the float64 score.
+Memory: float32 products plus the complex stacks, about 2*G*L*L*N*4 bytes
+at L = 4 receivers.
 
 The learned path regresses position from a phase-invariant feature vector
 with a small fully-connected network implemented here on plain numpy, so
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +128,9 @@ _SAFE32 = 2.0**120
 _RESCORE_PAIRS = 256
 # Trials screened per pass, bounding the (trials, K) float32 spectra.
 _LOCATE_CHUNK = 512
-# Nodes screened per GEMM, bounding the (trials, nodes) float32 screen.
-_SCREEN_NODES = 1024
+# Nodes screened per GEMM, bounding the (trials, nodes) float32 screen and
+# the (nodes, L*L*N) float32 design block.
+_SCREEN_NODES = 512
 
 
 def _float32_floor(values: np.ndarray) -> np.ndarray:
@@ -169,15 +169,16 @@ class GridEvaluator:
 
     An observation gives a row z with the same layout: |x_l|^2, then the
     real and the imaginary parts of x_l conj(x_l'). The design D is the
-    products weighted per node and bin by w. D in float32, w and the
-    offset in float64 and the per-bin maximum m_k = max_g w_gk |h_gk|^2
-    depend only on the level (signal_power, noise_power). They are kept
-    for the current level, so the q and p trials of one sweep point
-    share them, also when the two run on two threads at once.
+    products weighted per node and bin by w, multiplied in float32 by w
+    rounded to float32. w in float32 and float64, the offset in float64
+    and the per-bin maximum m_k = max_g w_gk |h_gk|^2 depend only on the
+    level (signal_power, noise_power). They are kept for the last level,
+    so the q and p trials of one sweep point share them.
 
     A chunk of T trials is screened by float32 GEMMs, z @ D^T - offset,
-    one (T, _SCREEN_NODES) block of nodes at a time. Rounding the inputs,
-    each K-term dot product
+    one (T, _SCREEN_NODES) block of nodes at a time; each block's rows of
+    D are written into one scratch block just before its GEMM. Rounding
+    the inputs, each K-term dot product
     (|fl(a^T b) - a^T b| <= gamma_K |a|^T |b|, Higham 2002, section 3.1)
     and the offset subtraction move every float32 score of trial t from
     S_g by less than
@@ -202,18 +203,18 @@ class GridEvaluator:
     overflow (beta_t + max |offset|, max |x_tk|^2, max w or max m_k at or
     above 2^120) or is not finite makes every node a candidate.
 
-    Memory: float32 products and design, 2*G*L*L*N*4 bytes, plus the
-    complex128 stacks kept for rescoring, G*L*N*16 bytes; about
-    3*G*L*L*N*4 bytes at L = 4. Construction writes the products one
-    receiver or receiver pair at a time, so beyond what the evaluator
-    keeps its transient is a few (G, N) buffers, under G*N*24 bytes.
-    The design is one buffer, allocated by the first locate call and
-    rewritten in place at each new level, so two designs never coexist.
-    locate may run on several threads at once: a call at a new level
-    waits its turn until no other call uses the current level, and only
-    then rewrites the design. Beyond the level, a call holds one block's
-    (T, _SCREEN_NODES) float32 screen and bool mask, with T at most
-    _LOCATE_CHUNK, whatever G is.
+    Memory: float32 products, G*L*L*N*4 bytes, plus the complex128
+    stacks kept for rescoring, G*L*N*16 bytes; 2*G*L*L*N*4 bytes at
+    L = 4. Construction writes the products one receiver or receiver
+    pair at a time, so beyond what the evaluator keeps its transient is
+    a few (G, N) buffers, under G*N*24 bytes. A level holds two (G, N)
+    weight arrays, float32 and float64. locate may run on several
+    threads at once: a level is built under a lock and never changed
+    afterwards, so a call at a new level replaces the cached one at
+    once, while calls at the old level keep theirs. Beyond its level, a
+    call holds one (_SCREEN_NODES, L*L*N) float32 design block and one
+    block's (T, _SCREEN_NODES) float32 screen and bool mask, with T at
+    most _LOCATE_CHUNK, whatever G is.
     """
 
     def __init__(self, spec: GridSpec, stacks: np.ndarray):
@@ -257,65 +258,39 @@ class GridEvaluator:
         return cls(spec, stacks)
 
     def _reset_level(self):
-        """No level and no design buffer yet; a fresh turn lock."""
-        self._turn = threading.Condition()
-        self._key = None  # (signal_power, noise_power) of self._data
-        self._data = None
-        self._users = 0  # locate calls using the current level
-        self._design = None
+        """No level yet; a fresh lock."""
+        self._lock = threading.Lock()
+        self._cached = None  # ((signal_power, noise_power), level)
 
     def __getstate__(self):
         # A lock does not pickle; the level is rebuilt on first use.
         state = self.__dict__.copy()
-        for name in ("_turn", "_key", "_data", "_users", "_design"):
-            del state[name]
+        del state["_lock"], state["_cached"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._reset_level()
 
-    @contextmanager
-    def _level(self, signal_power: float, noise_power: float):
-        """(design32 (G, K), weight (G, N), offset (G,), m (N,)) for one call.
+    def _level(self, signal_power: float, noise_power: float) -> tuple:
+        """(w32 (G, N), weight (G, N), offset (G,), m (N,)) at one level.
 
-        A call at a new level waits until no other call uses the current
-        one, then rewrites the one design buffer in place.
+        The last level built is kept for the next call. A level is never
+        changed once built, so a call keeps its own while another call
+        replaces the cached one.
         """
         key = (signal_power, noise_power)
-        with self._turn:
-            while self._key != key and self._users:
-                self._turn.wait()
-            if self._key != key:
-                self._key, self._data = None, None  # the design is about to change
-                self._data = self._build_level(signal_power, noise_power)
-                self._key = key
-            self._users += 1
-            level = self._data
-        try:
-            yield level
-        finally:
-            with self._turn:
-                self._users -= 1
-                if not self._users:
-                    self._turn.notify_all()
-
-    def _build_level(self, signal_power: float, noise_power: float) -> tuple:
-        gain = signal_power * self.energies + noise_power  # (G, N)
-        weight = signal_power / (noise_power * gain)
-        if self._design is None:
-            self._design = np.empty(self.products.shape, np.float32)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Overflow here makes every trial fail the safety test.
-            np.multiply(
-                self.products, weight.astype(np.float32)[:, None, :], out=self._design
-            )
-        return (
-            self._design.reshape(self._design.shape[0], -1),
-            weight,
-            np.sum(np.log(gain), axis=1),
-            np.max(weight * self.energies, axis=0),
-        )
+        with self._lock:
+            if self._cached is None or self._cached[0] != key:
+                gain = signal_power * self.energies + noise_power  # (G, N)
+                weight = signal_power / (noise_power * gain)
+                with np.errstate(over="ignore"):
+                    # Overflow here makes every trial fail the safety test.
+                    w32 = weight.astype(np.float32)
+                offset = np.sum(np.log(gain), axis=1)
+                bin_max = np.max(weight * self.energies, axis=0)
+                self._cached = key, (w32, weight, offset, bin_max)
+            return self._cached[1]
 
     def locate(
         self, observations, signal_power: float, noise_power: float
@@ -341,19 +316,19 @@ class GridEvaluator:
             )
         total = obs.shape[0]
         out = np.empty((total, 3))
-        with self._level(signal_power, noise_power) as level:
-            for start in range(0, total, _LOCATE_CHUNK):
-                block = obs[start : start + _LOCATE_CHUNK]
-                best, peak = self._argmax(block, level)
-                pos = self.nodes[best]
-                if self.spec.peak_interpolation:
-                    self._interpolate(block, level, best, peak, pos)
-                out[start : start + block.shape[0]] = pos
+        level = self._level(signal_power, noise_power)
+        for start in range(0, total, _LOCATE_CHUNK):
+            block = obs[start : start + _LOCATE_CHUNK]
+            best, peak = self._argmax(block, level)
+            pos = self.nodes[best]
+            if self.spec.peak_interpolation:
+                self._interpolate(block, level, best, peak, pos)
+            out[start : start + block.shape[0]] = pos
         return out
 
     def _argmax(self, block: np.ndarray, level: tuple) -> tuple:
         """(best node (T,), its float64 score (T,)) for a chunk of trials."""
-        design, weight, offset, bin_max = level
+        w32, weight, offset, bin_max = level
         row, col = self.pairs
         power = block.real**2 + block.imag**2  # (T, L, N)
         cross = block[:, row, :] * np.conj(block[:, col, :])
@@ -380,13 +355,21 @@ class GridEvaluator:
             & (top_norm < _SAFE32)
             & (max(top_weight, top_bin) < _SAFE32)
         )
-        node_count = design.shape[0]
+        node_count = self.products.shape[0]
+        # The design D, one block of nodes at a time, as the GEMM packs it.
+        scratch = np.empty((min(_SCREEN_NODES, node_count), terms), np.float32)
         top = np.full(block.shape[0], -np.inf)
         kept, values = [], []
         for start in range(0, node_count, _SCREEN_NODES):
             part = slice(start, start + _SCREEN_NODES)
+            products = self.products[part]
+            design = scratch[: products.shape[0]]
             with np.errstate(over="ignore", invalid="ignore"):
-                screen = stats @ design[part].T  # (T, nodes of the block)
+                # Overflow here makes every trial fail the safety test.
+                np.multiply(
+                    products, w32[part, None, :], out=design.reshape(products.shape)
+                )
+                screen = stats @ design.T  # (T, nodes of the block)
                 screen -= offset[part].astype(np.float32)
                 peak = np.max(screen, axis=1)
                 np.maximum(top, peak, out=top)

@@ -402,6 +402,8 @@ class TestConfig:
             ({"net": {"learning_rate": math.nan}}, "learning_rate"),
             ({"net": {"train_snr_db": math.nan}}, "train_snr_db"),
             ({"snr_db": [math.nan]}, "snr_db"),
+            ({"grid": {"peak_interpolation": 0}}, "peak_interpolation"),
+            ({"grid": {"peak_interpolation": None}}, "peak_interpolation"),
             ({"trials": 40.5}, "'trials'"),
             ({"n_bins": "abc"}, "'n_bins'"),
             ({"n_bins": None}, "'n_bins'"),
@@ -410,6 +412,22 @@ class TestConfig:
         ):
             with pytest.raises(ConfigError, match=match):
                 config_from_dict(tiny_config_dict(**bad))
+
+    def test_string_snr_grid_is_not_read_per_character(self):
+        # "10" used to become the SNR grid (1.0, 0.0).
+        data = dict(default_experiment_config(), snr_db="10")
+        with pytest.raises(ConfigError, match="JSON array"):
+            config_from_dict(data)
+        data["snr_db"] = [10]
+        assert config_from_dict(data).snr_db == (10.0,)
+
+    def test_peak_interpolation_takes_only_a_boolean(self):
+        # bool("false") is True: a string would turn interpolation on.
+        with pytest.raises(ConfigError, match="true or false"):
+            config_from_dict(tiny_config_dict(grid={"peak_interpolation": "false"}))
+        for flag in (False, True):
+            grid = config_from_dict(tiny_config_dict(grid={"peak_interpolation": flag})).grid
+            assert grid.peak_interpolation is flag
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys"):

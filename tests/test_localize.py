@@ -376,7 +376,7 @@ class TestGridEvaluator:
 
 
 class TestSharedLevel:
-    """One design buffer, rewritten in place, shared by concurrent calls."""
+    """One cached level shared by concurrent calls; no design is kept."""
 
     def case(self):
         env = iso_env()
@@ -387,7 +387,7 @@ class TestSharedLevel:
         )
         return evaluator, batch
 
-    def test_threads_at_two_levels(self, monkeypatch):
+    def test_threads_at_two_levels(self):
         # Four threads, two per level, more than a 2-core host has cores; a
         # short switch interval makes the interpreter interleave them often.
         evaluator, batch = self.case()
@@ -396,14 +396,6 @@ class TestSharedLevel:
             level: GridEvaluator(evaluator.spec, evaluator.stacks).locate(batch, *level)
             for level in levels
         }
-        users_at_build = []
-        build = GridEvaluator._build_level
-
-        def recording(self, signal_power, noise_power):
-            users_at_build.append(self._users)
-            return build(self, signal_power, noise_power)
-
-        monkeypatch.setattr(GridEvaluator, "_build_level", recording)
         barrier = threading.Barrier(4)
         got = {level: [] for level in levels}
 
@@ -430,18 +422,27 @@ class TestSharedLevel:
             assert len(got[level]) == 20
             for rows in got[level]:
                 np.testing.assert_array_equal(rows, want[level])
-        # A level is built only while no other call uses the current one.
-        assert users_at_build and set(users_at_build) == {0}
 
-    def test_design_buffer_keeps_its_identity(self):
-        evaluator, batch = self.case()
-        evaluator.locate(batch, 1.0, 0.1)
-        design = evaluator._design
-        for level in ((1.0, 2.0), (0.5, 0.1), (1.0, 0.1)):
-            evaluator.locate(batch, *level)
-            assert evaluator._design is design
-            with evaluator._level(*level) as (weighted, *_):
-                assert np.shares_memory(weighted, design)
+    def test_locate_allocates_less_than_a_design(self):
+        # The weighted products are formed one block of _SCREEN_NODES nodes
+        # at a time, so a call never holds a (G, L*L*N) float32 design.
+        rng = np.random.default_rng(53)
+        counts = (-(-4 * localize._SCREEN_NODES // 64), 8, 8)
+        shape = (int(np.prod(counts)), 4, 16)
+        stacks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spec = GridSpec([0.0, 0.0, 0.0], [30.0, 20.0, 10.0], counts, True)
+        evaluator = GridEvaluator(spec, stacks)
+        batch = stacks[[5, 900, 2000]] + 0.3 * rng.standard_normal((3, 4, 16))
+        design_bytes = shape[0] * 4 * 4 * shape[2] * 4
+        assert evaluator.products.nbytes == design_bytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluator.locate(batch, 1.0, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < design_bytes, (peak - base, design_bytes)
 
     def test_pickle_round_trip_locates_identically(self):
         evaluator, batch = self.case()
