@@ -42,13 +42,15 @@ W forked processes, each capping the OpenBLAS that numpy loaded at share
 threads (see _init_worker); with W = 1 on a share of at least 2 cores, for
 either estimator, two threads in the parent, whose OpenBLAS is capped at
 share // 2 threads for the trial phase and restored afterwards; otherwise
-none, and each unit runs on the calling thread. At most one unit per
-worker or thread is in flight, and a freed one takes the next unit in the
-serial order, so a failure starts no further unit; it surfaces as the same
-StageError at every worker count, the q half's before the p half's. Two ML
-threads share one GridEvaluator and its cached noise level: a point's q
-and p chunks use the same level, and a chunk at the next level replaces it
-without waiting for the other thread (see GridEvaluator).
+none, and each unit runs on the calling thread. Every unit is queued up
+front in the serial order, and run_experiment assembles each point on the
+calling thread as soon as its units are done, while later points run. A
+failure cancels the later units not yet started; the StageError raised is
+the same at every worker count, the first in the order point 0's trials
+(q half, then p half), point 0's assembly, point 1's trials, and so on.
+Two ML threads share one GridEvaluator and its cached noise level: a
+point's q and p chunks use the same level, and a chunk at the next level
+replaces it without waiting for the other thread (see GridEvaluator).
 
 SNR accounting: the reported target SNR is average received signal power
 over noise power, so the noise power at a grid point is
@@ -64,16 +66,15 @@ import dataclasses
 import json
 import math
 import os
+import threading
 import time
 import zlib
 from collections.abc import Callable
 from concurrent.futures import (
-    FIRST_COMPLETED,
     BrokenExecutor,
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
-    wait,
 )
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -574,18 +575,18 @@ def _inline_chunk(state, *unit) -> Future:
     return future
 
 
-def _run_points(tasks: list, submit: Callable, slots: int) -> list:
-    """Error samples {"q": (trials, 3), "p": (trials, 3)} of each task's point.
+def _run_points(tasks: list, submit: Callable):
+    """Yield each task's errors {"q": (trials, 3), "p": (trials, 3)}, in order.
 
-    A unit is one chunk of one point's q or p half, and units start in the
-    serial order: every chunk of point 0's q half, then of its p half, then
-    point 1, and so on. submit(*unit) starts a unit and returns its Future
-    (_trial_phase gives submit and slots). At most `slots` units are in
-    flight and a freed slot takes the next one, so a slow chunk holds up
-    only itself; after the first failure seen no unit starts. Every chunk
-    draws from its own stream and the outcomes are assembled in order, so
-    the results and the failure are the serial ones whatever ran the units:
-    StageError("snr[i]:q" or "snr[i]:p") of the first failing half.
+    A unit is one chunk of one point's q or p half. Every unit is submitted
+    up front in the serial order (point 0's q chunks, its p chunks, point 1,
+    and so on) through submit(*unit) -> Future, which _trial_phase gives;
+    the workers take units in that order, and a point is yielded as soon as
+    its own units are done. The first failure cancels every later unit not
+    yet started and stops the submitting (an inline submit has run its unit
+    by the time it returns). Outcomes are read in order, so the results and
+    the failure are the serial ones whatever ran the units: StageError
+    ("snr[i]:q" or "snr[i]:p") of the first failing half.
     """
     units = [
         (master, point_idx, kind, noise_power, chunk_idx, rows.stop - rows.start)
@@ -593,23 +594,32 @@ def _run_points(tasks: list, submit: Callable, slots: int) -> list:
         for kind in ("q", "p")
         for chunk_idx, rows in enumerate(_chunk_rows(trials))
     ]
-    futures, running = [], set()
-    for unit in units:
-        if len(running) == slots:
-            done, running = wait(running, return_when=FIRST_COMPLETED)
-            if any(future.exception() for future in done):
-                break
+    futures, stopped = [], threading.Event()
+
+    def stop_after(index, future):
+        # Units start in order, so none before a failing one still waits. A
+        # broken pool fails its pending units itself and cannot fail a
+        # cancelled one.
+        failure = None if future.cancelled() else future.exception()
+        if failure is not None and not isinstance(failure, BrokenExecutor):
+            stopped.set()
+            for later in futures[index + 1 :]:
+                later.cancel()
+
+    for index, unit in enumerate(units):
+        if stopped.is_set():
+            break
         try:
             future = submit(*unit)
-        except BrokenExecutor as exc:  # a worker died since the last wait
+        except BrokenExecutor as exc:  # a worker died since the last submit
             future = Future()
             future.set_exception(exc)
         futures.append(future)
-        running.add(future)
-    wait(running)
+        future.add_done_callback(partial(stop_after, index))
+        if stopped.is_set():  # a failure seen after the check above
+            future.cancel()
 
     outcomes = iter(futures)
-    results = []
     for master, point_idx, _, trials in tasks:
         errors = {}
         for kind in ("q", "p"):
@@ -617,13 +627,12 @@ def _run_points(tasks: list, submit: Callable, slots: int) -> list:
                 errors[kind] = np.concatenate(
                     [next(outcomes).result() for _ in _chunk_rows(trials)]
                 )
-        results.append(errors)
-    return results
+        yield errors
 
 
 @contextmanager
 def _trial_phase(state, workers: int):
-    """(submit, slots) for _run_points: the one place that picks where units run.
+    """The submit for _run_points: the one place that picks where units run.
 
     - W > 1: a pool of W forked processes, each keeping the state and
       capping its OpenBLAS at state["share"] threads (see _init_worker). A
@@ -632,28 +641,30 @@ def _trial_phase(state, workers: int):
     - W = 1, a share of at least 2 cores and an OpenBLAS whose threads can
       be set: two threads, with every OpenBLAS capped at share // 2 threads
       so the two threads' GEMMs do not oversubscribe the cores. The old
-      counts come back on exit, also after a failure. The rule is the same
-      for both estimators: the ML scorer screens and weights a block of
-      nodes at a time and keeps no design, and malloc keeps one arena, so
-      two ML threads hold about what one did.
+      counts come back on exit. The rule is the same for both estimators:
+      the ML scorer keeps no design and malloc keeps one arena, so two ML
+      threads hold about what one did.
     - Otherwise no executor: each unit runs on the calling thread.
+
+    On exit, also on a raise, the executor cancels the units still queued,
+    waits for the running ones and shuts down.
     """
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(state,)
-        ) as pool:
-            yield partial(pool.submit, _pooled_chunk), workers
-        return
     changed = []
-    if state["share"] >= 2:
-        changed = _set_blas_threads(state["share"] // 2)
-    if not changed:
-        yield partial(_inline_chunk, state), 1
+    if workers > 1:
+        executor = ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(state,)
+        )
+        submit = partial(executor.submit, _pooled_chunk)
+    elif state["share"] >= 2 and (changed := _set_blas_threads(state["share"] // 2)):
+        executor = ThreadPoolExecutor(max_workers=2)
+        submit = partial(executor.submit, _trial_chunk, state)
+    else:
+        yield partial(_inline_chunk, state)
         return
     try:
-        with ThreadPoolExecutor(max_workers=2) as threads:
-            yield partial(threads.submit, _trial_chunk, state), 2
+        yield submit
     finally:
+        executor.shutdown(cancel_futures=True)
         for set_threads, count in changed:
             set_threads(count)
 
@@ -815,45 +826,37 @@ def run_experiment(
     ]
     workers = min(workers, len(tasks))
     state["share"] = _core_share(workers)
-    with _trial_phase(state, workers) as (submit, slots):
-        results = _run_points(tasks, submit, slots)
-
     points = []
     excluded = []
-    for idx, db in enumerate(config.snr_db):
-        with _stage(f"snr[{idx}]:assemble", config.seed):
-            gather = results[idx]
-            evaluation = bounds_mod.strong_bound(
-                gather["q"], gather["p"], k_nn=config.csd_k
+    with _trial_phase(state, workers) as submit:
+        # Each point is assembled here while the later points' trials run.
+        for idx, (db, gather) in enumerate(zip(config.snr_db, _run_points(tasks, submit))):
+            with _stage(f"snr[{idx}]:assemble", config.seed):
+                evaluation = bounds_mod.strong_bound(gather["q"], gather["p"], k_nn=config.csd_k)
+                snr_raw = SIGNAL_POWER / noise_powers[idx]
+                delta2 = bounds_mod.delta_squared_closed_form(state["h_q"], state["h_p"], snr_raw)
+                _, condition_ok = bounds_mod.gamma_and_condition(
+                    state["h_q"], state["h_p"], snr_raw
+                )
+                weak_mse = bounds_mod.weak_bound(evaluation.mse_q, evaluation.var_q, delta2)
+                point = CurvePoint(
+                    snr_db=float(db),
+                    rmse_q=math.sqrt(evaluation.mse_q),
+                    rmse_p=math.sqrt(evaluation.mse_p),
+                    bound_strong=math.sqrt(evaluation.strong_bound),
+                    bound_weak=math.sqrt(weak_mse),
+                    delta2=delta2,
+                    csd_estimate=evaluation.csd_error,
+                    condition_ok=condition_ok,
+                    trials=config.trials,
+                    seed=config.seed,
+                )
+            points.append(point)
+            excluded.append(evaluation.excluded_points)
+            note(
+                f"snr {db:+.1f} dB: rmse_q {point.rmse_q:.3g} rmse_p {point.rmse_p:.3g} "
+                f"strong {point.bound_strong:.3g}"
             )
-            snr_raw = SIGNAL_POWER / noise_powers[idx]
-            delta2 = bounds_mod.delta_squared_closed_form(
-                state["h_q"], state["h_p"], snr_raw
-            )
-            _, condition_ok = bounds_mod.gamma_and_condition(
-                state["h_q"], state["h_p"], snr_raw
-            )
-            weak_mse = bounds_mod.weak_bound(
-                evaluation.mse_q, evaluation.var_q, delta2
-            )
-            point = CurvePoint(
-                snr_db=float(db),
-                rmse_q=math.sqrt(evaluation.mse_q),
-                rmse_p=math.sqrt(evaluation.mse_p),
-                bound_strong=math.sqrt(evaluation.strong_bound),
-                bound_weak=math.sqrt(weak_mse),
-                delta2=delta2,
-                csd_estimate=evaluation.csd_error,
-                condition_ok=condition_ok,
-                trials=config.trials,
-                seed=config.seed,
-            )
-        points.append(point)
-        excluded.append(evaluation.excluded_points)
-        note(
-            f"snr {db:+.1f} dB: rmse_q {point.rmse_q:.3g} rmse_p {point.rmse_p:.3g} "
-            f"strong {point.bound_strong:.3g}"
-        )
 
     metadata = {
         "config": config_to_dict(config),
@@ -908,16 +911,9 @@ def emit_outputs(result: ExperimentResult, out_dir) -> dict:
     lines.append("environment mismatch localization experiment")
     lines.append("=" * len(lines[0]))
     versions = meta.get("versions", {})
-    lines.append(
-        "uwloc "
-        + str(versions.get("uwloc", "?"))
-        + " | numpy "
-        + str(versions.get("numpy", "?"))
-        + " | scipy "
-        + str(versions.get("scipy", "?"))
-        + " | python "
-        + str(versions.get("python", "?"))
-    )
+    lines.append(" | ".join(
+        f"{name} {versions.get(name, '?')}" for name in ("uwloc", "numpy", "scipy", "python")
+    ))
     lines.append(f"estimator: {meta.get('estimator')}")
     lines.append(f"source: {meta.get('source')}")
     lines.append(f"average attenuation (presumed env): {meta.get('attenuation_q')!r}")

@@ -449,27 +449,29 @@ def extract_features(observations, attenuation: float) -> np.ndarray:
     lexicographic order the real parts of x_l conj(x_l') (pairs*N) followed
     by the imaginary parts (pairs*N). Every block is invariant to a common
     phase rotation of the observation.
+
+    The blocks are written into one preallocated (T, F) array; beside it the
+    call holds the scaled (T, L, N) copy and one pair's (T, N) complex
+    product. That product is conj(x_l') * x_l in this operand order: numpy's
+    SIMD complex multiply rounds a*b and b*a differently, and x_l *
+    conj(x_l') ran swapped only above 256 KiB, where numpy reuses the
+    temporary conj(x_l') in place, so a row's bits hung on the batch size.
     """
     if attenuation <= 0:
         raise ConfigError("attenuation must be > 0")
     arr = np.asarray(observations, dtype=complex)
     if arr.ndim != 3:
         raise ValueError("observations must be (T, L, N)")
-    t_count, l_count, _ = arr.shape
-    scaled = arr / math.sqrt(attenuation)
-    mag = np.abs(scaled)
+    t_count, l_count, n_bins = arr.shape
     row, col = np.triu_indices(l_count, 1)
-    cross = scaled[:, row, :] * np.conj(scaled[:, col, :])
-    feats = np.concatenate(
-        [
-            mag.reshape(t_count, -1),
-            (mag**2).reshape(t_count, -1),
-            cross.real.reshape(t_count, -1),
-            cross.imag.reshape(t_count, -1),
-        ],
-        axis=1,
-    )
-    return feats
+    scaled = arr / math.sqrt(attenuation)
+    feats = np.empty((t_count, 2 * (l_count + row.size), n_bins))
+    np.square(np.abs(scaled, out=feats[:, :l_count]), out=feats[:, l_count : 2 * l_count])
+    for pair, (r, c) in enumerate(zip(row, col), start=2 * l_count):
+        cross = np.conj(scaled[:, c]) * scaled[:, r]
+        feats[:, pair] = cross.real
+        feats[:, pair + row.size] = cross.imag
+    return feats.reshape(t_count, -1)
 
 
 @dataclass

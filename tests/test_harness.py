@@ -11,14 +11,14 @@ import time
 import tracemalloc
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures.process import EXTRA_QUEUED_CALLS, BrokenProcessPool
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uwloc import channel, harness, signal as signal_mod
+from uwloc import bounds as bounds_mod, channel, harness, signal as signal_mod
 from uwloc.cli import main
 from uwloc.errors import ConfigError, StageError
 from uwloc.harness import (
@@ -181,7 +181,7 @@ class TestDrawContract:
         noise_power = hand_noise_power(attenuation, 20.0)
         trials = 2 * TRIAL_CHUNK + 7
         errors, = _run_points([(config.seed, 1, noise_power, trials)],
-                              partial(_inline_chunk, state), 1)
+                              partial(_inline_chunk, state))
         assert [obs.shape[0] for obs in seen] == [TRIAL_CHUNK, TRIAL_CHUNK, 7] * 2
         want = hand_drawn(config.seed, "trial-p:1", 2, state["h_p"], noise_power, 7)
         assert np.array_equal(seen[5], want)
@@ -599,9 +599,10 @@ class TestRunExperiment:
         with pytest.raises(StageError) as info:
             run_experiment(config_from_dict(data), workers=2)
         assert info.value.stage == "snr[0]:q"
-        # The point in flight beside the failing one finishes (one more if it
-        # finished before the failure was seen); no queued point starts. A
-        # pool fed through Executor.map ran four.
+        # Both units of point 0 fail. Only the units already in the pool's
+        # call queue may still start (three with two workers: points 1 and
+        # 2); every later one is cancelled. A pool fed through Executor.map
+        # ran four points.
         assert len(os.listdir(record)) <= 2
 
     def test_a_dying_worker_names_its_half(self, monkeypatch, tmp_path, capsys):
@@ -636,7 +637,7 @@ class TestRunExperiment:
             raise BrokenProcessPool("a worker died")
 
         with pytest.raises(StageError) as info:
-            _run_points([(99, 0, 1.0, 40)], broken, 2)
+            list(_run_points([(99, 0, 1.0, 40)], broken))
         assert info.value.stage == "snr[0]:q"
         assert isinstance(info.value.cause, BrokenProcessPool)
 
@@ -918,6 +919,116 @@ class TestThreadedHalves:
             assert threads and threading.get_ident() not in threads
         else:
             assert threads == {threading.get_ident()}
+
+
+# (workers, core share) of each executor _trial_phase picks.
+EXECUTORS = {"inline": (1, 1), "threads": (1, 2), "pool": (2, 1)}
+
+
+class TestScheduler:
+    """Every unit is queued up front, and each point is assembled when done."""
+
+    def run(self, monkeypatch, executor, data, **kwargs):
+        workers, share = EXECUTORS[executor]
+        if executor == "threads" and not _openblas_functions("set_num_threads"):
+            pytest.skip("numpy is not linked against OpenBLAS")
+        force_core_share(monkeypatch, share)
+        return run_experiment(config_from_dict(data), workers=workers, **kwargs)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_a_failing_unit_cancels_every_unit_not_started(self, monkeypatch, tmp_path,
+                                                           executor):
+        def fail_first(stage):
+            (tmp_path / stage).touch()
+            if stage == "trial-q:0":
+                time.sleep(0.05)  # every unit is queued by now
+                raise ValueError("injected draw failure")
+            time.sleep(0.15)  # no other unit ends before the failure is seen
+
+        record_trial_draws(monkeypatch, fail_first)
+        data = tiny_config_dict(snr_db=[float(v) for v in range(8)])
+        with pytest.raises(StageError) as info:
+            self.run(monkeypatch, executor, data)
+        assert info.value.stage == "snr[0]:q"
+        # Beside the failing unit only the units already taken may start: the
+        # other thread's, or each pool worker's and those in the pool's call
+        # queue (workers + EXTRA_QUEUED_CALLS of them).
+        may_start = {"inline": 1, "threads": 2, "pool": 4 + EXTRA_QUEUED_CALLS}[executor]
+        order = [f"trial-{kind}:{idx}" for idx in range(8) for kind in "qp"]
+        started = set(os.listdir(tmp_path))
+        assert "trial-q:0" in started and started <= set(order[:may_start])
+
+    @pytest.mark.parametrize("executor", ["threads", "pool"])
+    def test_a_held_unit_of_point_1_holds_up_no_note_of_point_0(self, monkeypatch,
+                                                                executor):
+        # Point 1's q unit waits until point 0's progress note is out, so that
+        # note may not wait for point 1's units. Forked pool workers share
+        # the event.
+        noted = multiprocessing.Event()
+
+        def hold(stage):
+            if stage == "trial-q:1":
+                assert noted.wait(timeout=10), "point 0 waited for point 1"
+
+        def progress(text):
+            if text.startswith("snr +0.0 dB"):
+                noted.set()
+
+        record_trial_draws(monkeypatch, hold)
+        self.run(monkeypatch, executor, tiny_config_dict(), progress=progress)
+        assert noted.is_set()
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_an_assembly_failure_comes_before_later_trials(self, monkeypatch, executor):
+        # Every unit of point 1 fails, likely before point 0 is assembled;
+        # point 0's assembly comes first in the order, so its failure is raised.
+        def fail_point_1(stage):
+            if stage.endswith(":1"):
+                raise ValueError("injected draw failure")
+
+        def fail_bound(*args, **kwargs):
+            raise ValueError("injected assembly failure")
+
+        record_trial_draws(monkeypatch, fail_point_1)
+        monkeypatch.setattr(bounds_mod, "strong_bound", fail_bound)
+        with pytest.raises(StageError) as info:
+            self.run(monkeypatch, executor, tiny_config_dict())
+        assert info.value.stage == "snr[0]:assemble"
+        assert "injected assembly failure" in str(info.value.cause)
+
+    @pytest.mark.parametrize("executor", ["threads", "pool"])
+    def test_an_assembly_failure_cancels_the_queued_units(self, monkeypatch, tmp_path,
+                                                          executor):
+        # Point 0's assembly fails while the later points' units are queued;
+        # leaving the trial phase drops those, so few of the 16 ever start.
+        def record(stage):
+            (tmp_path / stage).touch()
+            time.sleep(0.05)
+
+        def fail_bound(*args, **kwargs):
+            raise ValueError("injected assembly failure")
+
+        record_trial_draws(monkeypatch, record)
+        monkeypatch.setattr(bounds_mod, "strong_bound", fail_bound)
+        data = tiny_config_dict(snr_db=[float(v) for v in range(8)])
+        with pytest.raises(StageError) as info:
+            self.run(monkeypatch, executor, data)
+        assert info.value.stage == "snr[0]:assemble"
+        assert len(os.listdir(tmp_path)) < 12
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_no_thread_outlives_a_run(self, monkeypatch, executor):
+        def fail(stage):
+            raise ValueError("injected draw failure")
+
+        before = threading.active_count()
+        self.run(monkeypatch, executor, tiny_config_dict())
+        assert threading.active_count() == before
+        record_trial_draws(monkeypatch, fail)
+        with pytest.raises(StageError):
+            self.run(monkeypatch, executor, tiny_config_dict())
+        assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
 
 
 class TestGenerateDataset:

@@ -607,6 +607,14 @@ class TestExtractFeatures:
         with pytest.raises(ConfigError):
             extract_features(x, 0.0)
 
+    def test_rows_do_not_depend_on_the_batch(self):
+        # One batch of 500 rows and the same rows one at a time, bit for bit:
+        # the cross terms multiply their operands in one order at every size.
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((500, 4, 64)) + 1j * rng.standard_normal((500, 4, 64))
+        one_by_one = [extract_features(x[i : i + 1], 0.37) for i in range(len(x))]
+        assert np.array_equal(extract_features(x, 0.37), np.concatenate(one_by_one))
+
 
 class TestTrainingSet:
     def test_validates_shapes(self):
