@@ -119,12 +119,16 @@ def box_distance(receivers, box) -> np.ndarray:
 def box_issues(boxes: dict, receivers, water_depth: float) -> list[str]:
     """The far-field rules that the named boxes [lo, hi] break, one message each.
 
-    Each box must lie in the water column [0, water_depth] and keep
-    DEFAULT_MIN_DISTANCE from every receiver, so that every position in it
-    has a finite, meaningful 1/d gain. An empty list means all keep them.
+    Each box must have finite corners, lie in the water column
+    [0, water_depth] and keep DEFAULT_MIN_DISTANCE from every receiver, so
+    that every position in it has a finite, meaningful 1/d gain. An empty
+    list means all keep them.
     """
     issues = []
     for label, (lo, hi) in boxes.items():
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            issues.append(f"{label} coordinates must be finite")
+            continue
         if lo[2] < 0 or hi[2] > water_depth:
             issues.append(f"{label} depths must lie in [0, water_depth]")
         gaps = box_distance(receivers, (lo, hi))
@@ -145,6 +149,9 @@ def validate_geometry(geometry: Geometry, env: Environment) -> list[str]:
     recv = geometry.receivers
     if recv.ndim != 2 or recv.shape[1] != 3 or recv.shape[0] < 1:
         issues.append("receivers must be an (L, 3) array with L >= 1")
+        return issues
+    if not np.isfinite(recv).all():
+        issues.append("receiver coordinates must be finite")
         return issues
     vol = geometry.volume
     if vol.shape != (2, 3):

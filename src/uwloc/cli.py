@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -94,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="full SNR sweep")
     common(p)
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (results do not depend on this)")
+                   help="N > 1 forks N processes for the trials, 1 runs them on "
+                        "threads; results do not depend on this")
 
     return parser
 
@@ -126,9 +128,9 @@ def _cmd_gen_data(args) -> int:
 def _load_dataset(data_dir):
     """(values, labels or None, noise_power, attenuation) of a data directory.
 
-    A meta.json that is not JSON or lacks a numeric noise_power or
-    attenuation, or a labels.csv that does not hold one numeric x,y,z row
-    per observation, raises ConfigError.
+    A meta.json that is not JSON or lacks a finite, positive noise_power
+    or attenuation, or a labels.csv that does not hold one numeric x,y,z
+    row per observation, raises ConfigError.
     """
     data = Path(data_dir)
     values, _ = signal_mod.load_observations(data / "observations.bin")
@@ -143,6 +145,11 @@ def _load_dataset(data_dir):
         raise ConfigError(
             f"{meta_path} needs numeric 'noise_power' and 'attenuation': {exc!r}"
         ) from exc
+    if not all(math.isfinite(v) and v > 0 for v in (noise_power, attenuation)):
+        raise ConfigError(
+            f"{meta_path} needs finite, positive 'noise_power' and 'attenuation', "
+            f"got {noise_power!r} and {attenuation!r}"
+        )
     labels = None
     labels_path = data / "labels.csv"
     if labels_path.exists():

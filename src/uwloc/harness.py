@@ -37,17 +37,18 @@ grid, the net's training set) are built on one thread per core inside each
 signal.response_stack_batch call, and those threads end with the call, so
 no thread is alive when a pool forks. The trials then run as units, one
 chunk of one point's q or p half each, through one scheduler (_run_points)
-on one of three executors, which _trial_phase picks: with W > 1 a pool of
-W forked processes, each capping the OpenBLAS that numpy loaded at share
-threads (see _init_worker); with W = 1 on a share of at least 2 cores, for
-either estimator, two threads in the parent, whose OpenBLAS is capped at
-share // 2 threads for the trial phase and restored afterwards; otherwise
-none, and each unit runs on the calling thread. Every unit is queued up
-front in the serial order, and run_experiment assembles each point on the
-calling thread as soon as its units are done, while later points run. A
-failure cancels the later units not yet started; the StageError raised is
-the same at every worker count, the first in the order point 0's trials
-(q half, then p half), point 0's assembly, point 1's trials, and so on.
+on a pool or on threads, which _trial_phase picks: with W > 1 a pool of W
+forked processes, each capping the OpenBLAS that numpy loaded at share
+threads (see _init_worker); with W = 1, for either estimator, threads in
+the parent: two on a share of at least 2 cores, whose OpenBLAS is capped
+at share // 2 threads for the trial phase and restored afterwards, and one
+where the share is 1 core or no OpenBLAS can be capped. No unit runs on
+the calling thread. Every unit is queued up front in the serial order,
+and run_experiment assembles each point on the calling thread as soon as
+its units are done, while later points run. A failure cancels the later
+units not yet started; the StageError raised is the same at every worker
+count, the first in the order point 0's trials (q half, then p half),
+point 0's assembly, point 1's trials, and so on.
 Two ML threads share one GridEvaluator and its cached noise level: a
 point's q and p chunks use the same level, and a chunk at the next level
 replaces it without waiting for the other thread (see GridEvaluator).
@@ -204,9 +205,9 @@ _GRID_KEYS = {"counts", "lower", "upper", "peak_interpolation"}
 
 
 def _whole(value) -> int:
-    """value as an int; a number with a fractional part raises ValueError."""
+    """value as an int; a boolean or a fractional number raises ValueError."""
     number = int(value)
-    if number != value:
+    if isinstance(value, bool) or number != value:
         raise ValueError(f"{value!r} is not a whole number")
     return number
 
@@ -256,10 +257,11 @@ def _grid_from_dict(data: dict, volume: np.ndarray) -> GridSpec:
     interpolation = data.get("peak_interpolation", True)
     if not isinstance(interpolation, bool):
         raise ConfigError(f"grid peak_interpolation must be true or false: {interpolation!r}")
+    counts = _convert(data, {"counts": _array(_whole)}, "grid").get("counts", (31, 31, 7))
     return GridSpec(
         lower=data.get("lower", volume[0]),
         upper=data.get("upper", volume[1]),
-        counts=data.get("counts", (31, 31, 7)),
+        counts=counts,
         peak_interpolation=interpolation,
     )
 
@@ -565,16 +567,6 @@ def _pooled_chunk(*unit) -> np.ndarray:
     return _trial_chunk(_WORKER_STATE, *unit)
 
 
-def _inline_chunk(state, *unit) -> Future:
-    """_trial_chunk run now, on the calling thread, as a finished Future."""
-    future = Future()
-    try:
-        future.set_result(_trial_chunk(state, *unit))
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
-
-
 def _run_points(tasks: list, submit: Callable):
     """Yield each task's errors {"q": (trials, 3), "p": (trials, 3)}, in order.
 
@@ -583,10 +575,10 @@ def _run_points(tasks: list, submit: Callable):
     and so on) through submit(*unit) -> Future, which _trial_phase gives;
     the workers take units in that order, and a point is yielded as soon as
     its own units are done. The first failure cancels every later unit not
-    yet started and stops the submitting (an inline submit has run its unit
-    by the time it returns). Outcomes are read in order, so the results and
-    the failure are the serial ones whatever ran the units: StageError
-    ("snr[i]:q" or "snr[i]:p") of the first failing half.
+    yet started and stops the submitting. Outcomes are read in order, so
+    the results and the failure are the serial ones whether a pool or
+    threads ran the units: StageError ("snr[i]:q" or "snr[i]:p") of the
+    first failing half.
     """
     units = [
         (master, point_idx, kind, noise_power, chunk_idx, rows.stop - rows.start)
@@ -638,13 +630,13 @@ def _trial_phase(state, workers: int):
       capping its OpenBLAS at state["share"] threads (see _init_worker). A
       unit reaches a worker as its arguments only, through _pooled_chunk,
       so the state is never pickled per unit.
-    - W = 1, a share of at least 2 cores and an OpenBLAS whose threads can
-      be set: two threads, with every OpenBLAS capped at share // 2 threads
-      so the two threads' GEMMs do not oversubscribe the cores. The old
-      counts come back on exit. The rule is the same for both estimators:
-      the ML scorer keeps no design and malloc keeps one arena, so two ML
-      threads hold about what one did.
-    - Otherwise no executor: each unit runs on the calling thread.
+    - W = 1: threads in this process, none of them the calling one. Two
+      when the share is at least 2 cores and an OpenBLAS whose threads can
+      be set is loaded, with every OpenBLAS capped at share // 2 threads
+      so the two threads' GEMMs do not oversubscribe the cores; the old
+      counts come back on exit. One otherwise. The rule is the same for
+      both estimators: the ML scorer keeps no design and malloc keeps one
+      arena, so two ML threads hold about what one did.
 
     On exit, also on a raise, the executor cancels the units still queued,
     waits for the running ones and shuts down.
@@ -655,12 +647,11 @@ def _trial_phase(state, workers: int):
             max_workers=workers, initializer=_init_worker, initargs=(state,)
         )
         submit = partial(executor.submit, _pooled_chunk)
-    elif state["share"] >= 2 and (changed := _set_blas_threads(state["share"] // 2)):
-        executor = ThreadPoolExecutor(max_workers=2)
-        submit = partial(executor.submit, _trial_chunk, state)
     else:
-        yield partial(_inline_chunk, state)
-        return
+        if state["share"] >= 2:
+            changed = _set_blas_threads(state["share"] // 2)
+        executor = ThreadPoolExecutor(max_workers=2 if changed else 1)
+        submit = partial(executor.submit, _trial_chunk, state)
     try:
         yield submit
     finally:

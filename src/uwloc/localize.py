@@ -131,6 +131,8 @@ _LOCATE_CHUNK = 512
 # Nodes screened per GEMM, bounding the (trials, nodes) float32 screen and
 # the (nodes, L*L*N) float32 design block.
 _SCREEN_NODES = 512
+# Guards every GridEvaluator's level build, so no instance holds a lock.
+_LEVEL_LOCK = threading.Lock()
 
 
 def _float32_floor(values: np.ndarray) -> np.ndarray:
@@ -209,9 +211,10 @@ class GridEvaluator:
     pair at a time, so beyond what the evaluator keeps its transient is
     a few (G, N) buffers, under G*N*24 bytes. A level holds two (G, N)
     weight arrays, float32 and float64. locate may run on several
-    threads at once: a level is built under a lock and never changed
-    afterwards, so a call at a new level replaces the cached one at
-    once, while calls at the old level keep theirs. Beyond its level, a
+    threads at once: a level is built under one module lock and never
+    changed afterwards, so a call at a new level replaces the cached
+    one at once, while calls at the old level keep theirs. Holding no
+    lock, an instance pickles by default. Beyond its level, a
     call holds one (_SCREEN_NODES, L*L*N) float32 design block and one
     block's (T, _SCREEN_NODES) float32 screen and bool mask, with T at
     most _LOCATE_CHUNK, whatever G is.
@@ -244,7 +247,7 @@ class GridEvaluator:
             np.multiply(
                 cross.imag, -2.0, out=self.products[:, l_count + n_pairs + p, :]
             )
-        self._reset_level()
+        self._cached = None  # ((signal_power, noise_power), level)
         shape = spec.shape
         self.strides = np.array(
             [shape[1] * shape[2], shape[2], 1], dtype=int
@@ -257,21 +260,6 @@ class GridEvaluator:
         stacks = response_stack_batch(env, receivers, spec.nodes(), n_bins, sample_period)
         return cls(spec, stacks)
 
-    def _reset_level(self):
-        """No level yet; a fresh lock."""
-        self._lock = threading.Lock()
-        self._cached = None  # ((signal_power, noise_power), level)
-
-    def __getstate__(self):
-        # A lock does not pickle; the level is rebuilt on first use.
-        state = self.__dict__.copy()
-        del state["_lock"], state["_cached"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._reset_level()
-
     def _level(self, signal_power: float, noise_power: float) -> tuple:
         """(w32 (G, N), weight (G, N), offset (G,), m (N,)) at one level.
 
@@ -280,7 +268,7 @@ class GridEvaluator:
         replaces the cached one.
         """
         key = (signal_power, noise_power)
-        with self._lock:
+        with _LEVEL_LOCK:
             if self._cached is None or self._cached[0] != key:
                 gain = signal_power * self.energies + noise_power  # (G, N)
                 weight = signal_power / (noise_power * gain)

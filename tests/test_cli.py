@@ -197,6 +197,27 @@ class TestDataCommands:
                          "--out", str(tmp_path / "model")])
             assert code == 2 and not (tmp_path / "model").exists()
 
+    @pytest.mark.parametrize("key", ["noise_power", "attenuation"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_dataset_levels_must_be_finite_and_positive(self, net_config_path, tmp_path,
+                                                        capsys, key, value):
+        # A zero or negative noise power raised an uncaught ValueError, and a
+        # NaN or infinite one localized from garbage scores with exit 0.
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--config", net_config_path, "--out", str(data_dir),
+                     "--count", "4", "--snr-db", "18"]) == 0
+        meta = json.loads((data_dir / "meta.json").read_text())
+        meta[key] = value
+        (data_dir / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        for command in (["localize", "--method", "ml"], ["train"]):
+            out = tmp_path / command[0]
+            code = main([*command, "--config", net_config_path, "--data", str(data_dir),
+                         "--out", str(out)])
+            assert code == 2
+            assert "finite, positive" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_train_and_localize_net(self, net_config_path, tmp_path, capsys):
         data_dir = tmp_path / "data"
         main(["gen-data", "--config", net_config_path, "--out", str(data_dir),

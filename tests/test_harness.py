@@ -10,7 +10,7 @@ import threading
 import time
 import tracemalloc
 import zlib
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import EXTRA_QUEUED_CALLS, BrokenProcessPool
 from functools import partial
 from pathlib import Path
@@ -28,11 +28,11 @@ from uwloc.harness import (
     ExperimentConfig,
     ExperimentResult,
     _init_worker,
-    _inline_chunk,
     _openblas_functions,
     _prepare_state,
     _run_points,
     _set_blas_threads,
+    _trial_chunk,
     _uniform_positions,
     build_training_set,
     config_from_dict,
@@ -180,8 +180,9 @@ class TestDrawContract:
         state["evaluator"] = Recorder()
         noise_power = hand_noise_power(attenuation, 20.0)
         trials = 2 * TRIAL_CHUNK + 7
-        errors, = _run_points([(config.seed, 1, noise_power, trials)],
-                              partial(_inline_chunk, state))
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            errors, = _run_points([(config.seed, 1, noise_power, trials)],
+                                  partial(executor.submit, _trial_chunk, state))
         assert [obs.shape[0] for obs in seen] == [TRIAL_CHUNK, TRIAL_CHUNK, 7] * 2
         want = hand_drawn(config.seed, "trial-p:1", 2, state["h_p"], noise_power, 7)
         assert np.array_equal(seen[5], want)
@@ -409,6 +410,21 @@ class TestConfig:
             ({"n_bins": None}, "'n_bins'"),
             ({"n_bins": 3.7}, "'n_bins'"),
             ({"sample_period": "x"}, "'sample_period'"),
+            ({"grid": {"counts": [31.7, 31, 7]}}, "'counts'"),
+            ({"grid": {"counts": [31, True, 7]}}, "'counts'"),
+            ({"net": {"epochs": True}}, "'epochs'"),
+            ({"seed": True}, "'seed'"),
+            ({"source": [84.0, math.nan, 50.0]}, "source coordinates must be finite"),
+            ({"geometry": {"receivers": [[0.0, 0.0, 30.0], [240.0, 0.0, math.nan],
+                                         [0.0, 240.0, 55.0]],
+                           "volume": [[60.0, 60.0, 40.0], [108.0, 108.0, 60.0]]}},
+             "receiver coordinates must be finite"),
+            ({"geometry": {"receivers": [[0.0, 0.0, 30.0], [240.0, 0.0, 40.0],
+                                         [0.0, 240.0, 55.0]],
+                           "volume": [[60.0, 60.0, 40.0], [math.inf, 108.0, 60.0]]}},
+             "volume coordinates must be finite"),
+            ({"grid": {"lower": [60.0, 60.0, math.nan]}}, "grid box coordinates must be finite"),
+            ({"grid": {"upper": [108.0, math.inf, 60.0]}}, "grid box coordinates must be finite"),
         ):
             with pytest.raises(ConfigError, match=match):
                 config_from_dict(tiny_config_dict(**bad))
@@ -902,7 +918,7 @@ class TestThreadedHalves:
     @pytest.mark.parametrize("share", [2, 1])
     def test_ml_units_on_two_threads_from_share_2(self, monkeypatch, share):
         # ML units run off the calling thread at a share of 2 cores, and on
-        # it at a share of 1.
+        # one thread that is not the calling one at a share of 1.
         if share == 2 and not _openblas_functions("set_num_threads"):
             pytest.skip("numpy is not linked against OpenBLAS")
         threads = set()
@@ -915,14 +931,26 @@ class TestThreadedHalves:
         monkeypatch.setattr(GridEvaluator, "locate", recording)
         force_core_share(monkeypatch, share)
         run_experiment(config_from_dict(tiny_config_dict()), workers=1)
-        if share == 2:
-            assert threads and threading.get_ident() not in threads
-        else:
-            assert threads == {threading.get_ident()}
+        assert threads and threading.get_ident() not in threads
+        if share == 1:
+            assert len(threads) == 1
+
+    def test_one_thread_where_no_openblas_can_be_capped(self, monkeypatch):
+        # Without an OpenBLAS to cap, two threads would oversubscribe the
+        # cores; the units of either estimator run on one thread that is
+        # not the calling one.
+        monkeypatch.setattr(harness, "_set_blas_threads", lambda threads: [])
+        force_core_share(monkeypatch, 2)
+        threads = set()
+        record_trial_draws(monkeypatch, lambda stage: threads.add(threading.get_ident()))
+        for estimator in ESTIMATORS:
+            threads.clear()
+            run_experiment(config_from_dict(self.data(estimator)), workers=1)
+            assert len(threads) == 1 and threading.get_ident() not in threads
 
 
 # (workers, core share) of each executor _trial_phase picks.
-EXECUTORS = {"inline": (1, 1), "threads": (1, 2), "pool": (2, 1)}
+EXECUTORS = {"one thread": (1, 1), "threads": (1, 2), "pool": (2, 1)}
 
 
 class TestScheduler:
@@ -953,12 +981,12 @@ class TestScheduler:
         # Beside the failing unit only the units already taken may start: the
         # other thread's, or each pool worker's and those in the pool's call
         # queue (workers + EXTRA_QUEUED_CALLS of them).
-        may_start = {"inline": 1, "threads": 2, "pool": 4 + EXTRA_QUEUED_CALLS}[executor]
+        may_start = {"one thread": 1, "threads": 2, "pool": 4 + EXTRA_QUEUED_CALLS}[executor]
         order = [f"trial-{kind}:{idx}" for idx in range(8) for kind in "qp"]
         started = set(os.listdir(tmp_path))
         assert "trial-q:0" in started and started <= set(order[:may_start])
 
-    @pytest.mark.parametrize("executor", ["threads", "pool"])
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_a_held_unit_of_point_1_holds_up_no_note_of_point_0(self, monkeypatch,
                                                                 executor):
         # Point 1's q unit waits until point 0's progress note is out, so that
@@ -996,7 +1024,7 @@ class TestScheduler:
         assert info.value.stage == "snr[0]:assemble"
         assert "injected assembly failure" in str(info.value.cause)
 
-    @pytest.mark.parametrize("executor", ["threads", "pool"])
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_an_assembly_failure_cancels_the_queued_units(self, monkeypatch, tmp_path,
                                                           executor):
         # Point 0's assembly fails while the later points' units are queued;
