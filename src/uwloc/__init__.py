@@ -68,10 +68,8 @@ from .localize import (
 )
 from .signal import (
     angular_frequencies,
-    frequency_response,
     load_observations,
     response_stack,
     response_stack_batch,
     save_observations,
-    steering_matrix,
 )

@@ -54,9 +54,10 @@ class Environment:
 class Geometry:
     """Receiver array and axis-aligned volume of interest.
 
-    receivers is (L, 3); volume is (2, 3) holding the min and max corners.
-    The source position is not part of the geometry: the harness takes it
-    from the experiment config or draws it. The far-field model holds only
+    receivers is (L, 3); volume is (2, 3) holding the min and max corners;
+    a non-finite coordinate in either raises ConfigError. The source
+    position is not part of the geometry: the harness takes it from the
+    experiment config or draws it. The far-field model holds only
     at least DEFAULT_MIN_DISTANCE from every receiver, so the experiment
     config checks the volume, the grid box and an explicit source with
     box_issues when it is built, and nothing downstream checks again.
@@ -68,6 +69,9 @@ class Geometry:
     def __post_init__(self):
         self.receivers = np.atleast_2d(np.asarray(self.receivers, dtype=float))
         self.volume = np.asarray(self.volume, dtype=float)
+        for label, value in (("receiver", self.receivers), ("volume", self.volume)):
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{label} coordinates must be finite")
 
 
 def validate_environment(env: Environment) -> list[str]:
@@ -149,9 +153,6 @@ def validate_geometry(geometry: Geometry, env: Environment) -> list[str]:
     recv = geometry.receivers
     if recv.ndim != 2 or recv.shape[1] != 3 or recv.shape[0] < 1:
         issues.append("receivers must be an (L, 3) array with L >= 1")
-        return issues
-    if not np.isfinite(recv).all():
-        issues.append("receiver coordinates must be finite")
         return issues
     vol = geometry.volume
     if vol.shape != (2, 3):

@@ -1,10 +1,14 @@
-"""Exception types shared by the uwloc modules.
+"""Exception types shared by the uwloc modules, and the config value checks.
 
 The CLI maps these onto process exit codes: configuration problems exit 2,
 numerical/condition failures exit 3, and IO failures exit 4. A scene outside
 the far-field model is a configuration problem, caught when the experiment
-config is built.
+config is built. The config dataclasses check value types with whole, finite
+and items, so parsing, construction and dataclasses.replace agree.
 """
+
+import math
+import numbers
 
 
 class ConfigError(ValueError):
@@ -35,3 +39,25 @@ class StageError(RuntimeError):
         self.stage = stage
         self.seed = seed
         self.cause = cause
+
+
+def whole(value, name: str) -> int:
+    """value as an int; anything but an integer (a boolean or 5.0 too) raises ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"'{name}' must be a whole number, got {value!r}")
+    return int(value)
+
+
+def finite(value, name: str) -> float:
+    """value as a float; anything but a finite real number (or a boolean) raises ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"'{name}' must be a finite number, got {value!r}")
+    return float(value)
+
+
+def items(values, check, name: str) -> tuple:
+    """check(item, name) for each item of a JSON array (any iterable but a string)."""
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        raise ConfigError(f"'{name}' must be a JSON array, got {values!r}")
+    return tuple(check(value, name) for value in values)

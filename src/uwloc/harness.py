@@ -86,7 +86,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import channel, signal as signal_mod
-from .errors import ConfigError, StageError
+from .errors import ConfigError, StageError, finite, items, whole
 from .localize import (
     GridEvaluator,
     GridSpec,
@@ -130,18 +130,19 @@ class NetConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
+        for name in ("train_size", "epochs", "batch_size"):
+            setattr(self, name, whole(getattr(self, name), name))
+        self.hidden = items(self.hidden, whole, "hidden")
+        self.train_snr_db = finite(self.train_snr_db, "train_snr_db")
+        self.learning_rate = finite(self.learning_rate, "learning_rate")
         if self.train_size < 2:
             raise ConfigError(f"net train_size must be >= 2, got {self.train_size}")
         if any(width < 1 for width in self.hidden):
             raise ConfigError(f"net hidden widths must be >= 1, got {list(self.hidden)}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("net epochs and batch_size must be >= 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(
-                f"net learning_rate must be finite and > 0, got {self.learning_rate}"
-            )
-        if not math.isfinite(self.train_snr_db):
-            raise ConfigError(f"net train_snr_db must be finite, got {self.train_snr_db}")
+        if self.learning_rate <= 0:
+            raise ConfigError(f"net learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -162,6 +163,10 @@ class ExperimentConfig:
     attenuation_samples: int = 2048
 
     def __post_init__(self):
+        for name in ("n_bins", "trials", "csd_k", "seed", "attenuation_samples"):
+            setattr(self, name, whole(getattr(self, name), name))
+        self.sample_period = finite(self.sample_period, "sample_period")
+        self.snr_db = items(self.snr_db, finite, "snr_db")
         if self.estimator not in ("ml", "net"):
             raise ConfigError(f"unknown estimator '{self.estimator}'")
         if self.n_bins < 1 or self.sample_period <= 0:
@@ -175,8 +180,6 @@ class ExperimentConfig:
             )
         if len(self.snr_db) == 0:
             raise ConfigError("snr grid is empty")
-        if not all(math.isfinite(db) for db in self.snr_db):
-            raise ConfigError(f"snr_db values must be finite, got {list(self.snr_db)}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         column = min(self.environment_q, self.environment_p,
@@ -202,46 +205,11 @@ def _check_scene(problems: list[str]) -> None:
 
 
 _GRID_KEYS = {"counts", "lower", "upper", "peak_interpolation"}
-
-
-def _whole(value) -> int:
-    """value as an int; a boolean or a fractional number raises ValueError."""
-    number = int(value)
-    if isinstance(value, bool) or number != value:
-        raise ValueError(f"{value!r} is not a whole number")
-    return number
-
-
-def _array(convert):
-    """convert applied to each element of a JSON array; anything else raises TypeError."""
-    def parse(value) -> tuple:
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"expected a JSON array, got {value!r}")
-        return tuple(convert(item) for item in value)
-    return parse
-
-
-# JSON key -> conversion; an omitted key keeps the dataclass default.
-_NET_TYPES = {
-    "train_size": _whole,
-    "train_snr_db": float,
-    "hidden": _array(_whole),
-    "epochs": _whole,
-    "batch_size": _whole,
-    "learning_rate": float,
-}
-_OPTIONAL_TYPES = {
-    "snr_db": _array(float),
-    "trials": _whole,
-    "estimator": str,
-    "csd_k": _whole,
-    "seed": _whole,
-    "source": lambda v: None if v is None else np.asarray(v, dtype=float),
-    "attenuation_samples": _whole,
-}
-_REQUIRED_TYPES = {"n_bins": _whole, "sample_period": float}
-_REQUIRED_KEYS = ("environment_q", "environment_p", "geometry", *_REQUIRED_TYPES)
-_TOP_KEYS = {*_REQUIRED_KEYS, *_OPTIONAL_TYPES, "grid", "net"}
+_NET_KEYS = {item.name for item in dataclasses.fields(NetConfig)}
+_OPTIONAL_KEYS = {"snr_db", "trials", "estimator", "csd_k", "seed", "source",
+                  "attenuation_samples"}
+_REQUIRED_KEYS = ("environment_q", "environment_p", "geometry", "n_bins", "sample_period")
+_TOP_KEYS = {*_REQUIRED_KEYS, *_OPTIONAL_KEYS, "grid", "net"}
 
 
 def _grid_from_dict(data: dict, volume: np.ndarray) -> GridSpec:
@@ -254,27 +222,12 @@ def _grid_from_dict(data: dict, volume: np.ndarray) -> GridSpec:
     unknown = set(data) - _GRID_KEYS
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-    interpolation = data.get("peak_interpolation", True)
-    if not isinstance(interpolation, bool):
-        raise ConfigError(f"grid peak_interpolation must be true or false: {interpolation!r}")
-    counts = _convert(data, {"counts": _array(_whole)}, "grid").get("counts", (31, 31, 7))
     return GridSpec(
         lower=data.get("lower", volume[0]),
         upper=data.get("upper", volume[1]),
-        counts=counts,
-        peak_interpolation=interpolation,
+        counts=data.get("counts", (31, 31, 7)),
+        peak_interpolation=data.get("peak_interpolation", True),
     )
-
-
-def _convert(data: dict, types: dict, section: str) -> dict:
-    """The keys of data that types names, each passed through its conversion."""
-    out = {}
-    for key in types.keys() & data.keys():
-        try:
-            out[key] = types[key](data[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad {section} key '{key}': {exc}") from exc
-    return out
 
 
 def _section(data: dict, key: str) -> dict:
@@ -302,17 +255,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     geometry = channel.geometry_from_dict(data["geometry"])
 
     net = _section(data, "net")
-    unknown = set(net) - set(_NET_TYPES)
+    unknown = set(net) - _NET_KEYS
     if unknown:
         raise ConfigError(f"unknown net keys: {sorted(unknown)}")
     return ExperimentConfig(
         environment_q=env_q,
         environment_p=env_p,
         geometry=geometry,
-        **_convert(data, _REQUIRED_TYPES, "config"),
+        n_bins=data["n_bins"],
+        sample_period=data["sample_period"],
         grid=_grid_from_dict(_section(data, "grid"), geometry.volume),
-        net=NetConfig(**_convert(net, _NET_TYPES, "net")),
-        **_convert(data, _OPTIONAL_TYPES, "config"),
+        net=NetConfig(**net),
+        **{key: data[key] for key in _OPTIONAL_KEYS & data.keys()},
     )
 
 

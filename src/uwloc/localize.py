@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, items, whole
 from .signal import response_stack_batch
 
 MODEL_MAGIC = "UWNET1"
@@ -55,14 +55,21 @@ class GridSpec:
     peak_interpolation: bool
 
     def __post_init__(self):
+        if not isinstance(self.peak_interpolation, bool):
+            raise ConfigError(
+                f"grid peak_interpolation must be true or false: {self.peak_interpolation!r}"
+            )
+        counts = items(self.counts, whole, "counts")
         try:
             self.lower = np.asarray(self.lower, dtype=float).reshape(3)
             self.upper = np.asarray(self.upper, dtype=float).reshape(3)
-            self.counts = np.asarray(self.counts, dtype=int).reshape(3)
+            self.counts = np.array(counts, dtype=int).reshape(3)
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"grid lower, upper and counts need 3 numbers each: {exc}"
             ) from exc
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ConfigError("grid box coordinates must be finite")
         if np.any(self.counts < 1):
             raise ConfigError("grid counts must be >= 1")
         if np.any(self.upper < self.lower):

@@ -4,12 +4,15 @@ The model works on an N-point angular frequency grid w_k = 2*pi*(k-1)/(N*T_s).
 Each receiver sees x_l[k] = s[k] * h_l[k] + v_l[k], where h_l[k] is the channel
 frequency response synthesized from (delay, gain) arrivals, s is the source
 spectrum, and v is circular complex Gaussian noise. Fractional delays are
-exact here; nothing is ever sampled in time. This module builds the
+exact here; nothing is ever sampled in time. Each arrival's phases come
+from a factored table of F + N/F entries, F the smallest divisor of N at or
+above sqrt(N) (see response_stack_batch). This module builds the
 responses h and stores observations; uwloc.harness draws s and v.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -40,22 +43,6 @@ def angular_frequencies(n_bins: int, sample_period: float) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n_bins) / (n_bins * sample_period)
 
 
-def steering_matrix(delays, omegas) -> np.ndarray:
-    """Unit-modulus steering matrix with entries exp(-j w_k tau_r).
-
-    Row k collects the conjugated phases of every arrival at frequency w_k,
-    so that steering_matrix @ gains gives the frequency response.
-    """
-    delays = np.asarray(delays, dtype=float)
-    omegas = np.asarray(omegas, dtype=float)
-    return np.exp(-1j * np.outer(omegas, delays))
-
-
-def frequency_response(steering, gains) -> np.ndarray:
-    """Per-bin response h[k] = sum_r gains[r] * exp(-j w_k tau_r)."""
-    return np.asarray(steering) @ np.asarray(gains, dtype=complex)
-
-
 def response_stack(
     env: channel.Environment,
     receivers,
@@ -74,8 +61,32 @@ def response_stack(
     return stacks[0]
 
 
-# Positions per stack-building chunk, bounding the phase tensor.
+# Positions per stack-building chunk, bounding the phase tables.
 _STACK_CHUNK = 256
+
+
+def _fine_count(n_bins: int) -> int:
+    """F, the smallest divisor of n_bins at or above its square root."""
+    return next(f for f in range(math.isqrt(n_bins - 1) + 1, n_bins + 1)
+                if n_bins % f == 0)
+
+
+def _factored_response(delays, gains, omegas, angle, phases, out) -> None:
+    """out[..., c, f] = sum_r gains[..., r] * exp(-j w_k delays[..., r]), k = c*F + f.
+
+    delays and gains hold (..., R) arrivals and omegas the N-bin grid;
+    angle and phases are (..., R, F + N/F) float64 and complex128 scratch
+    and out is (..., N/F, F), for F = _fine_count(N).
+    """
+    fine = _fine_count(omegas.size)
+    np.multiply(delays[..., None], np.concatenate([omegas[:fine], omegas[::fine]]),
+                out=angle)
+    np.cos(angle, out=phases.real)
+    np.sin(angle, out=phases.imag)
+    np.negative(phases.imag, out=phases.imag)
+    coarse = phases[..., fine:]
+    coarse *= gains[..., None]
+    np.matmul(coarse.swapaxes(-1, -2), phases[..., :fine], out=out)
 
 
 def response_stack_batch(
@@ -87,30 +98,35 @@ def response_stack_batch(
 ) -> np.ndarray:
     """Response stacks for many positions; returns (M, L, N) complex.
 
-    The phases exp(-j w tau) are written as cos and -sin straight into one
-    complex buffer, with no complex argument tensor. Work is chunked over
-    positions, and each chunk's rows are split into one block per thread,
-    min(core_count(), chunk) threads made for this call. The calling
-    thread computes each chunk's arrivals, the next chunk's while the
-    threads work. A thread fills a block's angle and phase tensors in a
-    buffer slot of its own and sums them with the gains straight into
-    those rows of the output; it takes the next block, of this chunk or
-    the next, as soon as it is free. The slots are allocated here once and
-    together hold one chunk's float64 angle and complex128 phase tensors,
-    so beyond the (M, L, N) output the transient is _STACK_CHUNK*L*R*N*24
-    bytes for R arrivals per path (about 9 MB at L = 4, R = 6 and
-    N = 64), plus three chunks' arrival tables, whatever M and the thread
+    Bin k (from 0) is written k = c*F + f, F = _fine_count(N), so the stack
+    of one position and receiver is the (N/F, F) matrix product
+    sum_r (g_r exp(-j w_cF tau_r)) exp(-j w_f tau_r), written straight into
+    the output rows: each arrival takes cos and -sin of only F fine and
+    N/F coarse angles (8 + 8 at N = 64, against 64; a prime N has F = N,
+    the direct sum). Work is chunked over positions, and each chunk's rows
+    are split into one block per thread, min(core_count(), chunk) threads
+    made for this call. The calling thread computes each chunk's arrivals,
+    the next chunk's while the threads work. A thread fills a block's
+    (rows, L, R, F + N/F) angle and phase tables in a buffer slot of its
+    own and multiplies them into those rows of the output; it takes the
+    next block, of this chunk or the next, as soon as it is free. The
+    slots are allocated here once and together hold one chunk's float64
+    angle and complex128 phase tables, so beyond the (M, L, N) output the
+    transient is _STACK_CHUNK*L*R*(F + N/F)*24 bytes for R arrivals per
+    path (about 2.4 MB at L = 4, R = 6 and N = 64, against 9 MB for N-wide
+    tables), plus three chunks' arrival tables, whatever M and the thread
     count are. Each position's stack is the same, to the bit, for any
     chunk size and thread count; a failure in a thread is raised here,
     and no thread outlives the call.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     omegas = angular_frequencies(n_bins, sample_period)
+    fine = _fine_count(n_bins)
     total = positions.shape[0]
     recv = np.atleast_2d(np.asarray(receivers, dtype=float))
-    out = np.empty((total, recv.shape[0], n_bins), dtype=complex)
+    out = np.empty((total, recv.shape[0], n_bins // fine, fine), dtype=complex)
     if total == 0:
-        return out
+        return out.reshape(total, -1, n_bins)
 
     def arrivals(start):
         return channel.arrivals_batch(env, recv, positions[start:start + _STACK_CHUNK])
@@ -118,7 +134,7 @@ def response_stack_batch(
     delays, gains = arrivals(0)
     threads = min(core_count(), delays.shape[0])
     rows = -(-delays.shape[0] // threads)
-    angle = np.empty((threads, rows, *delays.shape[1:], n_bins))
+    angle = np.empty((threads, rows, *delays.shape[1:], fine + n_bins // fine))
     phases = np.empty(angle.shape, dtype=complex)
     # At most `threads` blocks run at once, so a slot is always free.
     free = queue.SimpleQueue()
@@ -130,13 +146,8 @@ def response_stack_batch(
         slot = free.get()
         try:
             count = delays.shape[0]
-            angle_rows, phase_rows = angle[slot, :count], phases[slot, :count]
-            np.multiply(delays[..., None], omegas, out=angle_rows)
-            np.cos(angle_rows, out=phase_rows.real)
-            np.sin(angle_rows, out=phase_rows.imag)
-            np.negative(phase_rows.imag, out=phase_rows.imag)
-            np.einsum("mlr,mlrn->mln", gains, phase_rows,
-                      out=out[start:start + count])
+            _factored_response(delays, gains, omegas, angle[slot, :count],
+                               phases[slot, :count], out[start:start + count])
         finally:
             free.put(slot)
 
@@ -156,7 +167,7 @@ def response_stack_batch(
             previous = current
         for future in previous:
             future.result()
-    return out
+    return out.reshape(total, -1, n_bins)
 
 
 _DUMP_MAGIC = "UWOBS1"

@@ -27,6 +27,7 @@ from uwloc.harness import (
     CurvePoint,
     ExperimentConfig,
     ExperimentResult,
+    NetConfig,
     _init_worker,
     _openblas_functions,
     _prepare_state,
@@ -428,6 +429,28 @@ class TestConfig:
         ):
             with pytest.raises(ConfigError, match=match):
                 config_from_dict(tiny_config_dict(**bad))
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 40.5),
+        ("seed", True),
+        ("csd_k", 5.0),
+        ("attenuation_samples", 2048.5),
+        ("sample_period", math.nan),
+    ])
+    def test_replace_checks_types(self, field, value):
+        # dataclasses.replace (as `--seed` uses) runs the same checks as parsing.
+        config = config_from_dict(tiny_config_dict())
+        with pytest.raises(ConfigError, match=f"'{field}' must be a"):
+            dataclasses.replace(config, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 10.0),
+        ("hidden", (16, 8.5)),
+        ("learning_rate", "0.01"),
+    ])
+    def test_net_config_checks_types(self, field, value):
+        with pytest.raises(ConfigError, match=f"'{field}' must be a"):
+            NetConfig(**{field: value})
 
     def test_string_snr_grid_is_not_read_per_character(self):
         # "10" used to become the SNR grid (1.0, 0.0).

@@ -105,6 +105,17 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2, 0, 2], False)
 
+    # A fraction used to run as 31 nodes and a boolean as 1.
+    @pytest.mark.parametrize("counts", [[31.7, 31, 7], [True, 31, 7]],
+                             ids=["fraction", "boolean"])
+    def test_rejects_non_integer_counts(self, counts):
+        with pytest.raises(ConfigError, match="'counts' must be a whole number"):
+            GridSpec([0.0, 0.0, 0.0], [60.0, 60.0, 20.0], counts, False)
+
+    def test_rejects_nan_lower(self):
+        with pytest.raises(ConfigError, match="grid box coordinates must be finite"):
+            GridSpec([0.0, math.nan, 0.0], [60.0, 60.0, 20.0], [7, 7, 5], False)
+
 
 class TestConcentratedLoglikelihood:
     def test_matches_dense_form_up_to_constant(self):

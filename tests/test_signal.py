@@ -1,11 +1,14 @@
-"""Frequency-domain observation model: grids, steering, synthesis, dumps."""
+"""Frequency-domain observation model: grids, responses, synthesis, dumps."""
 
 import math
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwloc import signal as signal_mod
 from uwloc.channel import Environment, arrivals_batch
@@ -13,12 +16,10 @@ from uwloc.errors import ConfigError
 from uwloc.harness import SIGNAL_POWER, observation_chunks
 from uwloc.signal import (
     angular_frequencies,
-    frequency_response,
     load_observations,
     response_stack,
     response_stack_batch,
     save_observations,
-    steering_matrix,
 )
 
 
@@ -55,38 +56,76 @@ class TestAngularFrequencies:
             angular_frequencies(4, 0.0)
 
 
+def kernel(delays, gains, omegas):
+    """signal._factored_response on (..., R) arrivals; returns (..., N)."""
+    delays = np.asarray(delays, dtype=float)
+    n_bins = omegas.size
+    fine = signal_mod._fine_count(n_bins)
+    angle = np.empty((*delays.shape, fine + n_bins // fine))
+    phases = np.empty(angle.shape, dtype=complex)
+    out = np.empty((*delays.shape[:-1], n_bins // fine, fine), dtype=complex)
+    signal_mod._factored_response(delays, np.asarray(gains, dtype=complex), omegas,
+                                  angle, phases, out)
+    return out.reshape(*delays.shape[:-1], n_bins)
+
+
+def exact_response(delays, gains, omegas):
+    """sum_r g_r exp(-j w_k tau_r) in 50-digit arithmetic on the float64 inputs."""
+    with mpmath.workdps(50):
+        terms = [(mpmath.mpc(g.real, g.imag), mpmath.mpf(tau))
+                 for tau, g in zip(delays, gains)]
+        return np.array([
+            complex(mpmath.fsum(g * mpmath.expj(-mpmath.mpf(w) * tau) for g, tau in terms))
+            for w in omegas
+        ])
+
+
+def rounding_bound(delays, gains, omegas):
+    """16 u (1 + max_r |w_k tau_r|) sum_r |g_r| per bin, for R <= 8 arrivals.
+
+    Each phase is off by a few u per radian of its angle (the product
+    w tau, and w_cF + w_f against w_k, each entry of the grid within a
+    few u of its exact value) plus about u from cos and sin, and the
+    gain products and the sum over R arrivals add about (R + 4) u of
+    sum_r |g_r|.
+    """
+    u = np.finfo(float).eps / 2
+    angle = np.abs(np.outer(omegas, delays)).max(axis=1)
+    return 16 * u * (1 + angle) * np.abs(gains).sum()
+
+
 class TestSteeringMatrix:
+    # One arrival of unit gain: each bin is its steering entry exp(-j w_k tau).
     def test_zero_delays_all_ones(self):
-        omegas = angular_frequencies(6, 0.25)
-        got = steering_matrix(np.zeros(3), omegas)
-        assert np.array_equal(got, np.ones((6, 3), dtype=complex))
+        got = kernel(np.zeros((3, 1)), np.ones((3, 1)), angular_frequencies(6, 0.25))
+        assert np.array_equal(got, np.ones((3, 6), dtype=complex))
 
     def test_half_period_phase(self):
         # omega grid of N=4, T_s=1 puts pi at bin index 2; tau=1 then flips sign.
-        got = steering_matrix([1.0], angular_frequencies(4, 1.0))
-        assert got[2, 0] == pytest.approx(-1.0, abs=1e-12)
+        got = kernel([1.0], [1.0], angular_frequencies(4, 1.0))
+        assert got[2] == pytest.approx(-1.0, abs=1e-12)
 
     def test_unit_modulus_and_formula(self):
         rng = np.random.default_rng(5)
-        delays = rng.uniform(0.0, 3.0, size=7)
+        delays = rng.uniform(0.0, 3.0, size=(7, 1))
         omegas = angular_frequencies(12, 0.05)
-        got = steering_matrix(delays, omegas)
-        assert got.shape == (12, 7)
+        got = kernel(delays, np.ones((7, 1)), omegas)
+        assert got.shape == (7, 12)
         np.testing.assert_allclose(np.abs(got), 1.0, rtol=1e-12)
-        np.testing.assert_allclose(
-            got, np.exp(-1j * omegas[:, None] * delays[None, :]), rtol=1e-13
-        )
+        np.testing.assert_allclose(got, np.exp(-1j * delays * omegas), rtol=1e-13)
 
 
 class TestFrequencyResponse:
+    def test_fine_count(self):
+        got = [signal_mod._fine_count(n) for n in (1, 2, 7, 9, 10, 12, 13, 16, 64)]
+        assert got == [1, 2, 7, 3, 5, 4, 13, 4, 8]
+
     def test_flat_channel(self):
-        omegas = angular_frequencies(8, 0.125)
-        got = frequency_response(steering_matrix([0.0], omegas), [1.0])
+        got = kernel([0.0], [1.0], angular_frequencies(8, 0.125))
         assert np.allclose(got, 1.0, atol=1e-15)
 
     def test_destructive_interference(self):
-        omegas = angular_frequencies(4, 1.0)
-        got = frequency_response(steering_matrix([0.0, 1.0], omegas), [1.0, 1.0])
+        got = kernel([0.0, 1.0], [1.0, 1.0], angular_frequencies(4, 1.0))
         assert abs(got[2]) < 1e-12
 
     def test_matches_dft_of_sampled_impulse_train(self):
@@ -98,11 +137,44 @@ class TestFrequencyResponse:
         for _ in range(20):
             taps = rng.integers(0, n_bins, size=5)
             gains = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            got = frequency_response(steering_matrix(taps * t_s, omegas), gains)
+            got = kernel(taps * t_s, gains, omegas)
             train = np.zeros(n_bins, dtype=complex)
             np.add.at(train, taps, gains)
-            want = np.fft.fft(train)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(got, np.fft.fft(train), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n_bins", [1, 7, 12, 13, 16, 64])
+    def test_within_rounding_bound_of_exact_sum(self, n_bins):
+        # The factored phases do not carry the bits of exp(-j w_k tau); the
+        # contract is the stated rounding bound against the exact sum of
+        # the same float64 delays, gains and grid, which the direct formula
+        # meets too.
+        rng = np.random.default_rng(n_bins)
+        omegas = angular_frequencies(n_bins, 1e-3)
+        for arrivals in (1, 3, 8):
+            delays = rng.uniform(0.0, 1.0, size=arrivals)
+            gains = rng.standard_normal(arrivals) + 1j * rng.standard_normal(arrivals)
+            want = exact_response(delays, gains, omegas)
+            bound = rounding_bound(delays, gains, omegas)
+            assert np.all(np.abs(kernel(delays, gains, omegas) - want) <= bound)
+            direct = np.exp(-1j * np.outer(omegas, delays)) @ gains
+            assert np.all(np.abs(direct - want) <= bound)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_bins=st.integers(1, 130),
+        arrivals=st.integers(1, 8),
+        sample_period=st.floats(1e-4, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_within_rounding_bound_any_bin_count(self, n_bins, arrivals, sample_period,
+                                                 seed):
+        rng = np.random.default_rng(seed)
+        omegas = angular_frequencies(n_bins, sample_period)
+        delays = rng.uniform(0.0, 1.0, size=arrivals)
+        gains = rng.standard_normal(arrivals) + 1j * rng.standard_normal(arrivals)
+        got = kernel(delays, gains, omegas)
+        want = exact_response(delays, gains, omegas)
+        assert np.all(np.abs(got - want) <= rounding_bound(delays, gains, omegas))
 
 
 class TestResponseStack:
@@ -126,9 +198,7 @@ class TestResponseStack:
         delays, gains = arrivals_batch(env, receivers, position[None, :])
         omegas = angular_frequencies(n_bins, t_s)
         for l in range(2):
-            want = frequency_response(
-                steering_matrix(delays[0, l], omegas), gains[0, l]
-            )
+            want = np.exp(-1j * np.outer(omegas, delays[0, l])) @ gains[0, l]
             np.testing.assert_allclose(stack[l], want, rtol=1e-12)
 
     def test_batch_chunking_invariant(self, monkeypatch):
@@ -136,15 +206,18 @@ class TestResponseStack:
         receivers = [[0.0, 0.0, 30.0], [200.0, 50.0, 60.0]]
         rng = np.random.default_rng(3)
         positions = rng.uniform([50, 50, 20], [250, 250, 80], size=(9, 3))
-        full = response_stack_batch(env, receivers, positions, 8, 0.01)
-        monkeypatch.setattr(signal_mod, "_STACK_CHUNK", 4)
-        chunked = response_stack_batch(env, receivers, positions, 8, 0.01)
-        assert np.array_equal(full, chunked)
-        # The ragged last chunk has one row, fewer than two or three threads.
-        for threads in (1, 2, 3):
-            monkeypatch.setattr(signal_mod, "core_count", lambda n=threads: n)
-            threaded = response_stack_batch(env, receivers, positions, 8, 0.01)
-            assert threaded.tobytes() == full.tobytes()
+        # Prime bin counts take one coarse row, composite ones several.
+        for n_bins in (1, 7, 8, 12, 13):
+            monkeypatch.setattr(signal_mod, "_STACK_CHUNK", 256)
+            monkeypatch.setattr(signal_mod, "core_count", lambda: 1)
+            full = response_stack_batch(env, receivers, positions, n_bins, 0.01)
+            assert full.shape == (9, 2, n_bins)
+            monkeypatch.setattr(signal_mod, "_STACK_CHUNK", 4)
+            # The ragged last chunk has one row, fewer than two or three threads.
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(signal_mod, "core_count", lambda n=threads: n)
+                chunked = response_stack_batch(env, receivers, positions, n_bins, 0.01)
+                assert chunked.tobytes() == full.tobytes(), (n_bins, threads)
 
     @pytest.mark.parametrize("failing_chunk", [1, 2])
     def test_batch_thread_failure_is_raised_and_no_thread_outlives(self, monkeypatch,
@@ -157,54 +230,40 @@ class TestResponseStack:
         monkeypatch.setattr(signal_mod, "_STACK_CHUNK", 4)
         monkeypatch.setattr(signal_mod, "core_count", lambda: 2)
         before = threading.active_count()
-        einsum = np.einsum
+        kernel = signal_mod._factored_response
 
         class Boom(Exception):
             pass
 
-        def fail_in_one_chunk(*args, out, **kwargs):
-            # Each row block is summed into a view of the (M, L, N) output.
+        def fail_in_one_chunk(*args):
+            # Each row block is written into a view of the output.
+            out = args[-1]
             first_row = (out.ctypes.data - out.base.ctypes.data) // out[0].nbytes
             if first_row // 4 == failing_chunk:
                 raise Boom
-            return einsum(*args, out=out, **kwargs)
+            kernel(*args)
 
-        monkeypatch.setattr(np, "einsum", fail_in_one_chunk)
+        monkeypatch.setattr(signal_mod, "_factored_response", fail_in_one_chunk)
         with pytest.raises(Boom):
             response_stack_batch(env, receivers, positions, 8, 0.01)
         assert threading.active_count() == before
-        monkeypatch.setattr(np, "einsum", einsum)
+        monkeypatch.setattr(signal_mod, "_factored_response", kernel)
         response_stack_batch(env, receivers, positions, 8, 0.01)
         assert threading.active_count() == before
 
-    def test_batch_equals_exp_formula_bitwise(self, monkeypatch):
-        # The phases are built from cos and -sin; the stacks must carry the
-        # same bits as exp(-j w tau) summed with the gains, at any chunk.
-        env = self.iso_env()
-        receivers = [[0.0, 0.0, 30.0], [200.0, 50.0, 60.0], [90.0, 210.0, 45.0]]
-        rng = np.random.default_rng(4)
-        positions = rng.uniform([50, 50, 20], [250, 250, 80], size=(23, 3))
-        n_bins, t_s = 16, 0.01
-        delays, gains = arrivals_batch(env, receivers, positions)
-        omegas = angular_frequencies(n_bins, t_s)
-        phases = np.exp(-1j * delays[..., None] * omegas[None, None, None, :])
-        want = np.einsum("mlr,mlrn->mln", gains, phases)
-        for chunk in (1, 7, 1024):
-            monkeypatch.setattr(signal_mod, "_STACK_CHUNK", chunk)
-            got = response_stack_batch(env, receivers, positions, n_bins, t_s)
-            assert np.array_equal(got, want)
-            assert got.tobytes() == want.tobytes()
-
     def test_batch_transient_is_one_chunk(self):
         # Beyond its output a stack build holds one chunk's float64 angle
-        # and complex128 phase tensors (24 bytes an entry) and arrival
-        # tables, whatever the position count. numpy reports its buffers to
-        # tracemalloc. The budget is twice the tensors of 256 positions.
+        # and complex128 phase tables, F + N/F = 16 entries per arrival at
+        # N = 64 (24 bytes an entry), and arrival tables, whatever the
+        # position count. numpy reports its buffers to tracemalloc. The
+        # budget is three times the tables of 256 positions (the arrivals
+        # of one chunk take about half of that at their peak); one chunk's
+        # N-wide angle and phase tensors alone are four times the tables.
         env = self.iso_env()
         receivers = [[0.0, 0.0, 30.0], [200.0, 50.0, 60.0], [90.0, 210.0, 45.0],
                      [240.0, 240.0, 35.0]]
         n_bins, rays = 64, env.ray_budget
-        budget = 2 * 256 * len(receivers) * rays * n_bins * 24
+        budget = 3 * 256 * len(receivers) * rays * (8 + 8) * 24
         rng = np.random.default_rng(5)
         for count in (600, 1300):
             positions = rng.uniform([50, 50, 20], [250, 250, 80], size=(count, 3))
