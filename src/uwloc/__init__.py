@@ -26,13 +26,7 @@ from .channel import (
     Geometry,
     arrivals_batch,
     average_attenuation,
-    environment_from_dict,
-    environment_to_dict,
-    geometry_from_dict,
-    geometry_to_dict,
     stratified_delay,
-    validate_environment,
-    validate_geometry,
 )
 from .csd import CsdEstimate, estimate_csd
 from .errors import (

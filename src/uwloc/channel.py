@@ -15,11 +15,12 @@ in-column integrals over the folded sub-segments.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, finite, items, whole
 
 DEFAULT_MIN_DISTANCE = 10.0
 
@@ -33,8 +34,10 @@ class Environment:
 
     ssp is an (M, 2) array of (depth, sound_speed) breakpoints, strictly
     increasing in depth and spanning [0, water_depth]. Reflection
-    coefficients are per-bounce complex gains with magnitude <= 1.
-    ray_budget is the number of modeled arrivals per receiver.
+    coefficients are per-bounce complex gains with magnitude <= 1, given as
+    a number or as [re, im]. ray_budget is the number of modeled arrivals
+    per receiver. Construction checks every value: a wrong type raises
+    ConfigError at once, and one ConfigError lists every broken invariant.
     """
 
     water_depth: float
@@ -45,70 +48,80 @@ class Environment:
     ray_budget: int
 
     def __post_init__(self):
-        self.ssp = np.asarray(self.ssp, dtype=float)
-        self.surface_reflection = complex(self.surface_reflection)
-        self.bottom_reflection = complex(self.bottom_reflection)
+        self.water_depth = finite(self.water_depth, "water_depth")
+        self.absorption_db_per_m = finite(self.absorption_db_per_m, "absorption_db_per_m")
+        self.ray_budget = whole(self.ray_budget, "ray_budget")
+        try:
+            self.ssp = np.asarray(self.ssp, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"'ssp' must be an array of numbers: {exc}") from exc
+        issues = []
+        for name in ("surface_reflection", "bottom_reflection"):
+            value = getattr(self, name)
+            if isinstance(value, numbers.Number) and not isinstance(value, bool):
+                value = (value.real, value.imag)
+            if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 2:
+                raise ConfigError(f"'{name}' must be a number or [re, im], got {value!r}")
+            setattr(self, name, complex(*items(value, finite, name)))
+            if abs(getattr(self, name)) > 1 + 1e-12:
+                issues.append(f"{name.replace('_', ' ')} magnitude must be <= 1")
+        depth = self.water_depth
+        if not depth > 0:
+            issues.append("water depth must be > 0")
+        if self.ssp.ndim != 2 or self.ssp.shape[1] != 2 or self.ssp.shape[0] < 2:
+            issues.append("ssp must be an (M, 2) array of (depth, speed) with M >= 2")
+        elif not np.isfinite(self.ssp).all():
+            issues.append("ssp depths and speeds must be finite")
+        else:
+            depths, speeds = self.ssp.T
+            if np.any(np.diff(depths) <= 0):
+                issues.append("ssp breakpoints not increasing")
+            tol = 1e-9 * max(1.0, abs(depth))
+            if abs(depths[0]) > tol or (depth > 0 and abs(depths[-1] - depth) > tol):
+                issues.append("ssp breakpoints must span [0, water_depth]")
+            if np.any(speeds <= 0):
+                issues.append("sound speeds must be > 0")
+        if self.absorption_db_per_m < 0:
+            issues.append("absorption must be >= 0")
+        if self.ray_budget < 1:
+            issues.append("ray budget must be >= 1")
+        if issues:
+            raise ConfigError("invalid environment: " + "; ".join(issues))
 
 
 @dataclass
 class Geometry:
     """Receiver array and axis-aligned volume of interest.
 
-    receivers is (L, 3); volume is (2, 3) holding the min and max corners;
-    a non-finite coordinate in either raises ConfigError. The source
-    position is not part of the geometry: the harness takes it from the
-    experiment config or draws it. The far-field model holds only
-    at least DEFAULT_MIN_DISTANCE from every receiver, so the experiment
-    config checks the volume, the grid box and an explicit source with
-    box_issues when it is built, and nothing downstream checks again.
+    receivers is (L, 3) with L >= 1; volume is (2, 3) holding the min and
+    max corners, min <= max; construction raises ConfigError on any other
+    shape or a non-finite coordinate. The source position is not part of
+    the geometry: the harness takes it from the experiment config or draws
+    it. The far-field model holds only at least DEFAULT_MIN_DISTANCE from
+    every receiver, so the experiment config checks the receiver depths,
+    the volume, the grid box and an explicit source against the water
+    column when it is built (box_issues), and nothing downstream checks
+    again.
     """
 
     receivers: np.ndarray
     volume: np.ndarray
 
     def __post_init__(self):
-        self.receivers = np.atleast_2d(np.asarray(self.receivers, dtype=float))
-        self.volume = np.asarray(self.volume, dtype=float)
+        try:
+            self.receivers = np.atleast_2d(np.asarray(self.receivers, dtype=float))
+            self.volume = np.asarray(self.volume, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"receivers and volume must be arrays of numbers: {exc}") from exc
+        if self.receivers.ndim != 2 or self.receivers.shape[1] != 3 or self.receivers.shape[0] < 1:
+            raise ConfigError("receivers must be an (L, 3) array with L >= 1")
+        if self.volume.shape != (2, 3):
+            raise ConfigError("volume must be a (2, 3) array of min/max corners")
         for label, value in (("receiver", self.receivers), ("volume", self.volume)):
             if not np.isfinite(value).all():
                 raise ConfigError(f"{label} coordinates must be finite")
-
-
-def validate_environment(env: Environment) -> list[str]:
-    """Check every Environment invariant; return a list of violations.
-
-    Total function: never raises, an empty list means the environment is
-    valid. Each violated invariant contributes one message.
-    """
-    issues = []
-    try:
-        depth = float(env.water_depth)
-    except (TypeError, ValueError):
-        return ["water depth is not a number"]
-    if not depth > 0:
-        issues.append("water depth must be > 0")
-    ssp = np.asarray(env.ssp, dtype=float)
-    if ssp.ndim != 2 or ssp.shape[1] != 2 or ssp.shape[0] < 2:
-        issues.append("ssp must be an (M, 2) array of (depth, speed) with M >= 2")
-    else:
-        depths = ssp[:, 0]
-        speeds = ssp[:, 1]
-        if np.any(np.diff(depths) <= 0):
-            issues.append("ssp breakpoints not increasing")
-        tol = 1e-9 * max(1.0, abs(depth))
-        if abs(depths[0]) > tol or (depth > 0 and abs(depths[-1] - depth) > tol):
-            issues.append("ssp breakpoints must span [0, water_depth]")
-        if np.any(speeds <= 0):
-            issues.append("sound speeds must be > 0")
-    if abs(complex(env.surface_reflection)) > 1 + 1e-12:
-        issues.append("surface reflection magnitude must be <= 1")
-    if abs(complex(env.bottom_reflection)) > 1 + 1e-12:
-        issues.append("bottom reflection magnitude must be <= 1")
-    if env.absorption_db_per_m < 0:
-        issues.append("absorption must be >= 0")
-    if int(env.ray_budget) < 1:
-        issues.append("ray budget must be >= 1")
-    return issues
+        if np.any(self.volume[0] > self.volume[1]):
+            raise ConfigError("volume min corner exceeds max corner")
 
 
 def box_distance(receivers, box) -> np.ndarray:
@@ -144,27 +157,6 @@ def box_issues(boxes: dict, receivers, water_depth: float) -> list[str]:
                 f"minimum {DEFAULT_MIN_DISTANCE:g} m"
             )
     return issues
-
-
-def validate_geometry(geometry: Geometry, env: Environment) -> list[str]:
-    """Check Geometry invariants, the volume's far-field rules included, against
-    an environment's water column."""
-    issues = []
-    recv = geometry.receivers
-    if recv.ndim != 2 or recv.shape[1] != 3 or recv.shape[0] < 1:
-        issues.append("receivers must be an (L, 3) array with L >= 1")
-        return issues
-    vol = geometry.volume
-    if vol.shape != (2, 3):
-        issues.append("volume must be a (2, 3) array of min/max corners")
-        return issues
-    lo, hi = vol
-    if np.any(lo > hi):
-        issues.append("volume min corner exceeds max corner")
-    depth = float(env.water_depth)
-    if np.any(recv[:, 2] < 0) or np.any(recv[:, 2] > depth):
-        issues.append("receiver depths must lie in [0, water_depth]")
-    return issues + box_issues({"volume": vol}, recv, depth)
 
 
 class _SlownessTable:
@@ -356,71 +348,3 @@ def average_attenuation(
     _, gains = arrivals_batch(env, geometry.receivers, points)
     energy = np.sum(np.abs(gains) ** 2, axis=2)  # (M, L)
     return float(energy.mean(axis=1).mean())
-
-
-def _complex_from_json(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ConfigError("complex values must be [re, im]")
-        return complex(float(value[0]), float(value[1]))
-    return complex(float(value), 0.0)
-
-
-def _complex_to_json(value: complex):
-    return [value.real, value.imag]
-
-
-def environment_from_dict(data: dict) -> Environment:
-    try:
-        env = Environment(
-            water_depth=float(data["water_depth"]),
-            ssp=np.asarray(data["ssp"], dtype=float),
-            surface_reflection=_complex_from_json(data["surface_reflection"]),
-            bottom_reflection=_complex_from_json(data["bottom_reflection"]),
-            absorption_db_per_m=float(data["absorption_db_per_m"]),
-            ray_budget=int(data["ray_budget"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad environment config: {exc}") from exc
-    issues = validate_environment(env)
-    if issues:
-        raise ConfigError("invalid environment: " + "; ".join(issues))
-    return env
-
-
-_GEOMETRY_KEYS = {"receivers", "volume"}
-
-
-def geometry_from_dict(data: dict) -> Geometry:
-    if not isinstance(data, dict):
-        raise ConfigError("geometry must be a JSON object")
-    unknown = set(data) - _GEOMETRY_KEYS
-    if unknown:
-        raise ConfigError(f"unknown geometry keys: {sorted(unknown)}")
-    try:
-        geometry = Geometry(
-            receivers=np.asarray(data["receivers"], dtype=float),
-            volume=np.asarray(data["volume"], dtype=float),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad geometry config: {exc}") from exc
-    return geometry
-
-
-def environment_to_dict(env: Environment) -> dict:
-    return {
-        "water_depth": env.water_depth,
-        "ssp": env.ssp.tolist(),
-        "surface_reflection": _complex_to_json(env.surface_reflection),
-        "bottom_reflection": _complex_to_json(env.bottom_reflection),
-        "absorption_db_per_m": env.absorption_db_per_m,
-        "ray_budget": env.ray_budget,
-    }
-
-
-def geometry_to_dict(geometry: Geometry) -> dict:
-    return {
-        "receivers": geometry.receivers.tolist(),
-        "volume": geometry.volume.tolist(),
-    }
-

@@ -32,6 +32,7 @@ from .errors import (
     StageError,
     StructureError,
     TrainingError,
+    finite,
 )
 
 _NUMERIC_ERRORS = (StageError, EstimationError, TrainingError, StructureError)
@@ -110,17 +111,19 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 
 def _cmd_simulate(args) -> int:
+    snr_db = finite(args.snr_db, "--snr-db")
     config = _load_config(args)
     out = Path(args.out or "simulate-out")
-    source = harness.simulate(config, args.count, args.snr_db, args.env, out)
+    source = harness.simulate(config, args.count, snr_db, args.env, out)
     print(f"simulated {args.count} observations at {args.snr_db:+.1f} dB "
           f"from source {np.round(source, 2).tolist()} -> {out}")
     return 0
 
 
 def _cmd_gen_data(args) -> int:
+    snr_db = finite(args.snr_db, "--snr-db")
     config = _load_config(args)
-    paths = harness.generate_dataset(config, args.count, args.snr_db, args.out)
+    paths = harness.generate_dataset(config, args.count, snr_db, args.out)
     print(f"wrote {args.count} labelled observations -> {paths['observations']}")
     return 0
 
@@ -197,8 +200,21 @@ def _cmd_localize(args) -> int:
         if args.model is None:
             raise ConfigError("--method net needs --model")
         model = localize.load_model(args.model)
-        estimates = model.predict(localize.extract_features(values, attenuation))
+        features = localize.extract_features(values, attenuation)
+        width = model.layer_sizes()[0]
+        if features.shape[1] != width:
+            raise ConfigError(
+                f"{args.data} gives {features.shape[1]} features per observation, "
+                f"model {args.model} takes {width}"
+            )
+        estimates = model.predict(features)
     else:
+        expected = (config.geometry.receivers.shape[0], config.n_bins)
+        if values.shape[1:] != expected:
+            raise ConfigError(
+                f"{args.data} holds {values.shape[1]} receivers x {values.shape[2]} "
+                f"bins, the config {expected[0]} x {expected[1]}"
+            )
         evaluator = harness.grid_evaluator(config)
         estimates = evaluator.locate(values, harness.SIGNAL_POWER, noise_power)
     out = Path(args.out)

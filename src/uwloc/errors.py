@@ -3,8 +3,10 @@
 The CLI maps these onto process exit codes: configuration problems exit 2,
 numerical/condition failures exit 3, and IO failures exit 4. A scene outside
 the far-field model is a configuration problem, caught when the experiment
-config is built. The config dataclasses check value types with whole, finite
-and items, so parsing, construction and dataclasses.replace agree.
+config is built. Every config dataclass (Environment, Geometry, GridSpec,
+NetConfig, ExperimentConfig) checks its own values when it is built, value
+types with whole, finite and items, so the one config JSON reader in
+harness, direct construction and dataclasses.replace accept the same values.
 """
 
 import math

@@ -182,117 +182,91 @@ class ExperimentConfig:
             raise ConfigError("snr grid is empty")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        column = min(self.environment_q, self.environment_p,
-                     key=lambda env: env.water_depth)
-        _check_scene(channel.validate_geometry(self.geometry, column))
+        depth = min(self.environment_q.water_depth, self.environment_p.water_depth)
         if self.grid is None:
-            self.grid = _grid_from_dict({}, self.geometry.volume)
-        boxes = {"grid box": (self.grid.lower, self.grid.upper)}
+            self.grid = GridSpec(**_grid_defaults(self.geometry.volume))
+        receivers = self.geometry.receivers
+        boxes = {"volume": self.geometry.volume,
+                 "grid box": (self.grid.lower, self.grid.upper)}
         if self.source is not None:
             try:
                 self.source = np.asarray(self.source, dtype=float).reshape(3)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"source needs 3 coordinates: {exc}") from exc
             boxes["source"] = (self.source, self.source)
-        _check_scene(
-            channel.box_issues(boxes, self.geometry.receivers, column.water_depth)
-        )
+        problems = channel.box_issues(boxes, receivers, depth)
+        if np.any(receivers[:, 2] < 0) or np.any(receivers[:, 2] > depth):
+            problems.insert(0, "receiver depths must lie in [0, water_depth]")
+        if problems:
+            raise ConfigError("invalid scene: " + "; ".join(problems))
 
 
-def _check_scene(problems: list[str]) -> None:
-    if problems:
-        raise ConfigError("invalid scene: " + "; ".join(problems))
+def _grid_defaults(volume: np.ndarray) -> dict:
+    """The grid's defaults, for a grid left out whole or in part: the search
+    volume's corners, (31, 31, 7) nodes and peak interpolation on."""
+    return {"lower": volume[0], "upper": volume[1], "counts": (31, 31, 7),
+            "peak_interpolation": True}
 
 
-_GRID_KEYS = {"counts", "lower", "upper", "peak_interpolation"}
-_NET_KEYS = {item.name for item in dataclasses.fields(NetConfig)}
-_OPTIONAL_KEYS = {"snr_db", "trials", "estimator", "csd_k", "seed", "source",
-                  "attenuation_samples"}
-_REQUIRED_KEYS = ("environment_q", "environment_p", "geometry", "n_bins", "sample_period")
-_TOP_KEYS = {*_REQUIRED_KEYS, *_OPTIONAL_KEYS, "grid", "net"}
+def _read(cls, data, section: str, defaults: dict | None = None):
+    """cls built from the JSON object data; the one reader of config JSON.
 
-
-def _grid_from_dict(data: dict, volume: np.ndarray) -> GridSpec:
-    """The search grid of a config's "grid" object; the one place of its defaults.
-
-    Omitted keys default to the search volume's corners, (31, 31, 7) nodes
-    and peak interpolation on, the same whether the whole object or only
-    some of its keys are left out.
+    null reads as {}. Keys that data leaves out take defaults, then the
+    dataclass's own. A non-object, a key that names no field of cls and a
+    field that nothing gives raise ConfigError; cls checks the values.
     """
-    unknown = set(data) - _GRID_KEYS
+    data = {} if data is None else data
+    if not isinstance(data, dict):
+        raise ConfigError(f"config '{section}' must be a JSON object, got {data!r}")
+    fields = dataclasses.fields(cls)
+    unknown = data.keys() - {item.name for item in fields}
     if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-    return GridSpec(
-        lower=data.get("lower", volume[0]),
-        upper=data.get("upper", volume[1]),
-        counts=data.get("counts", (31, 31, 7)),
-        peak_interpolation=data.get("peak_interpolation", True),
-    )
-
-
-def _section(data: dict, key: str) -> dict:
-    """The JSON object under key; omitted or null reads as empty."""
-    section = data.get(key)
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"config '{key}' must be a JSON object, got {section!r}")
-    return section
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    values = {**(defaults or {}), **data}
+    for item in fields:
+        required = (item.default is dataclasses.MISSING
+                    and item.default_factory is dataclasses.MISSING)
+        if required and item.name not in values:
+            raise ConfigError(f"{section} is missing '{item.name}'")
+    return cls(**values)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build and validate an ExperimentConfig from parsed JSON."""
+    """Build and validate an ExperimentConfig from parsed JSON.
+
+    Each nested object is read into its dataclass first, the grid with the
+    search volume's defaults, then the top level.
+    """
     if not isinstance(data, dict):
         raise ConfigError("experiment config must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in _REQUIRED_KEYS:
-        if key not in data:
-            raise ConfigError(f"config is missing '{key}'")
-    env_q = channel.environment_from_dict(data["environment_q"])
-    env_p = channel.environment_from_dict(data["environment_p"])
-    geometry = channel.geometry_from_dict(data["geometry"])
-
-    net = _section(data, "net")
-    unknown = set(net) - _NET_KEYS
-    if unknown:
-        raise ConfigError(f"unknown net keys: {sorted(unknown)}")
-    return ExperimentConfig(
-        environment_q=env_q,
-        environment_p=env_p,
-        geometry=geometry,
-        n_bins=data["n_bins"],
-        sample_period=data["sample_period"],
-        grid=_grid_from_dict(_section(data, "grid"), geometry.volume),
-        net=NetConfig(**net),
-        **{key: data[key] for key in _OPTIONAL_KEYS & data.keys()},
-    )
+    data = dict(data)
+    for name, cls in (("environment_q", channel.Environment),
+                      ("environment_p", channel.Environment),
+                      ("geometry", channel.Geometry), ("net", NetConfig)):
+        if name in data:
+            data[name] = _read(cls, data[name], name)
+    if "geometry" in data:
+        defaults = _grid_defaults(data["geometry"].volume)
+        data["grid"] = _read(GridSpec, data.get("grid"), "grid", defaults)
+    return _read(ExperimentConfig, data, "config")
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    """Round-trippable JSON form of a config (for report echo)."""
-    return {
-        "environment_q": channel.environment_to_dict(config.environment_q),
-        "environment_p": channel.environment_to_dict(config.environment_p),
-        "geometry": channel.geometry_to_dict(config.geometry),
-        "n_bins": config.n_bins,
-        "sample_period": config.sample_period,
-        "snr_db": list(config.snr_db),
-        "trials": config.trials,
-        "estimator": config.estimator,
-        "grid": {
-            "counts": [int(c) for c in config.grid.counts],
-            "lower": [float(v) for v in config.grid.lower],
-            "upper": [float(v) for v in config.grid.upper],
-            "peak_interpolation": config.grid.peak_interpolation,
-        },
-        "net": dataclasses.asdict(config.net) | {"hidden": list(config.net.hidden)},
-        "csd_k": config.csd_k,
-        "seed": config.seed,
-        "source": None if config.source is None else [float(v) for v in config.source],
-        "attenuation_samples": config.attenuation_samples,
-    }
+def config_to_dict(value):
+    """Round-trippable JSON form of a config (for report echo); the one writer.
+
+    Recurses into every value: a dataclass becomes an object of its
+    fields, an array or tuple a list, a complex [re, im].
+    """
+    if dataclasses.is_dataclass(value):
+        return {item.name: config_to_dict(getattr(value, item.name))
+                for item in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [config_to_dict(item) for item in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -347,8 +321,8 @@ def _draw_observations(master: int, stage: str, chunk_idx: int, h: np.ndarray,
     no complex temporary is made; the bits are those of
     s = sqrt(P/2) (re + 1j im) per draw and x = s h + v.
     """
-    if noise_power < 0:
-        raise ConfigError("noise power must be >= 0")
+    if not (math.isfinite(noise_power) and noise_power >= 0):
+        raise ConfigError(f"noise power must be finite and >= 0, got {noise_power!r}")
     rng = np.random.default_rng(derive_seed(master, stage, chunk_idx))
     shape = (count, *h.shape[-2:])
     scratch = np.empty(math.prod(shape))

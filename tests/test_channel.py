@@ -1,5 +1,6 @@
 """Waveguide arrival model: geometry, delays, gains, scene I/O."""
 
+import dataclasses
 import itertools
 import math
 
@@ -17,16 +18,10 @@ from uwloc.channel import (
     arrivals_batch,
     average_attenuation,
     box_distance,
-    environment_from_dict,
-    environment_to_dict,
-    geometry_from_dict,
-    geometry_to_dict,
     stratified_delay,
-    validate_environment,
-    validate_geometry,
 )
 from uwloc.errors import ConfigError
-from uwloc.harness import ExperimentConfig
+from uwloc.harness import ExperimentConfig, config_from_dict, config_to_dict
 
 
 def iso_env(depth=100.0, speed=1500.0, surface=-1.0, bottom=0.5,
@@ -79,51 +74,56 @@ def _delay_oracle(env, start, end):
 
 class TestValidation:
     def test_good_environment_is_clean(self):
-        assert validate_environment(layered_env()) == []
+        env = layered_env()
+        assert env.ssp.shape == (3, 2) and env.ray_budget == 6
+        assert env.surface_reflection == complex(-0.9, 0.0)
 
     def test_bad_depth(self):
-        env = iso_env()
-        env.water_depth = -5.0
-        assert any("depth" in msg for msg in validate_environment(env))
+        with pytest.raises(ConfigError, match="water depth must be > 0"):
+            dataclasses.replace(iso_env(), water_depth=-5.0)
 
     def test_nonincreasing_breakpoints(self):
-        env = iso_env()
-        env.ssp = np.array([[0.0, 1500.0], [60.0, 1490.0], [60.0, 1480.0],
-                            [100.0, 1500.0]])
-        assert any("increasing" in msg for msg in validate_environment(env))
+        ssp = [[0.0, 1500.0], [60.0, 1490.0], [60.0, 1480.0], [100.0, 1500.0]]
+        with pytest.raises(ConfigError, match="increasing"):
+            dataclasses.replace(iso_env(), ssp=ssp)
 
     def test_ssp_must_span_column(self):
-        env = iso_env()
-        env.ssp = np.array([[0.0, 1500.0], [80.0, 1500.0]])
-        assert any("span" in msg for msg in validate_environment(env))
+        with pytest.raises(ConfigError, match="span"):
+            dataclasses.replace(iso_env(), ssp=[[0.0, 1500.0], [80.0, 1500.0]])
 
     def test_nonpositive_speed(self):
-        env = iso_env()
-        env.ssp = np.array([[0.0, 1500.0], [100.0, 0.0]])
-        assert any("> 0" in msg for msg in validate_environment(env))
+        with pytest.raises(ConfigError, match="sound speeds must be > 0"):
+            dataclasses.replace(iso_env(), ssp=[[0.0, 1500.0], [100.0, 0.0]])
 
     def test_ray_budget(self):
-        env = iso_env(budget=0)
-        assert any("budget" in msg for msg in validate_environment(env))
+        with pytest.raises(ConfigError, match="budget"):
+            iso_env(budget=0)
+        with pytest.raises(ConfigError, match="budget"):
+            dataclasses.replace(iso_env(), ray_budget=0)
+        with pytest.raises(ConfigError, match="'ray_budget' must be a whole number"):
+            dataclasses.replace(iso_env(), ray_budget=6.7)
 
     def test_reflection_magnitude(self):
-        env = iso_env(surface=-1.2)
-        assert any("reflection" in msg for msg in validate_environment(env))
+        with pytest.raises(ConfigError, match="surface reflection magnitude"):
+            iso_env(surface=-1.2)
 
     def test_validation_is_total(self):
-        env = iso_env(budget=0, surface=2.0)
-        env.water_depth = 0.0
-        msgs = validate_environment(env)
-        assert len(msgs) >= 3
+        # one error lists every broken invariant: depth, breakpoints,
+        # surface reflection and ray budget
+        with pytest.raises(ConfigError) as info:
+            iso_env(depth=0.0, budget=0, surface=2.0)
+        assert len(str(info.value).split("; ")) >= 3
 
     def test_geometry_checks(self):
-        env = iso_env()
-        geo = Geometry(
-            receivers=[[0.0, 0.0, 50.0]],
-            volume=[[10.0, 10.0, 20.0], [5.0, 90.0, 80.0]],
-        )
-        msgs = validate_geometry(geo, env)
-        assert any("volume" in msg for msg in msgs)
+        with pytest.raises(ConfigError, match="volume min corner exceeds max corner"):
+            Geometry(
+                receivers=[[0.0, 0.0, 50.0]],
+                volume=[[10.0, 10.0, 20.0], [5.0, 90.0, 80.0]],
+            )
+        with pytest.raises(ConfigError, match=r"receivers must be an \(L, 3\)"):
+            Geometry(receivers=[[0.0, 50.0]], volume=[[10.0, 10.0, 20.0], [90.0, 90.0, 80.0]])
+        with pytest.raises(ConfigError, match=r"volume must be a \(2, 3\)"):
+            Geometry(receivers=[[0.0, 0.0, 50.0]], volume=[10.0, 10.0, 20.0])
 
     def test_receiver_outside_column(self):
         env = iso_env()
@@ -131,7 +131,8 @@ class TestValidation:
             receivers=[[0.0, 0.0, 150.0]],
             volume=[[10.0, 10.0, 20.0], [90.0, 90.0, 80.0]],
         )
-        assert validate_geometry(geo, env)
+        with pytest.raises(ConfigError, match="receiver depths"):
+            ExperimentConfig(env, env, geo, 8, 0.01)
 
     def test_near_source_rejected_at_config_load(self):
         env = iso_env()
@@ -389,51 +390,56 @@ class TestAverageAttenuation:
 
 class TestSceneIO:
     def scene_dict(self):
+        """An experiment config whose presumed environment gives one
+        reflection as [re, im] and the other as a number."""
+        environment = {
+            "water_depth": 100.0,
+            "ssp": [[0.0, 1510.0], [40.0, 1500.0], [100.0, 1490.0]],
+            "surface_reflection": [-0.95, 0.0],
+            "bottom_reflection": 0.6,
+            "absorption_db_per_m": 5e-4,
+            "ray_budget": 6,
+        }
         return {
-            "environment": {
-                "water_depth": 100.0,
-                "ssp": [[0.0, 1510.0], [40.0, 1500.0], [100.0, 1490.0]],
-                "surface_reflection": [-0.95, 0.0],
-                "bottom_reflection": 0.6,
-                "absorption_db_per_m": 5e-4,
-                "ray_budget": 6,
-            },
+            "environment_q": environment,
+            "environment_p": dict(environment),
             "geometry": {
                 "receivers": [[0.0, 0.0, 30.0], [600.0, 0.0, 40.0]],
                 "volume": [[150.0, 150.0, 20.0], [450.0, 450.0, 80.0]],
             },
+            "n_bins": 8,
+            "sample_period": 0.016,
         }
 
     def test_round_trip(self):
         scene = self.scene_dict()
-        env = environment_from_dict(scene["environment"])
-        geo = geometry_from_dict(scene["geometry"])
-        env2 = environment_from_dict(environment_to_dict(env))
-        geo2 = geometry_from_dict(geometry_to_dict(geo))
+        config = config_from_dict(scene)
+        again = config_from_dict(config_to_dict(config))
+        env, env2 = config.environment_q, again.environment_q
         assert np.array_equal(env.ssp, env2.ssp)
         assert env.surface_reflection == env2.surface_reflection
-        assert env.bottom_reflection == env2.bottom_reflection
-        assert np.array_equal(geo.receivers, geo2.receivers)
-        assert np.array_equal(geo.volume, geo2.volume)
-        assert geometry_to_dict(geo2) == scene["geometry"]
+        assert env.bottom_reflection == env2.bottom_reflection == complex(0.6, 0.0)
+        assert np.array_equal(config.geometry.receivers, again.geometry.receivers)
+        assert np.array_equal(config.geometry.volume, again.geometry.volume)
+        assert config_to_dict(again)["geometry"] == scene["geometry"]
 
     def test_complex_reflection_coefficients(self):
         scene = self.scene_dict()
-        scene["environment"]["surface_reflection"] = [-0.9, 0.1]
-        env = environment_from_dict(scene["environment"])
+        scene["environment_q"]["surface_reflection"] = [-0.9, 0.1]
+        env = config_from_dict(scene).environment_q
         assert env.surface_reflection == complex(-0.9, 0.1)
 
     def test_invalid_environment_rejected(self):
         scene = self.scene_dict()
-        scene["environment"]["ray_budget"] = 0
-        with pytest.raises(ConfigError):
-            environment_from_dict(scene["environment"])
+        scene["environment_q"]["ray_budget"] = 0
+        with pytest.raises(ConfigError, match="ray budget must be >= 1"):
+            config_from_dict(scene)
 
     def test_missing_key_rejected(self):
         scene = self.scene_dict()
-        del scene["environment"]["water_depth"]
-        with pytest.raises(ConfigError):
-            environment_from_dict(scene["environment"])
+        del scene["environment_q"]["water_depth"]
+        with pytest.raises(ConfigError, match="environment_q is missing 'water_depth'"):
+            config_from_dict(scene)
 
     def test_geometry_source_rejected(self):
         # The source is a top-level experiment key; inside the geometry it
@@ -441,9 +447,10 @@ class TestSceneIO:
         scene = self.scene_dict()
         scene["geometry"]["source"] = [300.0, 200.0, 50.0]
         with pytest.raises(ConfigError, match="unknown geometry keys"):
-            geometry_from_dict(scene["geometry"])
+            config_from_dict(scene)
+        scene["geometry"] = [[0.0, 0.0, 30.0]]
         with pytest.raises(ConfigError, match="JSON object"):
-            geometry_from_dict([[0.0, 0.0, 30.0]])
+            config_from_dict(scene)
 
     def test_batch_matches_single(self):
         env = layered_env()

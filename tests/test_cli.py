@@ -326,6 +326,69 @@ class TestDataCommands:
         assert code == 2
 
 
+    @pytest.mark.parametrize("command, snr", [
+        ("simulate", "nan"), ("simulate", "inf"), ("gen-data", "-inf"),
+    ])
+    def test_non_finite_snr_is_config_error(self, config_path, tmp_path, capsys,
+                                            command, snr):
+        # NaN wrote a NaN dump, inf a zero noise power and -inf divided by zero
+        out = tmp_path / "out"
+        code = main([command, "--config", config_path, "--out", str(out),
+                     f"--snr-db={snr}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'--snr-db' must be a finite number" in err
+        assert not out.exists()
+
+    def test_localize_rejects_dump_of_other_shape(self, tmp_path, capsys):
+        # a 16-bin dump against the 8-bin config reached GridEvaluator.locate
+        # and NetModel.predict, whose ValueError escaped with a traceback
+        paths = {}
+        for n_bins in (8, 16):
+            data = tiny_config_dict(n_bins=n_bins, net=dict(
+                train_size=32, hidden=[4], epochs=1, batch_size=32))
+            paths[n_bins] = tmp_path / f"config{n_bins}.json"
+            paths[n_bins].write_text(json.dumps(data))
+        data_dir, model_dir = tmp_path / "data16", tmp_path / "model8"
+        assert main(["gen-data", "--config", str(paths[16]), "--out", str(data_dir),
+                     "--count", "3"]) == 0
+        assert main(["train", "--config", str(paths[8]), "--out", str(model_dir)]) == 0
+        capsys.readouterr()
+        for method, message in (("ml", "holds 3 receivers x 16 bins, the config 3 x 8"),
+                                ("net", "gives 192 features per observation")):
+            out = tmp_path / f"loc-{method}"
+            code = main(["localize", "--config", str(paths[8]), "--data", str(data_dir),
+                         "--out", str(out), "--method", method,
+                         "--model", str(model_dir / "model.uwnet")])
+            assert code == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("section, bad", [
+        ("environment_q", {"extra": 1}),
+        ("environment_p", {"ray_budget": 6.7}),
+        ("environment_q", {"ray_budget": True}),
+        ("environment_p", {"absorption_db_per_m": math.nan}),
+        ("environment_q", {"ssp": [[0.0, 1500.0], [100.0, math.nan]]}),
+        ("environment_q", {"water_depth": "100"}),
+        ("environment_p", {"bottom_reflection": "0.5"}),
+        ("environment_p", {"bottom_reflection": [math.nan, 0.0]}),
+        (None, {"extra": 1}),
+        ("geometry", {"extra": 1}),
+        ("grid", {"extra": 1}),
+        ("net", {"extra": 1}),
+    ])
+    def test_bad_config_value_exits_before_writing(self, tmp_path, capsys, section, bad):
+        data = tiny_config_dict(net={})
+        (data if section is None else data[section]).update(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestAnalysisCommands:
     def test_bound_reports_json(self, config_path, tmp_path, capsys):
         rng = np.random.default_rng(1)

@@ -246,6 +246,13 @@ class TestDrawContract:
                           hand_noise_power(attenuation, 4.0), 6)
         assert np.array_equal(values, want)
 
+    @pytest.mark.parametrize("noise_power", [-1.0, math.nan, math.inf])
+    def test_draw_rejects_bad_noise_power(self, noise_power):
+        # NaN passed the old `noise_power < 0` test and drew NaN observations
+        h = np.ones((2, 4), dtype=complex)
+        with pytest.raises(ConfigError, match="noise power must be finite and >= 0"):
+            list(harness.observation_chunks(0, "simulate", h, noise_power, 3))
+
 
 class TestChunking:
     def test_uniform_positions_cover_volume(self):
@@ -335,21 +342,14 @@ class TestCurveIo:
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
-        config = config_from_dict(tiny_config_dict())
-        data = config_to_dict(config)
-        again = config_from_dict(data)
-        assert again.n_bins == config.n_bins
-        assert again.snr_db == config.snr_db
-        assert again.trials == config.trials
-        assert again.csd_k == config.csd_k
-        np.testing.assert_array_equal(again.grid.counts, config.grid.counts)
-        np.testing.assert_array_equal(
-            again.geometry.receivers, config.geometry.receivers
-        )
+        # the writer's output reads back to the same config, through JSON
+        # that holds no NaN or infinity
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(data))
-        loaded = load_config(path)
-        assert loaded.seed == config.seed
+        for raw in (tiny_config_dict(), default_experiment_config()):
+            data = config_to_dict(config_from_dict(raw))
+            assert config_to_dict(config_from_dict(data)) == data
+            path.write_text(json.dumps(data, allow_nan=False))
+            assert config_to_dict(load_config(path)) == data
 
     def test_grid_defaults_to_volume(self):
         config = config_from_dict(tiny_config_dict(grid=None))
@@ -429,6 +429,22 @@ class TestConfig:
         ):
             with pytest.raises(ConfigError, match=match):
                 config_from_dict(tiny_config_dict(**bad))
+        for section in ("environment_q", "environment_p"):
+            for bad, match in (
+                ({"sound_speed": 1500.0}, f"unknown {section} keys"),
+                ({"ray_budget": 6.7}, "'ray_budget'"),
+                ({"ray_budget": True}, "'ray_budget'"),
+                ({"absorption_db_per_m": math.nan}, "'absorption_db_per_m'"),
+                ({"ssp": [[0.0, 1500.0], [50.0, math.nan], [100.0, 1500.0]]},
+                 "ssp depths and speeds must be finite"),
+                ({"water_depth": "100"}, "'water_depth'"),
+                ({"bottom_reflection": "0.5"}, "'bottom_reflection'"),
+                ({"bottom_reflection": [math.nan, 0.0]}, "'bottom_reflection'"),
+            ):
+                data = tiny_config_dict()
+                data[section] = dict(data[section], **bad)
+                with pytest.raises(ConfigError, match=match):
+                    config_from_dict(data)
 
     @pytest.mark.parametrize("field, value", [
         ("trials", 40.5),
@@ -468,14 +484,20 @@ class TestConfig:
             grid = config_from_dict(tiny_config_dict(grid={"peak_interpolation": flag})).grid
             assert grid.peak_interpolation is flag
 
+    @pytest.mark.parametrize("section", [
+        None, "environment_q", "environment_p", "geometry", "grid", "net",
+    ])
+    def test_unknown_key_in_any_section(self, section):
+        data = tiny_config_dict(net={})
+        (data if section is None else data[section])["extra"] = 1
+        with pytest.raises(ConfigError, match=f"unknown {section or 'config'} keys"):
+            config_from_dict(data)
+
     def test_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            config_from_dict(tiny_config_dict(extra=1))
+        # grid keys of an earlier schema, and a source inside the geometry
         for key in ("nx", "refine_factor"):
             with pytest.raises(ConfigError, match="unknown grid keys"):
                 config_from_dict(tiny_config_dict(grid={"counts": [3, 3, 3], key: 5}))
-        with pytest.raises(ConfigError, match="unknown net keys"):
-            config_from_dict(tiny_config_dict(net={"width": 8}))
         geometry = dict(tiny_config_dict()["geometry"], source=[84.0, 84.0, 50.0])
         with pytest.raises(ConfigError, match="unknown geometry keys"):
             config_from_dict(tiny_config_dict(geometry=geometry))
