@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, finite, items, whole
+from .errors import ConfigError, finite, finite_array, items, whole
 
 DEFAULT_MIN_DISTANCE = 10.0
 
@@ -36,8 +36,9 @@ class Environment:
     increasing in depth and spanning [0, water_depth]. Reflection
     coefficients are per-bounce complex gains with magnitude <= 1, given as
     a number or as [re, im]. ray_budget is the number of modeled arrivals
-    per receiver. Construction checks every value: a wrong type raises
-    ConfigError at once, and one ConfigError lists every broken invariant.
+    per receiver. Construction checks every value: a wrong type or a
+    non-finite number raises ConfigError at once, and one ConfigError
+    lists every other broken invariant.
     """
 
     water_depth: float
@@ -51,10 +52,7 @@ class Environment:
         self.water_depth = finite(self.water_depth, "water_depth")
         self.absorption_db_per_m = finite(self.absorption_db_per_m, "absorption_db_per_m")
         self.ray_budget = whole(self.ray_budget, "ray_budget")
-        try:
-            self.ssp = np.asarray(self.ssp, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"'ssp' must be an array of numbers: {exc}") from exc
+        self.ssp = finite_array(self.ssp, "ssp depths and speeds")
         issues = []
         for name in ("surface_reflection", "bottom_reflection"):
             value = getattr(self, name)
@@ -70,8 +68,6 @@ class Environment:
             issues.append("water depth must be > 0")
         if self.ssp.ndim != 2 or self.ssp.shape[1] != 2 or self.ssp.shape[0] < 2:
             issues.append("ssp must be an (M, 2) array of (depth, speed) with M >= 2")
-        elif not np.isfinite(self.ssp).all():
-            issues.append("ssp depths and speeds must be finite")
         else:
             depths, speeds = self.ssp.T
             if np.any(np.diff(depths) <= 0):
@@ -108,18 +104,12 @@ class Geometry:
     volume: np.ndarray
 
     def __post_init__(self):
-        try:
-            self.receivers = np.atleast_2d(np.asarray(self.receivers, dtype=float))
-            self.volume = np.asarray(self.volume, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"receivers and volume must be arrays of numbers: {exc}") from exc
+        self.receivers = np.atleast_2d(finite_array(self.receivers, "receiver coordinates"))
+        self.volume = finite_array(self.volume, "volume coordinates")
         if self.receivers.ndim != 2 or self.receivers.shape[1] != 3 or self.receivers.shape[0] < 1:
             raise ConfigError("receivers must be an (L, 3) array with L >= 1")
         if self.volume.shape != (2, 3):
             raise ConfigError("volume must be a (2, 3) array of min/max corners")
-        for label, value in (("receiver", self.receivers), ("volume", self.volume)):
-            if not np.isfinite(value).all():
-                raise ConfigError(f"{label} coordinates must be finite")
         if np.any(self.volume[0] > self.volume[1]):
             raise ConfigError("volume min corner exceeds max corner")
 
@@ -136,16 +126,13 @@ def box_distance(receivers, box) -> np.ndarray:
 def box_issues(boxes: dict, receivers, water_depth: float) -> list[str]:
     """The far-field rules that the named boxes [lo, hi] break, one message each.
 
-    Each box must have finite corners, lie in the water column
+    Each box, with finite corners, must lie in the water column
     [0, water_depth] and keep DEFAULT_MIN_DISTANCE from every receiver, so
     that every position in it has a finite, meaningful 1/d gain. An empty
     list means all keep them.
     """
     issues = []
     for label, (lo, hi) in boxes.items():
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            issues.append(f"{label} coordinates must be finite")
-            continue
         if lo[2] < 0 or hi[2] > water_depth:
             issues.append(f"{label} depths must lie in [0, water_depth]")
         gaps = box_distance(receivers, (lo, hi))

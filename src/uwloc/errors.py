@@ -5,12 +5,14 @@ numerical/condition failures exit 3, and IO failures exit 4. A scene outside
 the far-field model is a configuration problem, caught when the experiment
 config is built. Every config dataclass (Environment, Geometry, GridSpec,
 NetConfig, ExperimentConfig) checks its own values when it is built, value
-types with whole, finite and items, so the one config JSON reader in
-harness, direct construction and dataclasses.replace accept the same values.
+types with whole, finite, items and finite_array, so the one config JSON
+reader, direct construction and dataclasses.replace accept the same values.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -50,12 +52,27 @@ def whole(value, name: str) -> int:
     return int(value)
 
 
+def _is_finite(value) -> bool:
+    """Whether value is a finite real number and not a boolean."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
 def finite(value, name: str) -> float:
     """value as a float; anything but a finite real number (or a boolean) raises ConfigError."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+    if not _is_finite(value):
         raise ConfigError(f"'{name}' must be a finite number, got {value!r}")
     return float(value)
+
+
+def finite_array(values, label: str) -> np.ndarray:
+    """A nested array as a float array; an entry that fails finite's test, or a
+    ragged nesting, raises ConfigError. The caller checks the shape."""
+    cells = np.asarray(values, dtype=object)
+    for value in cells.flat:
+        if not _is_finite(value):
+            raise ConfigError(f"{label} must be finite numbers in a regular array, got {value!r}")
+    return cells.astype(float)
 
 
 def items(values, check, name: str) -> tuple:

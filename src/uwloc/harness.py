@@ -86,7 +86,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import channel, signal as signal_mod
-from .errors import ConfigError, StageError, finite, items, whole
+from .errors import ConfigError, StageError, finite, finite_array, items, whole
 from .localize import (
     GridEvaluator,
     GridSpec,
@@ -189,10 +189,9 @@ class ExperimentConfig:
         boxes = {"volume": self.geometry.volume,
                  "grid box": (self.grid.lower, self.grid.upper)}
         if self.source is not None:
-            try:
-                self.source = np.asarray(self.source, dtype=float).reshape(3)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"source needs 3 coordinates: {exc}") from exc
+            self.source = finite_array(self.source, "source coordinates").reshape(-1)
+            if self.source.size != 3:
+                raise ConfigError(f"source needs 3 coordinates, got {self.source.size}")
             boxes["source"] = (self.source, self.source)
         problems = channel.box_issues(boxes, receivers, depth)
         if np.any(receivers[:, 2] < 0) or np.any(receivers[:, 2] > depth):
@@ -615,8 +614,15 @@ def derive_scene(config: ExperimentConfig) -> tuple:
 
 
 def noise_level(attenuation: float, snr_db: float) -> float:
-    """Noise power that puts the average received signal power snr_db above it."""
-    return SIGNAL_POWER * attenuation / 10.0 ** (snr_db / 10.0)
+    """Noise power that puts the average received signal power snr_db above it;
+    ConfigError if that power is not a finite, positive float."""
+    try:
+        power = SIGNAL_POWER * attenuation / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        power = math.nan
+    if not 0.0 < power < math.inf:
+        raise ConfigError(f"snr {snr_db!r} dB gives no finite, positive noise power")
+    return power
 
 
 def source_response(config: ExperimentConfig, env: channel.Environment,
@@ -728,6 +734,7 @@ def run_experiment(
 
     with _stage("setup", config.seed):
         state = _prepare_state(config)
+    noise_powers = [noise_level(state["attenuation"], db) for db in config.snr_db]
 
     loss_curve = None
     if config.estimator == "net":
@@ -736,8 +743,6 @@ def run_experiment(
                 config, build_training_set(config, state["attenuation"])
             )
         note(f"trained net, final loss {loss_curve[-1]:.4g}")
-
-    noise_powers = [noise_level(state["attenuation"], db) for db in config.snr_db]
 
     tasks = [
         (config.seed, idx, noise_powers[idx], config.trials)

@@ -9,19 +9,19 @@ dropped. Ties on the grid resolve to the lowest linear node index.
 That score is linear in the per-bin receiver auto and cross spectra of the
 observation, so GridEvaluator screens a chunk of T observations over G
 nodes with float32 GEMMs: a (T, L*L*N) matrix of the trials' spectra
-against a (G, L*L*N) design, both with the column layout given in the
-GridEvaluator docstring, one block of _SCREEN_NODES nodes at a time. The
-design is the noise-free node products (built once) weighted for one
-(signal power, noise power) level; each block of it is formed just before
-its GEMM, so the whole design is never held. A written-out rounding bound
+against a (G, L*L*N) design, both in the layout of _receiver_spectra, one
+block of _SCREEN_NODES nodes at a time. The design is the noise-free node
+products (built once) weighted for one (signal power, noise power) level;
+each block of it is formed just before its GEMM, so the whole design is
+never held. A written-out rounding bound
 on the float32 scores selects the nodes that can still be the maximum;
 only those, and the winner's axis neighbors, are rescored in float64, so
 the argmax and the peak interpolation are those of the float64 score.
 Memory: float32 products plus the complex stacks, about 2*G*L*L*N*4 bytes
 at L = 4 receivers.
 
-The learned path regresses position from a phase-invariant feature vector
-with a small fully-connected network implemented here on plain numpy, so
+The learned path regresses position from |x| and the same spectra with a
+small fully-connected network implemented here on plain numpy, so
 training is deterministic for a fixed seed.
 """
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError, items, whole
+from .errors import ConfigError, TrainingError, finite_array, items, whole
 from .signal import response_stack_batch
 
 MODEL_MAGIC = "UWNET1"
@@ -60,16 +60,11 @@ class GridSpec:
                 f"grid peak_interpolation must be true or false: {self.peak_interpolation!r}"
             )
         counts = items(self.counts, whole, "counts")
-        try:
-            self.lower = np.asarray(self.lower, dtype=float).reshape(3)
-            self.upper = np.asarray(self.upper, dtype=float).reshape(3)
-            self.counts = np.array(counts, dtype=int).reshape(3)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"grid lower, upper and counts need 3 numbers each: {exc}"
-            ) from exc
-        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
-            raise ConfigError("grid box coordinates must be finite")
+        self.lower = finite_array(self.lower, "grid box coordinates").reshape(-1)
+        self.upper = finite_array(self.upper, "grid box coordinates").reshape(-1)
+        self.counts = np.array(counts, dtype=int)
+        if not self.lower.size == self.upper.size == self.counts.size == 3:
+            raise ConfigError("grid lower, upper and counts need 3 numbers each")
         if np.any(self.counts < 1):
             raise ConfigError("grid counts must be >= 1")
         if np.any(self.upper < self.lower):
@@ -155,6 +150,36 @@ def _float32_floor(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _receiver_spectra(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the per-bin receiver auto and cross spectra of x into out.
+
+    x is a (T, L, N) complex batch and out a caller's (T, L*L, N) real
+    buffer, float32 or float64; each value is formed in float64 and
+    rounded once into out. With the P = L(L-1)/2 receiver pairs l < l' in
+    np.triu_indices order, out holds, each block running over the N bins:
+
+    - L auto spectra |x_l|^2;
+    - P real parts of x_l conj(x_l');
+    - P imaginary parts of x_l conj(x_l').
+
+    Beside out the call holds one (T, N) float64 and one (T, N) complex
+    buffer. The cross term is conj(x_l') * x_l in this operand order, so a
+    row's bits do not depend on T: numpy's SIMD complex multiply rounds a*b
+    and b*a differently, and swapped x_l * conj(x_l') above 256 KiB.
+    """
+    l_count = x.shape[1]
+    row, col = np.triu_indices(l_count, 1)
+    for l in range(l_count):
+        np.square(np.abs(x[:, l]), out=out[:, l])
+    cross = np.empty((x.shape[0], x.shape[2]), dtype=complex)
+    for p, (r, c) in enumerate(zip(row, col), start=l_count):
+        np.conj(x[:, c], out=cross)
+        cross *= x[:, r]
+        out[:, p] = cross.real
+        out[:, p + row.size] = cross.imag
+    return out
+
+
 class GridEvaluator:
     """Grid ML scorer: a float32 GEMM screen, then an exact float64 rescore.
 
@@ -168,17 +193,10 @@ class GridEvaluator:
 
     The per-bin matched power |h^H x|^2 is linear in the receiver auto and
     cross spectra of x, so the noise-free products are kept as one real
-    float32 (G, K) array, K = L*L*N. With the P = L(L-1)/2 receiver pairs
-    l < l' in np.triu_indices order, its columns hold, each block running
-    over the N bins:
-
-    - L auto terms |h_l|^2;
-    - P terms 2 Re(conj(h_l) h_l');
-    - P terms -2 Im(conj(h_l) h_l').
-
-    An observation gives a row z with the same layout: |x_l|^2, then the
-    real and the imaginary parts of x_l conj(x_l'). The design D is the
-    products weighted per node and bin by w, multiplied in float32 by w
+    float32 (G, K) array, K = L*L*N: the _receiver_spectra of h with the
+    cross blocks doubled, so that a trial's row z, the _receiver_spectra
+    of x, gives sum_k |h_gk^H x_k|^2 as their dot product. The design D is
+    the products weighted per node and bin by w, multiplied in float32 by w
     rounded to float32. w in float32 and float64, the offset in float64
     and the per-bin maximum m_k = max_g w_gk |h_gk|^2 depend only on the
     level (signal_power, noise_power). They are kept for the last level,
@@ -214,17 +232,16 @@ class GridEvaluator:
 
     Memory: float32 products, G*L*L*N*4 bytes, plus the complex128
     stacks kept for rescoring, G*L*N*16 bytes; 2*G*L*L*N*4 bytes at
-    L = 4. Construction writes the products one receiver or receiver
-    pair at a time, so beyond what the evaluator keeps its transient is
-    a few (G, N) buffers, under G*N*24 bytes. A level holds two (G, N)
-    weight arrays, float32 and float64. locate may run on several
-    threads at once: a level is built under one module lock and never
-    changed afterwards, so a call at a new level replaces the cached
-    one at once, while calls at the old level keep theirs. Holding no
-    lock, an instance pickles by default. Beyond its level, a
-    call holds one (_SCREEN_NODES, L*L*N) float32 design block and one
-    block's (T, _SCREEN_NODES) float32 screen and bool mask, with T at
-    most _LOCATE_CHUNK, whatever G is.
+    L = 4. Construction writes the products in place, so beyond what the
+    evaluator keeps its transient is a few (G, N) buffers, under G*N*24
+    bytes. A level holds two (G, N) weight arrays, float32 and float64.
+    locate may run on several threads at once: a level is built under one
+    module lock and never changed afterwards, so a call at a new level
+    replaces the cached one at once, while calls at the old level keep
+    theirs. Holding no lock, an instance pickles by default. Beyond its
+    level, a call holds one (_SCREEN_NODES, L*L*N) float32 design block
+    and one block's (T, _SCREEN_NODES) float32 screen and bool mask, with
+    T at most _LOCATE_CHUNK, whatever G is.
     """
 
     def __init__(self, spec: GridSpec, stacks: np.ndarray):
@@ -235,25 +252,12 @@ class GridEvaluator:
         self.nodes = spec.nodes()
         self.stacks = stacks
         node_count, l_count, n_bins = stacks.shape
-        self.pairs = np.triu_indices(l_count, 1)
-        n_pairs = self.pairs[0].size
-        # Each column block is computed in float64 and rounded once into
-        # the float32 products, one receiver or receiver pair at a time,
-        # so no temporary grows past (G, N).
         self.energies = np.zeros((node_count, n_bins))
-        self.products = np.empty((node_count, l_count * l_count, n_bins), np.float32)
         for l in range(l_count):
-            h = stacks[:, l, :]
-            self.energies += np.abs(h) ** 2
-            np.add(np.square(h.real), np.square(h.imag), out=self.products[:, l, :])
-        cross = np.empty((node_count, n_bins), dtype=complex)
-        for p, (l, l2) in enumerate(zip(*self.pairs)):
-            np.conj(stacks[:, l, :], out=cross)
-            cross *= stacks[:, l2, :]
-            np.multiply(cross.real, 2.0, out=self.products[:, l_count + p, :])
-            np.multiply(
-                cross.imag, -2.0, out=self.products[:, l_count + n_pairs + p, :]
-            )
+            self.energies += np.abs(stacks[:, l, :]) ** 2
+        self.products = np.empty((node_count, l_count * l_count, n_bins), np.float32)
+        _receiver_spectra(stacks, self.products)
+        self.products[:, l_count:] *= 2.0  # exact in float32
         self._cached = None  # ((signal_power, noise_power), level)
         shape = spec.shape
         self.strides = np.array(
@@ -324,17 +328,13 @@ class GridEvaluator:
     def _argmax(self, block: np.ndarray, level: tuple) -> tuple:
         """(best node (T,), its float64 score (T,)) for a chunk of trials."""
         w32, weight, offset, bin_max = level
-        row, col = self.pairs
-        power = block.real**2 + block.imag**2  # (T, L, N)
-        cross = block[:, row, :] * np.conj(block[:, col, :])
+        stats = np.empty((block.shape[0], self.products[0].size), np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
             # Overflow here only happens in trials the safety test rejects.
-            stats = np.concatenate(
-                [power, cross.real, cross.imag], axis=1, dtype=np.float32
-            ).reshape(block.shape[0], -1)
+            _receiver_spectra(block, stats.reshape(block.shape[0], -1, block.shape[2]))
 
         terms = stats.shape[1]
-        norms = np.sum(power, axis=1)  # (T, N): |x_tk|^2
+        norms = np.sum(block.real**2 + block.imag**2, axis=1)  # (T, N): |x_tk|^2
         beta = norms @ bin_max
         top_norm = np.max(norms, axis=1)
         top_offset = np.max(np.abs(offset))
@@ -440,17 +440,10 @@ def extract_features(observations, attenuation: float) -> np.ndarray:
     """Phase-invariant feature rows (T, F) of a (T, L, N) observation batch.
 
     Layout per observation, with x the bins scaled by 1/sqrt(attenuation):
-    all |x| (L*N), all |x|^2 (L*N), then for receiver pairs l < l' in
-    lexicographic order the real parts of x_l conj(x_l') (pairs*N) followed
-    by the imaginary parts (pairs*N). Every block is invariant to a common
-    phase rotation of the observation.
-
-    The blocks are written into one preallocated (T, F) array; beside it the
-    call holds the scaled (T, L, N) copy and one pair's (T, N) complex
-    product. That product is conj(x_l') * x_l in this operand order: numpy's
-    SIMD complex multiply rounds a*b and b*a differently, and x_l *
-    conj(x_l') ran swapped only above 256 KiB, where numpy reuses the
-    temporary conj(x_l') in place, so a row's bits hung on the batch size.
+    all |x| (L*N), then the _receiver_spectra of x (L*L*N), each invariant
+    to a common phase rotation. The rows are written into one (T, F)
+    array; beside it the call holds the scaled copy of the batch and the
+    buffers of _receiver_spectra.
     """
     if attenuation <= 0:
         raise ConfigError("attenuation must be > 0")
@@ -458,14 +451,10 @@ def extract_features(observations, attenuation: float) -> np.ndarray:
     if arr.ndim != 3:
         raise ValueError("observations must be (T, L, N)")
     t_count, l_count, n_bins = arr.shape
-    row, col = np.triu_indices(l_count, 1)
     scaled = arr / math.sqrt(attenuation)
-    feats = np.empty((t_count, 2 * (l_count + row.size), n_bins))
-    np.square(np.abs(scaled, out=feats[:, :l_count]), out=feats[:, l_count : 2 * l_count])
-    for pair, (r, c) in enumerate(zip(row, col), start=2 * l_count):
-        cross = np.conj(scaled[:, c]) * scaled[:, r]
-        feats[:, pair] = cross.real
-        feats[:, pair + row.size] = cross.imag
+    feats = np.empty((t_count, l_count + l_count * l_count, n_bins))
+    np.abs(scaled, out=feats[:, :l_count])
+    _receiver_spectra(scaled, feats[:, l_count:])
     return feats.reshape(t_count, -1)
 
 
@@ -523,21 +512,28 @@ class NetModel:
             )
         a = np.subtract(feats, self.feature_mean)
         a /= self.feature_scale
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = _relu_layer(a, w, b)
-        out = a @ self.weights[-1]
-        out += self.biases[-1]
+        _, out = _forward(a, self.weights, self.biases)
         out *= self.target_scale
         out += self.target_mean
         np.clip(out, self.clip_lower, self.clip_upper, out=out)
         return out
 
 
-def _relu_layer(a, w, b) -> np.ndarray:
-    """max(a @ w + b, 0), written into the product's buffer."""
-    out = a @ w
-    out += b
-    return np.maximum(out, 0.0, out=out)
+def _forward(x, weights, biases) -> tuple:
+    """(acts, out) of the net on a standardized (T, F) batch x.
+
+    acts[i] is the input of layer i (acts[0] is x); each hidden layer
+    writes max(a @ w + b, 0) into its product's buffer, and the output
+    layer is linear.
+    """
+    acts = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        a = acts[-1] @ w
+        a += b
+        acts.append(np.maximum(a, 0.0, out=a))
+    out = acts[-1] @ weights[-1]
+    out += biases[-1]
+    return acts, out
 
 
 # Columns per block of the feature standard deviation: its (count, block)
@@ -622,14 +618,7 @@ def train_net(
             x /= f_scale
             y = y_all[batch]
 
-            acts = [x]
-            a = x
-            for w, b in zip(weights[:-1], biases[:-1]):
-                a = _relu_layer(a, w, b)
-                acts.append(a)
-            pred = a @ weights[-1]
-            pred += biases[-1]
-
+            acts, pred = _forward(x, weights, biases)
             resid = pred - y
             loss = float(np.mean(resid**2))
             if not math.isfinite(loss):

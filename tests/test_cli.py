@@ -340,6 +340,36 @@ class TestDataCommands:
         assert err.count("\n") == 1 and "'--snr-db' must be a finite number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, snr", [
+        ("simulate", "4000"), ("simulate", "-4000"), ("gen-data", "4000"),
+    ])
+    def test_snr_without_noise_power_is_config_error(self, config_path, tmp_path, capsys,
+                                                     command, snr):
+        # 10^(snr/10) overflowed (OverflowError) or underflowed to zero
+        # (ZeroDivisionError), and either escaped with a traceback
+        out = tmp_path / "out"
+        code = main([command, "--config", config_path, "--out", str(out),
+                     f"--snr-db={snr}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no finite, positive noise power" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [
+        {"snr_db": [0.0, 4000.0]},
+        {"snr_db": [-4000.0]},
+        {"estimator": "net", "net": {"train_size": 32, "hidden": [4], "epochs": 1,
+                                     "train_snr_db": 4000.0}},
+    ])
+    def test_experiment_snr_without_noise_power_exits_2(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(tiny_config_dict(**bad)))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no finite, positive noise power" in err
+        assert not out.exists()
+
     def test_localize_rejects_dump_of_other_shape(self, tmp_path, capsys):
         # a 16-bin dump against the 8-bin config reached GridEvaluator.locate
         # and NetModel.predict, whose ValueError escaped with a traceback

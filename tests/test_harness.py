@@ -340,6 +340,20 @@ class TestCurveIo:
             parse_curve_csv(bad_flag)
 
 
+class TestNoiseLevel:
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, math.inf, -math.inf])
+    def test_no_finite_positive_power_is_config_error(self, snr_db):
+        # 4000 dB overflowed 10^(snr/10) with OverflowError; -4000 dB and
+        # -inf divided by zero, and inf gave a zero noise power
+        with pytest.raises(ConfigError, match="no finite, positive noise power"):
+            noise_level(0.25, snr_db)
+
+    @pytest.mark.parametrize("attenuation, snr_db",
+                             [(0.25, -10.0), (3.7e-5, 18.0), (1.0, 3000.0), (2.0, -3000.0)])
+    def test_keeps_the_formula(self, attenuation, snr_db):
+        assert noise_level(attenuation, snr_db) == hand_noise_power(attenuation, snr_db)
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
         # the writer's output reads back to the same config, through JSON
@@ -445,6 +459,33 @@ class TestConfig:
                 data[section] = dict(data[section], **bad)
                 with pytest.raises(ConfigError, match=match):
                     config_from_dict(data)
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"geometry": {"receivers": [["0", "0", "30"], ["240", "0", "40"], ["0", "240", "55"]],
+                       "volume": [[60.0, 60.0, 40.0], [108.0, 108.0, 60.0]]}},
+         "receiver coordinates must be finite numbers in a regular array, got '0'"),
+        ({"geometry": {"receivers": [[0.0, 0.0, 30.0], [240.0, 0.0], [0.0, 240.0, 55.0]],
+                       "volume": [[60.0, 60.0, 40.0], [108.0, 108.0, 60.0]]}},
+         r"receiver coordinates must be finite numbers in a regular array, got \[0.0, 0.0, 30.0\]"),
+        ({"geometry": {"receivers": [[0.0, 0.0, 30.0], [240.0, 0.0, 40.0], [0.0, 240.0, 55.0]],
+                       "volume": [[60.0, 60.0, 40.0], [108.0, "108", 60.0]]}},
+         "volume coordinates must be finite numbers in a regular array, got '108'"),
+        ({"grid": {"lower": [True, 60.0, 40.0]}}, "grid box coordinates must be finite numbers in a regular array, got True"),
+        ({"grid": {"upper": [108.0, None, 60.0]}}, "grid box coordinates must be finite numbers in a regular array, got None"),
+        ({"source": ["84", "84", "50"]}, "source coordinates must be finite numbers in a regular array, got '84'"),
+        ({"source": [84.0, 84.0]}, "source needs 3 coordinates, got 2"),
+    ])
+    def test_coordinates_must_be_numbers(self, bad, match):
+        # strings and booleans used to pass np.asarray(..., dtype=float)
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(tiny_config_dict(**bad))
+
+    @pytest.mark.parametrize("row", [["50", "1500"], [50.0, False]])
+    def test_ssp_entries_must_be_numbers(self, row):
+        data = tiny_config_dict()
+        data["environment_q"]["ssp"] = [[0.0, 1500.0], row, [100.0, 1500.0]]
+        with pytest.raises(ConfigError, match="ssp depths and speeds must be finite numbers"):
+            config_from_dict(data)
 
     @pytest.mark.parametrize("field, value", [
         ("trials", 40.5),
@@ -1131,3 +1172,11 @@ class TestGenerateDataset:
         config = config_from_dict(tiny_config_dict())
         with pytest.raises(ConfigError):
             generate_dataset(config, count=0, snr_db=0.0, out_dir=tmp_path)
+
+    def test_rejects_snr_without_noise_power(self, tmp_path):
+        # -inf divided by zero in noise_level
+        config = config_from_dict(tiny_config_dict())
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="no finite, positive noise power"):
+            generate_dataset(config, 3, -math.inf, out)
+        assert not out.exists()

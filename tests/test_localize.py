@@ -627,6 +627,60 @@ class TestExtractFeatures:
         assert np.array_equal(extract_features(x, 0.37), np.concatenate(one_by_one))
 
 
+@st.composite
+def spectra_case(draw):
+    """Random complex stacks h (G, L, N) and observations x (T, L, N)."""
+    l_count = draw(st.integers(1, 5))
+    n_bins = draw(st.integers(1, 8))
+    g = draw(st.integers(1, 6))
+    t_count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+
+    def cnormal(*shape):
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    return cnormal(g, l_count, n_bins), cnormal(t_count, l_count, n_bins)
+
+
+def spectra(x, dtype=float):
+    t_count, l_count, n_bins = x.shape
+    out = np.empty((t_count, l_count * l_count, n_bins), dtype)
+    return localize._receiver_spectra(x, out)
+
+
+class TestReceiverSpectra:
+    @settings(max_examples=100, deadline=None)
+    @given(case=spectra_case())
+    def test_products_dot_stats_is_matched_power(self, case):
+        # With the cross blocks doubled, the spectra of h dotted with those
+        # of x per bin are |h^H x|^2, to rounding relative to |h|^2 |x|^2.
+        h, x = case
+        l_count = h.shape[1]
+        products = spectra(h)
+        products[:, l_count:] *= 2.0
+        got = np.einsum("gkn,tkn->tgn", products, spectra(x))
+        want = np.abs(np.einsum("gln,tln->tgn", np.conj(h), x)) ** 2
+        scale = np.einsum("gn,tn->tgn", np.sum(np.abs(h) ** 2, axis=1),
+                          np.sum(np.abs(x) ** 2, axis=1))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=spectra_case(), attenuation=st.floats(1e-6, 1e3))
+    def test_feature_tail_is_the_kernel(self, case, attenuation):
+        _, x = case
+        t_count, l_count, n_bins = x.shape
+        want = spectra(x / math.sqrt(attenuation)).reshape(t_count, -1)
+        got = extract_features(x, attenuation)[:, l_count * n_bins :]
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=spectra_case())
+    def test_float32_is_float64_rounded_once(self, case):
+        _, x = case
+        assert np.array_equal(spectra(x, np.float32), spectra(x).astype(np.float32))
+
+
 class TestTrainingSet:
     def test_validates_shapes(self):
         with pytest.raises(ConfigError):
