@@ -67,6 +67,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 import threading
 import time
 import zlib
@@ -98,6 +99,14 @@ from .localize import (
 SIGNAL_POWER = 1.0
 TRIAL_CHUNK = 500
 DEFAULT_SNR_DB = tuple(range(-10, 31, 2))
+# The supported snr_db range, in dB either side of 0. The ML scorer forms
+# sigma^2 (s e + sigma^2) and sigma^2 sigma^2 in float64, with s the signal
+# power, e a node's per-bin energy and sigma^2 = s attenuation
+# 10^(-snr/10); they stay in float64's normal range, 1e-308 to 1e308,
+# while sigma^2 and s e lie within 1e-154 to 1e154. At 300 dB either
+# side, sigma^2 is the attenuation times 1e-30 to 1e30, which leaves
+# attenuations and node energies from about 1e-124 to 1e124.
+_SNR_DB_LIMIT = 300.0
 
 CSV_COLUMNS = (
     "snr_db",
@@ -167,6 +176,13 @@ class ExperimentConfig:
             setattr(self, name, whole(getattr(self, name), name))
         self.sample_period = finite(self.sample_period, "sample_period")
         self.snr_db = items(self.snr_db, finite, "snr_db")
+        for db in self.snr_db:
+            if abs(db) > _SNR_DB_LIMIT:
+                raise ConfigError(
+                    f"snr_db entry {db!r} lies outside the supported "
+                    f"+-{_SNR_DB_LIMIT:g} dB: beyond it there may be no finite, "
+                    f"positive noise power, and the ML scorer's float64 weights overflow"
+                )
         if self.estimator not in ("ml", "net"):
             raise ConfigError(f"unknown estimator '{self.estimator}'")
         if self.n_bins < 1 or self.sample_period <= 0:
@@ -794,7 +810,29 @@ def run_experiment(
     }
     if loss_curve is not None:
         metadata["net_loss_curve"] = [float(v) for v in loss_curve]
+    peak = _peak_rss_mb()
+    if peak is not None:
+        metadata["peak_rss_mb"] = peak
     return ExperimentResult(points=points, metadata=metadata)
+
+
+def _peak_rss_mb() -> float | None:
+    """Peak resident set, in MB of 2^20 bytes, of this process or any
+    child it reaped (perfbench's peak_rss_mb is the same figure).
+
+    The children are the pool workers, reaped when the pool shut down.
+    None where the resource module is missing (Windows).
+    """
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = max(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    )
+    # ru_maxrss counts bytes on macOS and KiB on Linux.
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 def _version_stamp() -> dict:
@@ -845,6 +883,11 @@ def emit_outputs(result: ExperimentResult, out_dir) -> dict:
     if "net_loss_curve" in meta:
         lines.append(f"net final training loss: {meta['net_loss_curve'][-1]!r}")
     lines.append(f"elapsed seconds: {meta.get('elapsed_seconds'):.1f}")
+    if "peak_rss_mb" in meta:
+        lines.append(
+            f"peak resident memory: {meta['peak_rss_mb']:.1f} MB "
+            "(this process or a pool worker)"
+        )
     lines.append("")
     lines.append("config:")
     lines.append(json.dumps(meta.get("config", {}), indent=2, sort_keys=True))

@@ -18,7 +18,9 @@ on the float32 scores selects the nodes that can still be the maximum;
 only those, and the winner's axis neighbors, are rescored in float64, so
 the argmax and the peak interpolation are those of the float64 score.
 Memory: float32 products plus the complex stacks, about 2*G*L*L*N*4 bytes
-at L = 4 receivers.
+at L = 4 receivers, and per noise level one (G, N) float32 weight array;
+every other buffer, in construction, a level build or a call, is sized by
+a block of nodes or trials, not by G.
 
 The learned path regresses position from |x| and the same spectra with a
 small fully-connected network implemented here on plain numpy, so
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,12 +129,13 @@ _TINY32 = float(np.finfo(np.float32).tiny)
 # The bound is certified only while every value the screen forms stays
 # below this, far under the float32 overflow threshold 2^128.
 _SAFE32 = 2.0**120
-# Trial/node pairs rescored per gather, bounding the (pairs, L, N) buffer.
-_RESCORE_PAIRS = 256
+# Trial/node pairs rescored per gather, bounding the (pairs, L, N) buffers.
+_RESCORE_PAIRS = 64
 # Trials screened per pass, bounding the (trials, K) float32 spectra.
 _LOCATE_CHUNK = 512
 # Nodes screened per GEMM, bounding the (trials, nodes) float32 screen and
-# the (nodes, L*L*N) float32 design block.
+# the (nodes, L*L*N) float32 design block; also the node block in which
+# construction and a level build write their (G, ...) arrays.
 _SCREEN_NODES = 512
 # Guards every GridEvaluator's level build, so no instance holds a lock.
 _LEVEL_LOCK = threading.Lock()
@@ -162,22 +166,52 @@ def _receiver_spectra(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     - P real parts of x_l conj(x_l');
     - P imaginary parts of x_l conj(x_l').
 
-    Beside out the call holds one (T, N) float64 and one (T, N) complex
-    buffer. The cross term is conj(x_l') * x_l in this operand order, so a
-    row's bits do not depend on T: numpy's SIMD complex multiply rounds a*b
-    and b*a differently, and swapped x_l * conj(x_l') above 256 KiB.
+    Beside out the call holds one (T, N) float64 and two (T, N) complex
+    buffers. The cross term is conj(x_l') * x_l in this operand order,
+    written to a buffer apart from both operands, so a row's bits do not
+    depend on T: numpy's SIMD complex multiply rounds a*b and b*a
+    differently, swapped x_l * conj(x_l') above 256 KiB, and multiplies a
+    one-element array in place with other roundings.
     """
     l_count = x.shape[1]
     row, col = np.triu_indices(l_count, 1)
     for l in range(l_count):
         np.square(np.abs(x[:, l]), out=out[:, l])
-    cross = np.empty((x.shape[0], x.shape[2]), dtype=complex)
+    conj = np.empty((x.shape[0], x.shape[2]), dtype=complex)
+    cross = np.empty_like(conj)
     for p, (r, c) in enumerate(zip(row, col), start=l_count):
-        np.conj(x[:, c], out=cross)
-        cross *= x[:, r]
+        np.conj(x[:, c], out=conj)
+        np.multiply(conj, x[:, r], out=cross)
         out[:, p] = cross.real
         out[:, p + row.size] = cross.imag
     return out
+
+
+def _weights(energy, signal_power, noise_power, gain, weight) -> None:
+    """Write gain = s e + sigma^2 and w = s / (sigma^2 gain) of energy rows.
+
+    gain and weight are caller buffers of energy's shape. The level build
+    and the rescore both form w here, so a rescored row has the bits of
+    the level's row.
+    """
+    np.multiply(energy, signal_power, out=gain)
+    gain += noise_power
+    np.multiply(gain, noise_power, out=weight)
+    np.divide(signal_power, weight, out=weight)
+
+
+class _Level(NamedTuple):
+    """What GridEvaluator keeps for one (signal power, noise power)."""
+
+    signal_power: float
+    noise_power: float
+    w32: np.ndarray  # (G, N) float32 weights
+    offset: np.ndarray  # (G,) float64
+    offset32: np.ndarray  # (G,) float32
+    bin_max: np.ndarray  # (N,) m_k
+    top_offset: float  # max |offset|
+    top_weight: float  # max w
+    top_bin: float  # max m_k
 
 
 class GridEvaluator:
@@ -197,10 +231,11 @@ class GridEvaluator:
     cross blocks doubled, so that a trial's row z, the _receiver_spectra
     of x, gives sum_k |h_gk^H x_k|^2 as their dot product. The design D is
     the products weighted per node and bin by w, multiplied in float32 by w
-    rounded to float32. w in float32 and float64, the offset in float64
-    and the per-bin maximum m_k = max_g w_gk |h_gk|^2 depend only on the
-    level (signal_power, noise_power). They are kept for the last level,
-    so the q and p trials of one sweep point share them.
+    rounded to float32. A _Level holds what depends only on the level
+    (signal_power, noise_power): w in float32, the offset, the per-bin
+    maximum m_k = max_g w_gk |h_gk|^2 and the scalars max |offset|, max w
+    and max m_k. The last level is kept, so the q and p trials of one
+    sweep point share it.
 
     A chunk of T trials is screened by float32 GEMMs, z @ D^T - offset,
     one (T, _SCREEN_NODES) block of nodes at a time; each block's rows of
@@ -225,23 +260,29 @@ class GridEvaluator:
     maximum - 2 e_t; the candidates are thus those of one (T, G) screen.
     The candidates, and
     the axis neighbors of the winner for interpolation, are rescored in
-    float64 from |h^H x|^2; the argmax (ties to the lowest node index) and
-    the parabola use those scores. A trial in which a float32 value could
+    float64 from |h^H x|^2, with the float64 w of their nodes recomputed
+    from energies by the operations of the level build (_weights), so
+    with its bits; the argmax (ties to the lowest node index) and the
+    parabola use those scores. A trial in which a float32 value could
     overflow (beta_t + max |offset|, max |x_tk|^2, max w or max m_k at or
     above 2^120) or is not finite makes every node a candidate.
 
     Memory: float32 products, G*L*L*N*4 bytes, plus the complex128
-    stacks kept for rescoring, G*L*N*16 bytes; 2*G*L*L*N*4 bytes at
-    L = 4. Construction writes the products in place, so beyond what the
-    evaluator keeps its transient is a few (G, N) buffers, under G*N*24
-    bytes. A level holds two (G, N) weight arrays, float32 and float64.
-    locate may run on several threads at once: a level is built under one
-    module lock and never changed afterwards, so a call at a new level
-    replaces the cached one at once, while calls at the old level keep
-    theirs. Holding no lock, an instance pickles by default. Beyond its
-    level, a call holds one (_SCREEN_NODES, L*L*N) float32 design block
-    and one block's (T, _SCREEN_NODES) float32 screen and bool mask, with
-    T at most _LOCATE_CHUNK, whatever G is.
+    stacks kept for rescoring, G*L*N*16 bytes, and the float64 energies,
+    G*N*8 bytes; 2*G*L*L*N*4 bytes at L = 4. Construction fills energies
+    and products one _SCREEN_NODES block of nodes at a time, so beyond
+    what the evaluator keeps it holds one block's buffers,
+    _SCREEN_NODES*N*40 bytes. A level keeps one (G, N) float32 weight
+    array, G*N*4 bytes, and (G,) and (N,) vectors; it is built one block
+    at a time with two (_SCREEN_NODES, N) float64 buffers and no (G, N)
+    float64 array. locate may run on several threads at once: a level is
+    built under one module lock and never changed afterwards, so a call
+    at a new level replaces the cached one at once, while calls at the
+    old level keep theirs. Holding no lock, an instance pickles by
+    default. Beyond its level, a call holds one (_SCREEN_NODES, L*L*N)
+    float32 design block and one block's (T, _SCREEN_NODES) float32
+    screen and bool mask, with T at most _LOCATE_CHUNK, whatever G is,
+    and the rescore gathers _RESCORE_PAIRS rows at a time.
     """
 
     def __init__(self, spec: GridSpec, stacks: np.ndarray):
@@ -253,12 +294,15 @@ class GridEvaluator:
         self.stacks = stacks
         node_count, l_count, n_bins = stacks.shape
         self.energies = np.zeros((node_count, n_bins))
-        for l in range(l_count):
-            self.energies += np.abs(stacks[:, l, :]) ** 2
         self.products = np.empty((node_count, l_count * l_count, n_bins), np.float32)
-        _receiver_spectra(stacks, self.products)
-        self.products[:, l_count:] *= 2.0  # exact in float32
-        self._cached = None  # ((signal_power, noise_power), level)
+        for start in range(0, node_count, _SCREEN_NODES):
+            part = slice(start, start + _SCREEN_NODES)
+            block = stacks[part]
+            for l in range(l_count):
+                self.energies[part] += np.abs(block[:, l]) ** 2
+            _receiver_spectra(block, self.products[part])
+            self.products[part, l_count:] *= 2.0  # exact in float32
+        self._cached = None  # the last _Level built
         shape = spec.shape
         self.strides = np.array(
             [shape[1] * shape[2], shape[2], 1], dtype=int
@@ -271,25 +315,49 @@ class GridEvaluator:
         stacks = response_stack_batch(env, receivers, spec.nodes(), n_bins, sample_period)
         return cls(spec, stacks)
 
-    def _level(self, signal_power: float, noise_power: float) -> tuple:
-        """(w32 (G, N), weight (G, N), offset (G,), m (N,)) at one level.
+    def _level(self, signal_power: float, noise_power: float) -> _Level:
+        """The _Level of (signal_power, noise_power), built if not cached.
 
         The last level built is kept for the next call. A level is never
         changed once built, so a call keeps its own while another call
         replaces the cached one.
         """
-        key = (signal_power, noise_power)
         with _LEVEL_LOCK:
-            if self._cached is None or self._cached[0] != key:
-                gain = signal_power * self.energies + noise_power  # (G, N)
-                weight = signal_power / (noise_power * gain)
-                with np.errstate(over="ignore"):
-                    # Overflow here makes every trial fail the safety test.
-                    w32 = weight.astype(np.float32)
-                offset = np.sum(np.log(gain), axis=1)
-                bin_max = np.max(weight * self.energies, axis=0)
-                self._cached = key, (w32, weight, offset, bin_max)
-            return self._cached[1]
+            level = self._cached
+            key = (signal_power, noise_power)
+            if level is None or (level.signal_power, level.noise_power) != key:
+                level = self._cached = self._build_level(signal_power, noise_power)
+            return level
+
+    def _build_level(self, signal_power: float, noise_power: float) -> _Level:
+        """Build a level one _SCREEN_NODES block of nodes at a time.
+
+        The float64 gain and w of a block live in two block-sized buffers;
+        only their float32 w, the offsets and the maxima are kept.
+        """
+        node_count, n_bins = self.energies.shape
+        w32 = np.empty((node_count, n_bins), np.float32)
+        offset = np.empty(node_count)
+        bin_max = np.full(n_bins, -np.inf)
+        top_weight = -np.inf
+        rows = min(_SCREEN_NODES, node_count)
+        gain_buf, weight_buf = np.empty((rows, n_bins)), np.empty((rows, n_bins))
+        for start in range(0, node_count, _SCREEN_NODES):
+            part = slice(start, start + _SCREEN_NODES)
+            energy = self.energies[part]
+            gain, weight = gain_buf[: energy.shape[0]], weight_buf[: energy.shape[0]]
+            _weights(energy, signal_power, noise_power, gain, weight)
+            offset[part] = np.sum(np.log(gain, out=gain), axis=1)
+            with np.errstate(over="ignore"):
+                # Overflow here makes every trial fail the safety test.
+                w32[part] = weight
+            top_weight = np.maximum(top_weight, np.max(weight))
+            weight *= energy
+            np.maximum(bin_max, np.max(weight, axis=0), out=bin_max)
+        return _Level(
+            signal_power, noise_power, w32, offset, offset.astype(np.float32),
+            bin_max, np.max(np.abs(offset)), top_weight, np.max(bin_max),
+        )
 
     def locate(
         self, observations, signal_power: float, noise_power: float
@@ -325,9 +393,8 @@ class GridEvaluator:
             out[start : start + block.shape[0]] = pos
         return out
 
-    def _argmax(self, block: np.ndarray, level: tuple) -> tuple:
+    def _argmax(self, block: np.ndarray, level: _Level) -> tuple:
         """(best node (T,), its float64 score (T,)) for a chunk of trials."""
-        w32, weight, offset, bin_max = level
         stats = np.empty((block.shape[0], self.products[0].size), np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
             # Overflow here only happens in trials the safety test rejects.
@@ -335,20 +402,18 @@ class GridEvaluator:
 
         terms = stats.shape[1]
         norms = np.sum(block.real**2 + block.imag**2, axis=1)  # (T, N): |x_tk|^2
-        beta = norms @ bin_max
+        beta = norms @ level.bin_max
         top_norm = np.max(norms, axis=1)
-        top_offset = np.max(np.abs(offset))
-        top_weight = np.max(weight)
-        top_bin = np.max(bin_max)
         bound = (
             2.0 * (terms + 8) * _U32 * beta
-            + 4.0 * _U32 * top_offset
-            + 2.0 * terms * _TINY32 * ((1.0 + top_weight) * top_norm + top_bin + 2.0)
+            + 4.0 * _U32 * level.top_offset
+            + 2.0 * terms * _TINY32
+            * ((1.0 + level.top_weight) * top_norm + level.top_bin + 2.0)
         )
         safe = (
-            (beta + top_offset < _SAFE32)
+            (beta + level.top_offset < _SAFE32)
             & (top_norm < _SAFE32)
-            & (max(top_weight, top_bin) < _SAFE32)
+            & (max(level.top_weight, level.top_bin) < _SAFE32)
         )
         node_count = self.products.shape[0]
         # The design D, one block of nodes at a time, as the GEMM packs it.
@@ -362,10 +427,11 @@ class GridEvaluator:
             with np.errstate(over="ignore", invalid="ignore"):
                 # Overflow here makes every trial fail the safety test.
                 np.multiply(
-                    products, w32[part, None, :], out=design.reshape(products.shape)
+                    products, level.w32[part, None, :],
+                    out=design.reshape(products.shape),
                 )
                 screen = stats @ design.T  # (T, nodes of the block)
-                screen -= offset[part].astype(np.float32)
+                screen -= level.offset32[part]
                 peak = np.max(screen, axis=1)
                 np.maximum(top, peak, out=top)
                 candidates = screen >= _float32_floor(peak - 2.0 * bound)[:, None]
@@ -388,16 +454,27 @@ class GridEvaluator:
         first = order[np.flatnonzero(np.diff(trials, prepend=-1))]
         return nodes[first], exact[first]
 
-    def _rescore(self, block, trials, nodes, level) -> np.ndarray:
-        """Float64 scores S_g(x_t) for the (trial, node) pairs given."""
-        _, weight, offset, _ = level
+    def _rescore(self, block, trials, nodes, level: _Level) -> np.ndarray:
+        """Float64 scores S_g(x_t) for the (trial, node) pairs given.
+
+        Each batch of _RESCORE_PAIRS pairs gathers its stacks, conjugates
+        them in place, and recomputes its rows of the float64 w from
+        energies with _weights, the level build's code.
+        """
         scores = np.empty(trials.size)
         for start in range(0, trials.size, _RESCORE_PAIRS):
             part = slice(start, start + _RESCORE_PAIRS)
             g = nodes[part]
-            inner = np.sum(np.conj(self.stacks[g]) * block[trials[part]], axis=1)
+            terms = self.stacks[g]
+            np.conj(terms, out=terms)
+            # Not in place: see _receiver_spectra.
+            inner = np.sum(np.multiply(terms, block[trials[part]]), axis=1)
             power = inner.real**2 + inner.imag**2
-            scores[part] = np.sum(weight[g] * power, axis=1) - offset[g]
+            gain = self.energies[g]
+            weight = np.empty_like(gain)
+            _weights(gain, level.signal_power, level.noise_power, gain, weight)
+            weight *= power
+            scores[part] = np.sum(weight, axis=1) - level.offset[g]
         return scores
 
     def _interpolate(self, block, level, best, peak, pos):

@@ -370,6 +370,29 @@ class TestDataCommands:
         assert err.count("\n") == 1 and "no finite, positive noise power" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr", [3000.0, -3000.0, 300.5])
+    def test_experiment_snr_outside_the_scorer_range_exits_2(self, tmp_path, capsys,
+                                                             snr):
+        # 3000 dB has a finite noise power, but the ML scorer's weights
+        # overflowed and the run exited 3 from snr[0]:assemble
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(tiny_config_dict(snr_db=[snr])))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"snr_db entry {snr!r} lies outside" in err
+        assert not out.exists()
+
+    def test_experiment_runs_at_the_top_of_the_range(self, tmp_path):
+        # The suite turns every RuntimeWarning into an error. (At -300 dB
+        # every trial picks one node, so the run exits 3 as degenerate.)
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(tiny_config_dict(snr_db=[300.0])))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
+        (point,) = parse_curve_csv(out / "curve.csv")
+        assert point.snr_db == 300.0 and math.isfinite(point.rmse_q)
+
     def test_localize_rejects_dump_of_other_shape(self, tmp_path, capsys):
         # a 16-bin dump against the 8-bin config reached GridEvaluator.locate
         # and NetModel.predict, whose ValueError escaped with a traceback

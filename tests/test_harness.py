@@ -6,9 +6,11 @@ import json
 import math
 import multiprocessing
 import os
+import sys
 import threading
 import time
 import tracemalloc
+import types
 import zlib
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import EXTRA_QUEUED_CALLS, BrokenProcessPool
@@ -22,6 +24,7 @@ from uwloc import bounds as bounds_mod, channel, harness, signal as signal_mod
 from uwloc.cli import main
 from uwloc.errors import ConfigError, StageError
 from uwloc.harness import (
+    DEFAULT_SNR_DB,
     SIGNAL_POWER,
     TRIAL_CHUNK,
     CurvePoint,
@@ -45,6 +48,7 @@ from uwloc.harness import (
     generate_dataset,
     load_config,
     noise_level,
+    observation_chunks,
     parse_curve_csv,
     run_experiment,
 )
@@ -396,6 +400,36 @@ class TestConfig:
                     "attenuation_samples", "net", "source"):
             assert getattr(config, key) == getattr(defaults, key)
 
+    @pytest.mark.parametrize("snr", [300.5, -301.0, 3000.0, -3000.0])
+    def test_snr_db_outside_the_scorer_range(self, snr):
+        with pytest.raises(ConfigError, match=f"snr_db entry {snr!r} lies outside"):
+            config_from_dict(tiny_config_dict(snr_db=[0.0, snr]))
+        config = config_from_dict(tiny_config_dict())
+        with pytest.raises(ConfigError, match="snr_db entry"):
+            dataclasses.replace(config, snr_db=(snr,))
+
+    @pytest.mark.parametrize("snr", [300.0, -300.0])
+    def test_scorer_runs_at_the_ends_of_the_range(self, snr):
+        # The suite turns every RuntimeWarning into an error; at 3000 dB
+        # the scorer's float64 weights overflowed.
+        config = config_from_dict(tiny_config_dict(snr_db=[snr]))
+        state = _prepare_state(config)
+        noise_power = noise_level(state["attenuation"], snr)
+        (_, block), = observation_chunks(config.seed, "edge", state["h_q"], noise_power, 20)
+        positions = state["evaluator"].locate(block, SIGNAL_POWER, noise_power)
+        assert np.isfinite(positions).all()
+
+    def test_shipped_snr_grids_lie_in_the_scorer_range(self):
+        edges = config_from_dict(tiny_config_dict(snr_db=[-300, 300])).snr_db
+        assert edges == (-300.0, 300.0)
+        shipped = json.loads(
+            (Path(__file__).parent.parent / "configs" / "experiment_default.json")
+            .read_text(encoding="utf-8")
+        )["snr_db"]
+        for grid in (DEFAULT_SNR_DB, shipped, default_experiment_config()["snr_db"],
+                     tiny_config_dict()["snr_db"]):
+            assert max(abs(db) for db in grid) <= 300.0
+
     def test_bad_value_is_config_error(self):
         with pytest.raises(ConfigError, match="'trials'"):
             config_from_dict(tiny_config_dict(trials="many"))
@@ -601,6 +635,40 @@ class TestStageError:
         assert err.seed == 42
         assert isinstance(err.cause, ValueError)
         assert "snr[3]:q" in str(err) and "42" in str(err) and "boom" in str(err)
+
+
+class TestPeakMemory:
+    def test_report_and_metadata_show_the_peak(self, tmp_path):
+        config = config_from_dict(tiny_config_dict())
+        baseline = run_experiment(config, workers=1)
+        pooled = run_experiment(config, workers=2)
+        for result, name in ((baseline, "one"), (pooled, "two")):
+            peak = result.metadata["peak_rss_mb"]
+            # This process alone holds numpy, so at least a few MB.
+            assert 5.0 < peak < 1e5
+            paths = emit_outputs(result, tmp_path / name)
+            assert f"peak resident memory: {peak:.1f} MB" in paths["report"].read_text()
+        # The curve does not carry it.
+        assert ((tmp_path / "one" / "curve.csv").read_bytes()
+                == (tmp_path / "two" / "curve.csv").read_bytes())
+
+    @pytest.mark.parametrize("platform, unit", [("linux", 2**10), ("darwin", 2**20)])
+    def test_children_count_and_units(self, monkeypatch, platform, unit):
+        usage = {"self": 3 * unit, "children": 5 * unit}
+        fake = type(sys)("resource")
+        fake.RUSAGE_SELF, fake.RUSAGE_CHILDREN = "self", "children"
+        fake.getrusage = lambda who: types.SimpleNamespace(ru_maxrss=usage[who])
+        monkeypatch.setitem(sys.modules, "resource", fake)
+        monkeypatch.setattr(sys, "platform", platform)
+        assert harness._peak_rss_mb() == 5.0
+
+    def test_line_omitted_without_resource(self, monkeypatch, tmp_path):
+        # A None entry makes the import raise ImportError, as on Windows.
+        monkeypatch.setitem(sys.modules, "resource", None)
+        result = run_experiment(config_from_dict(tiny_config_dict()), workers=1)
+        assert "peak_rss_mb" not in result.metadata
+        report = emit_outputs(result, tmp_path)["report"].read_text()
+        assert "peak resident memory" not in report
 
 
 class TestRunExperiment:

@@ -474,6 +474,138 @@ class TestSharedLevel:
         np.testing.assert_array_equal(got, want)
 
 
+def level_arrays(level):
+    return [value for value in level if isinstance(value, np.ndarray)]
+
+
+class TestBlockWorkingSet:
+    """Construction, a level build and a call hold block-sized buffers."""
+
+    def case(self):
+        # 12 blocks of _SCREEN_NODES nodes, one receiver and 128 bins, so
+        # that a chunk's per-call buffers stay below G*N*8 bytes.
+        rng = np.random.default_rng(57)
+        counts = (12 * localize._SCREEN_NODES // 64, 8, 8)
+        shape = (int(np.prod(counts)), 1, 128)
+        stacks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spec = GridSpec([0.0, 0.0, 0.0], [30.0, 20.0, 10.0], counts, True)
+        return spec, stacks, rng
+
+    def test_construction_holds_one_block_of_buffers(self):
+        spec, stacks, _ = self.case()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluator = GridEvaluator(spec, stacks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = (
+            evaluator.products.nbytes + evaluator.energies.nbytes + evaluator.nodes.nbytes
+        )
+        # The kernel's two complex rows per node, and a float64 row to spare.
+        block = localize._SCREEN_NODES * stacks.shape[2] * (16 + 16 + 8)
+        assert peak - base <= kept + block, (peak - base, kept, block)
+
+    def test_level_build_holds_block_buffers_only(self):
+        spec, stacks, _ = self.case()
+        evaluator = GridEvaluator(spec, stacks)
+        node_count, n_bins = evaluator.energies.shape
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            level = evaluator._level(1.0, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(array.nbytes for array in level_arrays(level))
+        block = localize._SCREEN_NODES * n_bins * 8
+        assert peak - base <= kept + 3 * block, (peak - base, kept, block)
+        for array in level_arrays(level):
+            assert not (array.dtype == np.float64 and array.ndim == 2), array.shape
+        assert level.w32.shape == (node_count, n_bins)
+
+    def test_locate_at_a_new_level_allocates_less_than_a_weight_table(self):
+        spec, stacks, rng = self.case()
+        evaluator = GridEvaluator(spec, stacks)
+        node_count, n_bins = evaluator.energies.shape
+        evaluator.locate(stacks[:2], 1.0, 0.1)
+        rows = rng.integers(0, node_count, localize._LOCATE_CHUNK)
+        noise = rng.standard_normal((rows.size, 1, n_bins, 2)) @ np.array([1.0, 1j])
+        batch = stacks[rows] + 0.3 * noise
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluator.locate(batch, 1.0, 0.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(array.nbytes for array in level_arrays(evaluator._cached))
+        table = node_count * n_bins * 8
+        assert peak - base - kept < table, (peak - base, kept, table)
+
+
+@st.composite
+def weight_case(draw):
+    """Stacks (G, L, N) of wide dynamic range, trials, powers, block sizes."""
+    g = draw(st.integers(1, 40))
+    # One receiver, one bin and one pair per batch make one-element complex
+    # products, which numpy rounds differently in place.
+    l_count = draw(st.just(1) | st.integers(1, 4))
+    n_bins = draw(st.just(1) | st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cnormal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    stacks = cnormal(g, l_count, n_bins) * 10.0 ** rng.uniform(-4, 4, (g, 1, n_bins))
+    if draw(st.booleans()):
+        stacks[rng.integers(0, g)] = 0.0
+    block = cnormal(3, l_count, n_bins) * 10.0 ** rng.uniform(-4, 4)
+    signal_power = draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-6, 1e6))
+    noise_power = draw(st.floats(1e-20, 1e20))
+    screen = draw(st.just(1) | st.integers(1, g + 1))
+    pairs = draw(st.just(1) | st.integers(1, 70))
+    return stacks, block, signal_power, noise_power, screen, pairs
+
+
+class TestLevelBits:
+    @settings(max_examples=150, deadline=None)
+    @given(case=weight_case())
+    def test_level_and_rescore_keep_the_full_table_bits(self, case):
+        # Oracle: the level and the rescore as one full-size float64 weight
+        # table, weight = signal_power / (noise_power * gain), and the
+        # products built in one block.
+        stacks, block, signal_power, noise_power, screen, pairs = case
+        g = stacks.shape[0]
+        spec = GridSpec([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [g, 1, 1], False)
+        whole = GridEvaluator(spec, stacks)
+        with mock.patch.object(localize, "_SCREEN_NODES", screen), \
+                mock.patch.object(localize, "_RESCORE_PAIRS", pairs):
+            evaluator = GridEvaluator(spec, stacks)
+            level = evaluator._level(signal_power, noise_power)
+            trials = np.repeat(np.arange(3), g)
+            nodes = np.tile(np.arange(g), 3)
+            got = evaluator._rescore(block, trials, nodes, level)
+        assert np.array_equal(evaluator.products, whole.products)
+        assert np.array_equal(evaluator.energies, whole.energies)
+        gain = signal_power * evaluator.energies + noise_power
+        weight = signal_power / (noise_power * gain)
+        offset = np.sum(np.log(gain), axis=1)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(level.w32, weight.astype(np.float32))
+        assert np.array_equal(level.offset, offset)
+        assert np.array_equal(level.offset32, offset.astype(np.float32))
+        assert np.array_equal(level.bin_max, np.max(weight * evaluator.energies, axis=0))
+        assert level.top_weight == np.max(weight)
+        assert level.top_offset == np.max(np.abs(offset))
+        assert level.top_bin == np.max(level.bin_max)
+        inner = np.sum(np.conj(stacks[nodes]) * block[trials], axis=1)
+        power = inner.real**2 + inner.imag**2
+        want = np.sum(weight[nodes] * power, axis=1) - offset[nodes]
+        assert np.array_equal(got, want)
+
+
 class TestBlockedScreen:
     def test_float32_floor_keeps_every_comparison(self):
         # For float32 x, x >= v must hold exactly when x >= v's float32 floor.
