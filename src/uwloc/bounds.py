@@ -9,6 +9,9 @@ the chi-square divergence between the two observation laws (exact
 determinant form and O(NL) product form), its SNR limits, and the two
 MSE-degradation bounds built from it.
 
+_energy_form holds the per-bin energies and finiteness rule that
+gamma_and_condition, delta_squared_closed_form and snr_limits share.
+
 Infinite divergence is an explicit result value (math.inf), not an
 exception, so sweep curves can carry vacuous-bound regions. A finite
 divergence too large for float64 is reported as math.inf as well.
@@ -82,12 +85,6 @@ class BoundEvaluation:
 
 def _as_matrix(stack) -> np.ndarray:
     return np.atleast_2d(np.asarray(stack, dtype=complex))
-
-
-def _bin_energies(stack) -> np.ndarray:
-    """Per-frequency response energies: sum over receivers of |h|^2, (N,)."""
-    h = _as_matrix(stack)
-    return np.sum(np.abs(h) ** 2, axis=0)
 
 
 def build_covariance(stack, signal_power: float, noise_power: float) -> np.ndarray:
@@ -195,11 +192,24 @@ def _divergence_from_log(log_value: float) -> float:
         return math.inf
 
 
-def _condition_margin_ok(energy_q, energy_p, snr):
+def _energy_form(stack_q, stack_p, snr: float):
+    """(energy_q, energy_p, finite): the energy form's one per-bin law.
+
+    e_k is bin k's response energy, the sum over receivers of |h|^2. The
+    divergence at snr is finite iff every bin has 2 eq_k + 1/snr > ep_k,
+    with relative margin BOUNDARY_RTOL (boundary = violated); snr =
+    math.inf gives the high-SNR rule 2 eq_k > ep_k.
+    """
+    if snr <= 0:
+        raise ValueError("snr must be > 0")
+    energy_q, energy_p = (np.sum(np.abs(_as_matrix(stack)) ** 2, axis=0)
+                          for stack in (stack_q, stack_p))
+    if energy_q.shape != energy_p.shape:
+        raise ValueError("stacks disagree on the number of frequency bins")
     lhs = 2.0 * energy_q + 1.0 / snr
-    rhs = energy_p
-    scale = np.maximum(np.abs(lhs), np.abs(rhs))
-    return np.all(lhs - rhs > BOUNDARY_RTOL * scale)
+    scale = np.maximum(np.abs(lhs), np.abs(energy_p))
+    finite = bool(np.all(lhs - energy_p > BOUNDARY_RTOL * scale))
+    return energy_q, energy_p, finite
 
 
 def gamma_and_condition(stack_q, stack_p, snr: float):
@@ -207,18 +217,11 @@ def gamma_and_condition(stack_q, stack_p, snr: float):
 
     gamma[k, 0] = (snr * eq_k + 1) / (snr * ep_k + 1) with e the per-bin
     response energies; remaining columns are identically 1. The divergence
-    is finite iff every gamma[k, 0] > 1/2, checked as
-    2 eq_k + 1/snr > ep_k with relative margin BOUNDARY_RTOL (boundary =
-    violated).
+    is finite iff every gamma[k, 0] > 1/2, which is _energy_form's rule.
     """
-    if snr <= 0:
-        raise ValueError("snr must be > 0")
-    energy_q = _bin_energies(stack_q)
-    energy_p = _bin_energies(stack_p)
-    l_count = _as_matrix(stack_q).shape[0]
-    gamma = np.ones((energy_q.size, l_count))
+    energy_q, energy_p, ok = _energy_form(stack_q, stack_p, snr)
+    gamma = np.ones((energy_q.size, _as_matrix(stack_q).shape[0]))
     gamma[:, 0] = (snr * energy_q + 1.0) / (snr * energy_p + 1.0)
-    ok = bool(_condition_margin_ok(energy_q, energy_p, snr))
     return gamma, ok
 
 
@@ -227,16 +230,11 @@ def delta_squared_closed_form(stack_q, stack_p, snr: float) -> float:
 
     Evaluates prod_k (snr eq + 1)^2 / ((snr ep + 1)(snr (2 eq - ep) + 1)) - 1
     from the per-bin energies alone, as exp(compensated log sum) - 1.
-    Returns math.inf when the finiteness condition fails or the value
+    Returns math.inf when _energy_form's finiteness rule fails or the value
     exceeds float64.
     """
-    if snr <= 0:
-        raise ValueError("snr must be > 0")
-    energy_q = _bin_energies(stack_q)
-    energy_p = _bin_energies(stack_p)
-    if energy_q.shape != energy_p.shape:
-        raise ValueError("stacks disagree on the number of frequency bins")
-    if not _condition_margin_ok(energy_q, energy_p, snr):
+    energy_q, energy_p, finite = _energy_form(stack_q, stack_p, snr)
+    if not finite:
         return math.inf
     terms = (
         2.0 * np.log1p(snr * energy_q)
@@ -270,21 +268,19 @@ def snr_limits(stack_q, stack_p):
     """High-SNR divergence limit and the low-SNR probe value.
 
     The high-SNR limit is prod_k 1/(rho_k (2 - rho_k)) - 1 with rho_k the
-    per-bin energy ratio actual/presumed; math.inf when any rho_k >= 2 or
-    the value exceeds float64.
+    per-bin energy ratio actual/presumed; math.inf when _energy_form's rule
+    fails at snr = math.inf (rho_k >= 2), rho_k = 0, or it exceeds float64.
     The low-SNR behavior is reported as the closed-form divergence at
     snr = LOW_SNR_PROBE, which must vanish as the probe does.
     """
-    energy_q = _bin_energies(stack_q)
-    energy_p = _bin_energies(stack_p)
+    energy_q, energy_p, finite = _energy_form(stack_q, stack_p, math.inf)
     if np.any(energy_q <= 0):
         raise ValueError("presumed response energy must be positive per bin")
     rho = energy_p / energy_q
-    margin = 2.0 - rho
-    if np.any(margin <= BOUNDARY_RTOL * 2.0) or np.any(rho <= 0):
+    if not finite or np.any(rho == 0):
         high = math.inf
     else:
-        log_high = -math.fsum(np.log(rho)) - math.fsum(np.log(margin))
+        log_high = -math.fsum(np.log(rho)) - math.fsum(np.log(2.0 - rho))
         high = _divergence_from_log(log_high)
     low = delta_squared_closed_form(stack_q, stack_p, LOW_SNR_PROBE)
     return high, low

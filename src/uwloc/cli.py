@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -131,9 +130,9 @@ def _cmd_gen_data(args) -> int:
 def _load_dataset(data_dir):
     """(values, labels or None, noise_power, attenuation) of a data directory.
 
-    A meta.json that is not JSON or lacks a finite, positive noise_power
-    or attenuation, or a labels.csv that does not hold one numeric x,y,z
-    row per observation, raises ConfigError.
+    A meta.json that is not JSON or fails harness._check_levels, or a
+    labels.csv that does not hold one numeric x,y,z row per observation,
+    raises ConfigError.
     """
     data = Path(data_dir)
     values, _ = signal_mod.load_observations(data / "observations.bin")
@@ -148,11 +147,7 @@ def _load_dataset(data_dir):
         raise ConfigError(
             f"{meta_path} needs numeric 'noise_power' and 'attenuation': {exc!r}"
         ) from exc
-    if not all(math.isfinite(v) and v > 0 for v in (noise_power, attenuation)):
-        raise ConfigError(
-            f"{meta_path} needs finite, positive 'noise_power' and 'attenuation', "
-            f"got {noise_power!r} and {attenuation!r}"
-        )
+    harness._check_levels(noise_power, attenuation, str(meta_path))
     labels = None
     labels_path = data / "labels.csv"
     if labels_path.exists():

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EstimationError
+from .errors import ConfigError, EstimationError
 
 # Neighbor order the estimate-csd command uses when given none.
 DEFAULT_K = 5
@@ -111,6 +111,10 @@ def estimate_csd(samples_p, samples_q, k: int) -> CsdEstimate:
 
 
 def load_samples(path) -> np.ndarray:
-    """Read a (count, dim) point cloud from a comma-separated file, one point per row."""
-    pts = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Read a (count, dim) point cloud from a comma-separated file, one point
+    per row; ConfigError if the file is not all numbers (a header line too)."""
+    try:
+        pts = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not a numeric comma-separated file: {exc}") from exc
     return _as_points(pts)

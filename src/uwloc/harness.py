@@ -108,20 +108,6 @@ DEFAULT_SNR_DB = tuple(range(-10, 31, 2))
 # attenuations and node energies from about 1e-124 to 1e124.
 _SNR_DB_LIMIT = 300.0
 
-CSV_COLUMNS = (
-    "snr_db",
-    "rmse_q",
-    "rmse_p",
-    "bound_strong",
-    "bound_weak",
-    "delta2",
-    "csd_estimate",
-    "condition_ok",
-    "trials",
-    "seed",
-)
-
-
 def derive_seed(master: int, stage: str, index: int) -> np.random.SeedSequence:
     """Deterministic per-stage seed: entropy [master, crc32(stage), index]."""
     return np.random.SeedSequence(
@@ -293,8 +279,22 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(data)
 
 
+# The (format, parse) pair of each cell type, keyed by CurvePoint's string annotations.
+_CELL_CODECS = {
+    "bool": (lambda value: "true" if value else "false",
+             {"true": True, "false": False}.__getitem__),
+    "int": (lambda value: str(int(value)), int),
+    "float": (lambda value: repr(float(value)), float),
+}
+
+
 @dataclass
 class CurvePoint:
+    """One SNR point of the curve. Its fields, in order, are the columns of
+    curve.csv and curve.dat (CSV_COLUMNS); a cell is written and read by its
+    field's type: a bool as true or false, an int in decimal, a float in
+    repr. A new column is one field here plus its value in run_experiment."""
+
     snr_db: float
     rmse_q: float
     rmse_p: float
@@ -307,16 +307,12 @@ class CurvePoint:
     seed: int
 
     def row(self) -> list:
-        out = []
-        for name in CSV_COLUMNS:
-            value = getattr(self, name)
-            if name == "condition_ok":
-                out.append("true" if value else "false")
-            elif name in ("trials", "seed"):
-                out.append(str(int(value)))
-            else:
-                out.append(repr(float(value)))
-        return out
+        """The point's cells, one string per column."""
+        return [write(getattr(self, name)) for name, (write, _) in zip(CSV_COLUMNS, _CELLS)]
+
+
+CSV_COLUMNS = tuple(item.name for item in dataclasses.fields(CurvePoint))
+_CELLS = tuple(_CELL_CODECS[item.type] for item in dataclasses.fields(CurvePoint))
 
 
 @dataclass
@@ -641,6 +637,18 @@ def noise_level(attenuation: float, snr_db: float) -> float:
     return power
 
 
+def _check_levels(noise_power: float, attenuation: float, label: str) -> None:
+    """ConfigError unless attenuation is finite and positive and noise_power lies
+    within _SNR_DB_LIMIT dB of the signal, as noise_level forms it at the limits."""
+    if not 0.0 < attenuation < math.inf:
+        raise ConfigError(f"{label} needs a finite, positive attenuation, got {attenuation!r}")
+    low, high = (noise_level(attenuation, db) for db in (_SNR_DB_LIMIT, -_SNR_DB_LIMIT))
+    if not low <= noise_power <= high:
+        raise ConfigError(f"{label} needs a finite, positive noise power within "
+                          f"{_SNR_DB_LIMIT:g} dB of the average received signal power "
+                          f"{SIGNAL_POWER * attenuation!r}, got {noise_power!r}")
+
+
 def source_response(config: ExperimentConfig, env: channel.Environment,
                     source: np.ndarray) -> np.ndarray:
     """The (L, N) response of env at the source."""
@@ -854,20 +862,21 @@ def emit_outputs(result: ExperimentResult, out_dir) -> dict:
     """Write curve.csv, curve.dat (gnuplot), and report.txt; returns paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    curve_csv = out / "curve.csv"
+    paths = {"curve_csv": out / "curve.csv", "curve_dat": out / "curve.dat",
+             "report": out / "report.txt"}
     rows = [point.row() for point in result.points]
-    with open(curve_csv, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+    for key, comment, sep in (("curve_csv", "", ","), ("curve_dat", "# ", " ")):
+        with open(paths[key], "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(comment + sep.join(CSV_COLUMNS) + "\n")
+            for row in rows:
+                handle.write(sep.join(row) + "\n")
+    with open(paths["report"], "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(_report_lines(result, rows)) + "\n")
+    return paths
 
-    curve_dat = out / "curve.dat"
-    with open(curve_dat, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("# " + " ".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            handle.write(" ".join(row) + "\n")
 
-    report = out / "report.txt"
+def _report_lines(result: ExperimentResult, rows: list) -> list:
+    """report.txt's lines: run facts, the config, the curve, its diagnostics."""
     meta = result.metadata
     lines = []
     lines.append("environment mismatch localization experiment")
@@ -907,9 +916,7 @@ def emit_outputs(result: ExperimentResult, out_dir) -> dict:
         lines.append("actual-model error samples csd_estimate excluded as duplicates:")
         for point, count in zip(result.points, excluded):
             lines.append(f"  snr {point.snr_db:+.1f} dB: {count} of {point.trials}")
-    with open(report, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-    return {"curve_csv": curve_csv, "curve_dat": curve_dat, "report": report}
+    return lines
 
 
 def parse_curve_csv(path) -> list:
@@ -924,15 +931,11 @@ def parse_curve_csv(path) -> list:
         if len(cells) != len(CSV_COLUMNS):
             raise ConfigError(f"curve row has {len(cells)} cells: {line!r}")
         values = {}
-        for name, cell in zip(CSV_COLUMNS, cells):
-            if name == "condition_ok":
-                if cell not in ("true", "false"):
-                    raise ConfigError(f"bad condition flag {cell!r}")
-                values[name] = cell == "true"
-            elif name in ("trials", "seed"):
-                values[name] = int(cell)
-            else:
-                values[name] = float(cell)
+        for name, (_, read), cell in zip(CSV_COLUMNS, _CELLS, cells):
+            try:
+                values[name] = read(cell)
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"{path}: bad {name} cell {cell!r}") from exc
         points.append(CurvePoint(**values))
     return points
 
@@ -955,6 +958,7 @@ def _write_observations(out_dir, config: ExperimentConfig, stage: str, h,
     noise power, attenuation, seed and bins, plus extra); returns the paths.
     """
     noise_power = noise_level(attenuation, snr_db)
+    _check_levels(noise_power, attenuation, f"snr {snr_db!r} dB")
     values = None
     for rows, obs in observation_chunks(config.seed, stage, h, noise_power, count):
         if values is None:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uwloc.bounds import (
     BOUNDARY_RTOL,
@@ -313,6 +315,51 @@ class TestSnrLimits:
     def test_rejects_zero_presumed_energy(self):
         with pytest.raises(ValueError):
             snr_limits(np.zeros((1, 2)), np.ones((1, 2)))
+
+
+@st.composite
+def parallel_pair(draw):
+    """h_q (L, N) and h_p = c_k h_q per bin k with complex c_k, and snr.
+
+    Each bin's actual energy is a drawn fraction of its finiteness boundary
+    2 eq_k + 1/snr, from well inside to past it, so the energy ratios
+    |c_k|^2 fall on both sides of 1 and the pairs on both sides of the
+    boundary. Presumed energies lie in [0.5, 2] and snr in [0.1, 100]:
+    there the dense oracle's log-determinants and generalized eigenvalues
+    keep about 1e-11 relative accuracy, which at snr * energy far from 1
+    (either way) they lose.
+    """
+    l_count = draw(st.integers(1, 3))
+    n_bins = draw(st.integers(1, 5))
+    snr = draw(st.sampled_from([0.1, 1.0, 10.0, 100.0]) | st.floats(0.1, 100.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h_q = random_stack(rng, l_count, n_bins)
+    energy_q = 10.0 ** rng.uniform(-0.3, 0.3, n_bins)
+    h_q *= np.sqrt(energy_q / np.sum(np.abs(h_q) ** 2, axis=0))
+    fractions = np.array(draw(st.lists(st.floats(0.02, 1.5), min_size=n_bins,
+                                       max_size=n_bins)))
+    ratios = fractions * (2.0 + 1.0 / (snr * energy_q))
+    # Clear of the boundary, where the two paths may round to either side,
+    # and of equal energies, where the divergence sinks below the oracle's
+    # resolution.
+    assume(np.all(np.abs(fractions - 1.0) > 1e-3))
+    assume(np.all(np.abs(ratios - 1.0) > 0.05))
+    phases = np.exp(2j * np.pi * rng.uniform(size=n_bins))
+    return h_q, h_q * (np.sqrt(ratios) * phases)[None, :], snr
+
+
+class TestEnergyFormAgainstDenseOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=parallel_pair())
+    def test_closed_form_and_condition_match_the_dense_value(self, case):
+        h_q, h_p, snr = case
+        exact = csd_exact(build_covariance(h_q, snr, 1.0), build_covariance(h_p, snr, 1.0))
+        closed = delta_squared_closed_form(h_q, h_p, snr)
+        assert gamma_and_condition(h_q, h_p, snr)[1] == math.isfinite(exact)
+        if math.isfinite(exact):
+            assert closed == pytest.approx(exact, rel=1e-9)
+        else:
+            assert closed == math.inf
 
 
 class TestBeyondFloat64:

@@ -8,7 +8,7 @@ import pytest
 
 from test_harness import tiny_config_dict
 from uwloc.cli import main
-from uwloc.harness import parse_curve_csv
+from uwloc.harness import parse_curve_csv, write_positions
 from uwloc.signal import load_observations, save_observations
 
 
@@ -383,6 +383,46 @@ class TestDataCommands:
         assert err.count("\n") == 1 and f"snr_db entry {snr!r} lies outside" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, snr", [
+        ("simulate", "3000"), ("simulate", "-3000"), ("gen-data", "3000"),
+        ("gen-data", "-300.5"),
+    ])
+    def test_dump_snr_outside_the_scorer_range_exits_2(self, config_path, tmp_path,
+                                                       capsys, command, snr):
+        # gen-data --snr-db 3000 wrote a dump whose ML localize overflowed
+        # the scorer's weights and exited 0 with a garbage rmse
+        out = tmp_path / "out"
+        code = main([command, "--config", config_path, "--out", str(out),
+                     f"--snr-db={snr}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "noise power within 300 dB of" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edge", [300.0, -300.0])
+    def test_dump_noise_beyond_the_scorer_range_exits_2(self, config_path, tmp_path,
+                                                        capsys, edge):
+        # A dump at the edge of the range loads; one whose noise power lies
+        # further from its attenuation (hand-edited, or written before the
+        # range held) localized from overflowed weights with exit 0.
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--config", config_path, "--out", str(data_dir),
+                     "--count", "4", f"--snr-db={edge}"]) == 0
+        assert main(["localize", "--config", config_path, "--data", str(data_dir),
+                     "--out", str(tmp_path / "edge"), "--method", "ml"]) == 0
+        meta = json.loads((data_dir / "meta.json").read_text())
+        meta["noise_power"] *= 10.0 ** (-math.copysign(0.05, edge))
+        (data_dir / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        for command in (["localize", "--method", "ml"], ["train"]):
+            out = tmp_path / command[0]
+            code = main([*command, "--config", config_path, "--data", str(data_dir),
+                         "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "noise power within 300 dB of" in err
+            assert not out.exists()
+
     def test_experiment_runs_at_the_top_of_the_range(self, tmp_path):
         # The suite turns every RuntimeWarning into an error. (At -300 dB
         # every trial picks one node, so the run exits 3 as degenerate.)
@@ -495,3 +535,21 @@ class TestAnalysisCommands:
         payload = json.loads((out / "csd.json").read_text())
         assert payload["n"] == 400 and payload["m"] == 500 and payload["k"] == 4
         assert payload["clamped"] >= 0.0
+
+    def test_non_numeric_sample_files_exit_2(self, config_path, tmp_path, capsys):
+        # an x,y,z header, as write_positions writes one, made np.loadtxt's
+        # ValueError escape main with a traceback
+        rng = np.random.default_rng(4)
+        numeric, headed = tmp_path / "numeric.csv", tmp_path / "headed.csv"
+        np.savetxt(numeric, rng.standard_normal((50, 3)), delimiter=",")
+        write_positions(headed, rng.standard_normal((50, 3)))
+        for command in (
+            ["bound", "--config", config_path, "--errors-q", str(numeric),
+             "--errors-p", str(headed)],
+            ["estimate-csd", "--samples-p", str(headed), "--samples-q", str(numeric)],
+        ):
+            out = tmp_path / command[0]
+            assert main([*command, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"{headed} is not a numeric" in err
+            assert not out.exists()

@@ -13,7 +13,7 @@ from uwloc.csd import (
     estimate_csd,
     load_samples,
 )
-from uwloc.errors import EstimationError
+from uwloc.errors import ConfigError, EstimationError
 
 
 def gaussian_1d(rng, n, std):
@@ -179,3 +179,12 @@ class TestSampleFiles:
         got = load_samples(path)
         assert got.shape == (3, 1)
         np.testing.assert_array_equal(got[:, 0], samples)
+
+    @pytest.mark.parametrize("text", ["x,y,z\n1.0,2.0,3.0\n", "1.0,2.0\n3.0,abc\n",
+                                      "1.0,2.0\n3.0\n"])
+    def test_non_numeric_file_is_config_error(self, tmp_path, text):
+        # np.loadtxt's ValueError escaped the CLI with a traceback
+        path = tmp_path / "samples.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="samples.csv is not a numeric"):
+            load_samples(path)

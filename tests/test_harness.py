@@ -343,6 +343,30 @@ class TestCurveIo:
         with pytest.raises(ConfigError):
             parse_curve_csv(bad_flag)
 
+    @pytest.mark.parametrize("column, cell", [("rmse_q", "abc"), ("trials", "4.5"),
+                                              ("seed", "x"), ("condition_ok", "1")])
+    def test_parse_names_the_column_of_a_bad_cell(self, tmp_path, column, cell):
+        # abc in a float column and 4.5 in an int column raised a bare ValueError
+        paths = emit_outputs(ExperimentResult(points=self.make_points()[:1], metadata={
+            "config": {}, "estimator": "ml", "source": [0, 0, 0],
+            "attenuation_q": 1.0, "quantization_floor": 1.0,
+            "elapsed_seconds": 0.0, "versions": {},
+        }), tmp_path)
+        header, row = paths["curve_csv"].read_text().splitlines()
+        cells = row.split(",")
+        cells[header.split(",").index(column)] = cell
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + "\n" + ",".join(cells) + "\n")
+        with pytest.raises(ConfigError, match=f"bad {column} cell '{cell}'"):
+            parse_curve_csv(bad)
+
+    def test_columns_are_the_curve_point_fields(self):
+        fields = dataclasses.fields(CurvePoint)
+        assert harness.CSV_COLUMNS == tuple(item.name for item in fields)
+        point = self.make_points()[1]
+        assert point.row() == ["20.0", "3.9", "4.9", "10.5", "inf", "inf", "1.75",
+                               "false", "40", "99"]
+
 
 class TestNoiseLevel:
     @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, math.inf, -math.inf])
@@ -1248,3 +1272,16 @@ class TestGenerateDataset:
         with pytest.raises(ConfigError, match="no finite, positive noise power"):
             generate_dataset(config, 3, -math.inf, out)
         assert not out.exists()
+
+    @pytest.mark.parametrize("snr_db", [3000.0, -3000.0, 300.5])
+    def test_rejects_snr_outside_the_scorer_range(self, tmp_path, snr_db):
+        # 3000 dB has a finite noise power; its dump overflowed the ML
+        # scorer's weights in localize and exited 0 with a garbage rmse
+        config = config_from_dict(tiny_config_dict())
+        for name, write in (("dataset", partial(generate_dataset, config, 3)),
+                            ("simulate", partial(harness.simulate, config, 3,
+                                                 environment="p"))):
+            out = tmp_path / name
+            with pytest.raises(ConfigError, match="noise power within 300 dB of"):
+                write(snr_db=snr_db, out_dir=out)
+            assert not out.exists()
