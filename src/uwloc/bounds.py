@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .csd import estimate_csd
 from .errors import EstimationError, StructureError
@@ -252,6 +251,8 @@ def csd_exact(sigma_q, sigma_p) -> float:
     stays below 2. Returns math.inf otherwise, or where the value exceeds
     float64.
     """
+    import scipy.linalg  # dense oracle only; kept out of module load
+
     sigma_q = _check_hermitian(sigma_q, "sigma_q")
     sigma_p = _check_hermitian(sigma_p, "sigma_p")
     logdet_q = _logdet_pd(sigma_q, "sigma_q")

@@ -11,14 +11,18 @@ undefined ratio and are excluded from the mean and counted in the
 estimate's excluded_points; the sample counts inside the formula keep
 their original values so the correction factors stay those of the full
 sets.
+
+The k-NN search is scipy's cKDTree, imported by the first search: loading
+scipy.spatial brings in scipy's linalg, sparse and BLAS too, which no other
+step of the pipeline needs.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, EstimationError
 
@@ -56,6 +60,8 @@ def _as_points(samples) -> np.ndarray:
 
 
 def _knn_distances_kdtree(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    from scipy.spatial import cKDTree  # on first use; see the module docstring
+
     tree = cKDTree(points)
     dists, _ = tree.query(queries, k=k)
     if k == 1:
@@ -112,9 +118,15 @@ def estimate_csd(samples_p, samples_q, k: int) -> CsdEstimate:
 
 def load_samples(path) -> np.ndarray:
     """Read a (count, dim) point cloud from a comma-separated file, one point
-    per row; ConfigError if the file is not all numbers (a header line too)."""
+    per row; ConfigError if the file holds no rows or is not all numbers (a
+    header line too)."""
     try:
-        pts = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # loadtxt only warns on a file with no rows; make that an error.
+            warnings.simplefilter("error", UserWarning)
+            pts = np.loadtxt(path, delimiter=",", ndmin=2)
+    except UserWarning as exc:
+        raise ConfigError(f"{path} holds no samples") from exc
     except ValueError as exc:
         raise ConfigError(f"{path} is not a numeric comma-separated file: {exc}") from exc
     return _as_points(pts)

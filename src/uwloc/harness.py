@@ -107,6 +107,8 @@ DEFAULT_SNR_DB = tuple(range(-10, 31, 2))
 # side, sigma^2 is the attenuation times 1e-30 to 1e30, which leaves
 # attenuations and node energies from about 1e-124 to 1e124.
 _SNR_DB_LIMIT = 300.0
+# The attenuations that derivation leaves.
+_ATTENUATION_RANGE = (1e-124, 1e124)
 
 def derive_seed(master: int, stage: str, index: int) -> np.random.SeedSequence:
     """Deterministic per-stage seed: entropy [master, crc32(stage), index]."""
@@ -638,10 +640,12 @@ def noise_level(attenuation: float, snr_db: float) -> float:
 
 
 def _check_levels(noise_power: float, attenuation: float, label: str) -> None:
-    """ConfigError unless attenuation is finite and positive and noise_power lies
+    """ConfigError unless attenuation lies in _ATTENUATION_RANGE and noise_power
     within _SNR_DB_LIMIT dB of the signal, as noise_level forms it at the limits."""
-    if not 0.0 < attenuation < math.inf:
-        raise ConfigError(f"{label} needs a finite, positive attenuation, got {attenuation!r}")
+    low, high = _ATTENUATION_RANGE
+    if not low <= attenuation <= high:
+        raise ConfigError(f"{label} needs a finite, positive attenuation from {low:g} "
+                          f"to {high:g}, got {attenuation!r}")
     low, high = (noise_level(attenuation, db) for db in (_SNR_DB_LIMIT, -_SNR_DB_LIMIT))
     if not low <= noise_power <= high:
         raise ConfigError(f"{label} needs a finite, positive noise power within "

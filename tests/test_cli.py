@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from test_harness import tiny_config_dict
+import uwloc
+from test_harness import TINY_NET, tiny_config_dict
 from uwloc.cli import main
 from uwloc.harness import parse_curve_csv, write_positions
 from uwloc.signal import load_observations, save_observations
@@ -198,11 +204,13 @@ class TestDataCommands:
             assert code == 2 and not (tmp_path / "model").exists()
 
     @pytest.mark.parametrize("key", ["noise_power", "attenuation"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, 1e-310, 1e278])
     def test_dataset_levels_must_be_finite_and_positive(self, net_config_path, tmp_path,
                                                         capsys, key, value):
         # A zero or negative noise power raised an uncaught ValueError, and a
-        # NaN or infinite one localized from garbage scores with exit 0.
+        # NaN or infinite one localized from garbage scores with exit 0. An
+        # attenuation of 1e-310 was reported as "snr 300.0 dB gives no finite,
+        # positive noise power", naming an SNR the dump never gave.
         data_dir = tmp_path / "data"
         assert main(["gen-data", "--config", net_config_path, "--out", str(data_dir),
                      "--count", "4", "--snr-db", "18"]) == 0
@@ -215,7 +223,10 @@ class TestDataCommands:
             code = main([*command, "--config", net_config_path, "--data", str(data_dir),
                          "--out", str(out)])
             assert code == 2
-            assert "finite, positive" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "finite, positive" in err and "snr" not in err
+            if key == "attenuation":
+                assert f"attenuation from 1e-124 to 1e+124, got {value!r}" in err
             assert not out.exists()
 
     def test_train_and_localize_net(self, net_config_path, tmp_path, capsys):
@@ -553,3 +564,114 @@ class TestAnalysisCommands:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and f"{headed} is not a numeric" in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("content", ["", "\n\n"])
+    def test_empty_sample_file_exits_2(self, config_path, tmp_path, capsys, content):
+        # np.loadtxt warned "input contained no data" and the empty array
+        # then exited 3, the numerical-failure code
+        rng = np.random.default_rng(5)
+        numeric, empty = tmp_path / "numeric.csv", tmp_path / "empty.csv"
+        np.savetxt(numeric, rng.standard_normal((50, 3)), delimiter=",")
+        empty.write_text(content)
+        for command in (
+            ["bound", "--config", config_path, "--errors-q", str(numeric),
+             "--errors-p", str(empty)],
+            ["estimate-csd", "--samples-p", str(empty), "--samples-q", str(numeric)],
+        ):
+            out = tmp_path / command[0]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([*command, "--out", str(out)]) == 2
+            assert not caught
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"{empty} holds no samples" in err
+            assert not out.exists()
+
+
+# The scipy modules that only the k-NN estimate (scipy.spatial) and the dense
+# test oracle (scipy.linalg) need; loading them costs about 0.2 s and 37 MB.
+SCIPY_MODULES = ("scipy.spatial", "scipy.linalg")
+SCIPY_LOADED = f"[name for name in {SCIPY_MODULES!r} if name in sys.modules]"
+
+
+def run_fresh(script: str, cwd):
+    """Run script in a new interpreter that imports uwloc from this checkout;
+    the JSON of the last line it prints."""
+    source = str(Path(uwloc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def scipy_loaded_after(steps, cwd):
+    """For each step (Python source) run in turn in one new interpreter, the
+    SCIPY_MODULES loaded once it has run."""
+    script = "import json, sys\nseen = []\n" + "".join(
+        f"{step}\nseen.append({SCIPY_LOADED})\n" for step in steps
+    )
+    return run_fresh(script + "print(json.dumps(seen))", cwd)
+
+
+def command_step(argv) -> str:
+    return f"from uwloc.cli import main\nassert main({[str(a) for a in argv]!r}) == 0"
+
+
+class TestScipyLoadsOnFirstUse:
+    def test_import_loads_no_scipy_module(self, tmp_path):
+        assert scipy_loaded_after(["import uwloc", "import uwloc.cli"], tmp_path) == [[], []]
+
+    def test_data_commands_load_no_scipy_module(self, net_config_path, tmp_path):
+        data, model = tmp_path / "data", tmp_path / "model"
+        commands = [
+            ["simulate", "--config", net_config_path, "--out", tmp_path / "sim"],
+            ["gen-data", "--config", net_config_path, "--out", data,
+             "--count", "64", "--snr-db", "15"],
+            ["train", "--config", net_config_path, "--data", data, "--out", model],
+            ["train", "--config", net_config_path, "--out", tmp_path / "drawn"],
+            ["localize", "--config", net_config_path, "--data", data,
+             "--out", tmp_path / "ml", "--method", "ml"],
+            ["localize", "--config", net_config_path, "--data", data,
+             "--out", tmp_path / "net", "--method", "net", "--model", model / "model.uwnet"],
+        ]
+        seen = scipy_loaded_after([command_step(c) for c in commands], tmp_path)
+        assert seen == [[]] * len(commands)
+
+    @pytest.mark.parametrize("command", ["bound", "estimate-csd"])
+    def test_analysis_commands_load_the_kdtree(self, config_path, tmp_path, command):
+        rng = np.random.default_rng(6)
+        p_path, q_path = tmp_path / "p.csv", tmp_path / "q.csv"
+        np.savetxt(p_path, rng.standard_normal((50, 3)), delimiter=",")
+        np.savetxt(q_path, rng.standard_normal((60, 3)), delimiter=",")
+        argv = {
+            "bound": ["bound", "--config", config_path,
+                      "--errors-q", q_path, "--errors-p", p_path],
+            "estimate-csd": ["estimate-csd", "--samples-p", p_path, "--samples-q", q_path],
+        }[command]
+        assert "scipy.spatial" in scipy_loaded_after([command_step(argv)], tmp_path)[0]
+
+    @pytest.mark.parametrize("estimator", ["ml", "net"])
+    def test_experiment_loads_the_kdtree_after_training(self, tmp_path, estimator):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(tiny_config_dict(estimator=estimator, net=TINY_NET)))
+        # at_training: whether scipy.spatial was loaded when train_model returned
+        look_after_training = "\n".join([
+            "import uwloc.harness as harness",
+            "at_training = None",
+            "def train_and_look(*args, _train=harness.train_model):",
+            "    global at_training",
+            "    trained = _train(*args)",
+            "    at_training = 'scipy.spatial' in sys.modules",
+            "    return trained",
+            "harness.train_model = train_and_look",
+        ])
+        experiment = command_step(["experiment", "--config", path, "--out", tmp_path / "out"])
+        script = "\n".join([
+            "import json, sys", look_after_training, experiment,
+            f"print(json.dumps([at_training, {SCIPY_LOADED}]))",
+        ])
+        at_training, loaded = run_fresh(script, tmp_path)
+        assert at_training is (False if estimator == "net" else None)
+        assert "scipy.spatial" in loaded
