@@ -179,14 +179,16 @@ def _logdet_pd(matrix: np.ndarray, name: str) -> float:
 
 
 def _divergence_from_log(log_value: float) -> float:
-    """exp(log_value) - 1, or math.inf where that exceeds float64.
+    """max(exp(log_value) - 1, 0), or math.inf where that exceeds float64.
 
     The one rule every closed-form divergence leaves log space by: a
     finite divergence too large to represent is as vacuous as an infinite
-    one, so it is reported as math.inf, never as OverflowError.
+    one, so it is reported as math.inf, never as OverflowError. A
+    chi-square divergence is never negative, so a log sum that rounds
+    below 0 reads as 0.
     """
     try:
-        return math.expm1(log_value)
+        return max(math.expm1(log_value), 0.0)
     except OverflowError:
         return math.inf
 

@@ -12,9 +12,14 @@ estimate's excluded_points; the sample counts inside the formula keep
 their original values so the correction factors stay those of the full
 sets.
 
-The k-NN search is scipy's cKDTree, imported by the first search: loading
-scipy.spatial brings in scipy's linalg, sparse and BLAS too, which no other
-step of the pipeline needs.
+Each k-NN search is exact. Up to _EXACT_MAX_PAIRS query-point pairs it is
+a blocked pairwise search in numpy; above that it is scipy's cKDTree,
+imported by the first such search: loading scipy.spatial brings in scipy's
+linalg, sparse and BLAS too, which no other step of the pipeline needs.
+2^20 pairs is where the two cost the same, counting the tree's import
+(about 1 000 samples a side). The pairwise search sums the squared
+coordinate differences as cKDTree does, so both return the same distances
+bit for bit and the estimate does not depend on which one ran.
 """
 
 from __future__ import annotations
@@ -28,6 +33,12 @@ from .errors import ConfigError, EstimationError
 
 # Neighbor order the estimate-csd command uses when given none.
 DEFAULT_K = 5
+
+# Largest query-point pair count searched pairwise rather than by cKDTree.
+_EXACT_MAX_PAIRS = 1 << 20
+# Pairs per block of the pairwise search: two or three float64 buffers of
+# this many entries, 2 MB each.
+_BLOCK_DISTANCES = 1 << 18
 
 
 @dataclass
@@ -59,6 +70,14 @@ def _as_points(samples) -> np.ndarray:
     return pts
 
 
+def _knn_distances(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """(len(queries), k) ascending distances from each query to its k nearest
+    points; the one k-NN search, see the module docstring."""
+    if len(points) * len(queries) <= _EXACT_MAX_PAIRS:
+        return _knn_distances_brute(points, queries, k)
+    return _knn_distances_kdtree(points, queries, k)
+
+
 def _knn_distances_kdtree(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     from scipy.spatial import cKDTree  # on first use; see the module docstring
 
@@ -69,13 +88,49 @@ def _knn_distances_kdtree(points: np.ndarray, queries: np.ndarray, k: int) -> np
     return dists
 
 
+def _sum_squares(queries, points, coords, out, scratch) -> None:
+    """out = the sum over coords, in order, of (query - point)^2 per pair."""
+    first, *rest = coords
+    np.subtract(queries[:, first, None], points[:, first], out=out)
+    np.multiply(out, out, out=out)
+    for c in rest:
+        np.subtract(queries[:, c, None], points[:, c], out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        np.add(out, scratch, out=out)
+
+
 def _knn_distances_brute(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-    # Exact pairwise search; quadratic, the reference the KD-tree is tested
-    # against on small inputs.
-    diff = queries[:, None, :] - points[None, :, :]
-    dists = np.sqrt(np.sum(diff * diff, axis=2))
-    dists.sort(axis=1)
-    return dists[:, :k]
+    """Exact pairwise search in blocks of at most _BLOCK_DISTANCES pairs.
+
+    Squared distances are summed as cKDTree sums them: each whole group of
+    four coordinates feeds four lane sums (coordinate c to lane c % 4), the
+    lanes are added in order, then the remaining coordinates one by one;
+    below d = 8 that is plain coordinate order. The k smallest squared
+    distances are then partitioned out, sorted and square-rooted, so the
+    result equals cKDTree's bit for bit.
+    """
+    d = queries.shape[1]
+    grouped = d - d % 4
+    terms = ([range(j, grouped, 4) for j in range(min(grouped, 4))]
+             + [range(c, c + 1) for c in range(grouped, d)])
+    rows = min(len(queries), max(1, _BLOCK_DISTANCES // len(points)))
+    block = np.empty((rows, len(points)))
+    scratch = np.empty_like(block)
+    # a term of one coordinate needs no buffer of its own
+    lane = np.empty_like(block) if grouped > 4 else scratch
+    dists = np.empty((len(queries), k))
+    for start in range(0, len(queries), rows):
+        chunk = queries[start:start + rows]
+        sq, tmp, term = block[:len(chunk)], scratch[:len(chunk)], lane[:len(chunk)]
+        sq.fill(0.0)
+        for coords in terms:
+            _sum_squares(chunk, points, coords, term, tmp)
+            np.add(sq, term, out=sq)
+        sq.partition(k - 1, axis=1)
+        nearest = sq[:, :k]
+        nearest.sort(axis=1)
+        np.sqrt(nearest, out=dists[start:start + len(chunk)])
+    return dists
 
 
 def estimate_csd(samples_p, samples_q, k: int) -> CsdEstimate:
@@ -101,8 +156,8 @@ def estimate_csd(samples_p, samples_q, k: int) -> CsdEstimate:
     if m < k:
         raise EstimationError(f"need at least k={k} samples of Q, got {m}")
     # k-th neighbor within P, self excluded: query k+1, drop the self hit.
-    rho = _knn_distances_kdtree(pts_p, pts_p, k + 1)[:, k]
-    nu = _knn_distances_kdtree(pts_q, pts_p, k)[:, k - 1]
+    rho = _knn_distances(pts_p, pts_p, k + 1)[:, k]
+    nu = _knn_distances(pts_q, pts_p, k)[:, k - 1]
 
     valid = (rho > 0.0) & (nu > 0.0)
     excluded = int(n - np.count_nonzero(valid))

@@ -639,24 +639,27 @@ class TestScipyLoadsOnFirstUse:
         seen = scipy_loaded_after([command_step(c) for c in commands], tmp_path)
         assert seen == [[]] * len(commands)
 
-    @pytest.mark.parametrize("command", ["bound", "estimate-csd"])
-    def test_analysis_commands_load_the_kdtree(self, config_path, tmp_path, command):
+    @staticmethod
+    def analysis_argv(command, config_path, tmp_path, rows):
+        # error clouds of rows samples a side in R^3: rows^2 pairs per search
         rng = np.random.default_rng(6)
         p_path, q_path = tmp_path / "p.csv", tmp_path / "q.csv"
-        np.savetxt(p_path, rng.standard_normal((50, 3)), delimiter=",")
-        np.savetxt(q_path, rng.standard_normal((60, 3)), delimiter=",")
-        argv = {
+        np.savetxt(p_path, rng.standard_normal((rows, 3)), delimiter=",")
+        np.savetxt(q_path, rng.standard_normal((rows, 3)), delimiter=",")
+        return {
             "bound": ["bound", "--config", config_path,
                       "--errors-q", q_path, "--errors-p", p_path],
             "estimate-csd": ["estimate-csd", "--samples-p", p_path, "--samples-q", q_path],
         }[command]
-        assert "scipy.spatial" in scipy_loaded_after([command_step(argv)], tmp_path)[0]
 
-    @pytest.mark.parametrize("estimator", ["ml", "net"])
-    def test_experiment_loads_the_kdtree_after_training(self, tmp_path, estimator):
+    @staticmethod
+    def experiment_script(tmp_path, estimator, trials):
+        """A fresh run of experiment that prints [whether scipy.spatial was
+        loaded when train_model returned (None without training), the
+        SCIPY_MODULES loaded at the end]."""
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(tiny_config_dict(estimator=estimator, net=TINY_NET)))
-        # at_training: whether scipy.spatial was loaded when train_model returned
+        path.write_text(json.dumps(tiny_config_dict(estimator=estimator, net=TINY_NET,
+                                                    trials=trials)))
         look_after_training = "\n".join([
             "import uwloc.harness as harness",
             "at_training = None",
@@ -668,10 +671,33 @@ class TestScipyLoadsOnFirstUse:
             "harness.train_model = train_and_look",
         ])
         experiment = command_step(["experiment", "--config", path, "--out", tmp_path / "out"])
-        script = "\n".join([
+        return "\n".join([
             "import json, sys", look_after_training, experiment,
             f"print(json.dumps([at_training, {SCIPY_LOADED}]))",
         ])
-        at_training, loaded = run_fresh(script, tmp_path)
+
+    @pytest.mark.parametrize("command", ["bound", "estimate-csd", "ml", "net"])
+    def test_small_samples_load_no_scipy_module(self, config_path, tmp_path, command):
+        # 60 and 40 samples a side stay far below csd._EXACT_MAX_PAIRS, so
+        # the k-NN searches are pairwise and scipy never loads.
+        if command in ("ml", "net"):
+            _, loaded = run_fresh(self.experiment_script(tmp_path, command, 40), tmp_path)
+        else:
+            argv = self.analysis_argv(command, config_path, tmp_path, 60)
+            loaded, = scipy_loaded_after([command_step(argv)], tmp_path)
+        assert loaded == []
+
+    @pytest.mark.parametrize("command", ["bound", "estimate-csd"])
+    def test_analysis_commands_load_the_kdtree(self, config_path, tmp_path, command):
+        # 1 100 samples a side: 1.21e6 pairs, above csd._EXACT_MAX_PAIRS
+        argv = self.analysis_argv(command, config_path, tmp_path, 1100)
+        assert "scipy.spatial" in scipy_loaded_after([command_step(argv)], tmp_path)[0]
+
+    @pytest.mark.parametrize("estimator", ["ml", "net"])
+    def test_experiment_loads_the_kdtree_after_training(self, tmp_path, estimator):
+        # 1 100 trials a point: the divergence estimate loads cKDTree, and a
+        # net run only once the net is trained.
+        at_training, loaded = run_fresh(self.experiment_script(tmp_path, estimator, 1100),
+                                        tmp_path)
         assert at_training is (False if estimator == "net" else None)
         assert "scipy.spatial" in loaded

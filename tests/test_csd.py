@@ -5,9 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uwloc import csd
 from uwloc.bounds import csd_exact
 from uwloc.csd import (
+    _knn_distances,
     _knn_distances_brute,
     _knn_distances_kdtree,
     estimate_csd,
@@ -41,7 +45,62 @@ class TestKnnRadius:
             tree = _knn_distances_kdtree(points, queries, k)
             brute = _knn_distances_brute(points, queries, k)
             assert tree.shape == brute.shape == (25, k)
-            np.testing.assert_allclose(tree, brute, rtol=1e-12)
+            np.testing.assert_array_equal(tree, brute)
+
+
+# (points, queries) counts: small ragged ones, 2^20 pairs and either side of
+# it, and counts the pairwise search's block (_BLOCK_DISTANCES // points rows)
+# does not divide, down to one row of more than _BLOCK_DISTANCES points.
+SEARCH_SIZES = st.one_of(
+    st.tuples(st.integers(1, 60), st.integers(1, 60)),
+    st.sampled_from([
+        (1024, 1024), (1024, 1023), (1025, 1024), (1000, 1049), (700, 1600),
+        (csd._BLOCK_DISTANCES, 3), (csd._BLOCK_DISTANCES + 1, 2),
+    ]),
+)
+
+
+@st.composite
+def search_inputs(draw):
+    """(points, queries, k): clouds that may sit on a lattice (many equal
+    distances), repeat rows, or query points of their own."""
+    count_p, count_q = draw(SEARCH_SIZES)
+    d = draw(st.integers(1, 9))
+    k = draw(st.integers(1, min(8, count_p)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    points, queries = (rng.standard_normal((count, d)) for count in (count_p, count_q))
+    if draw(st.booleans()):
+        points, queries = np.round(2.0 * points), np.round(2.0 * queries)
+    points, queries = scale * points, scale * queries
+    repeats = draw(st.integers(0, count_p - 1))
+    points[:repeats] = points[rng.integers(repeats, count_p, size=repeats)]
+    if draw(st.booleans()):
+        queries = points[:count_q]
+    return points, queries, k
+
+
+class TestSearchPaths:
+    @settings(max_examples=60, deadline=None)
+    @given(search_inputs())
+    def test_pairwise_and_tree_distances_are_equal(self, inputs):
+        points, queries, k = inputs
+        tree = _knn_distances_kdtree(points, queries, k)
+        brute = _knn_distances_brute(points, queries, k)
+        assert brute.shape == (len(queries), k)
+        assert np.array_equal(brute, tree)
+        assert np.array_equal(_knn_distances(points, queries, k), tree)
+
+    @pytest.mark.parametrize("pairs, path", [
+        (csd._EXACT_MAX_PAIRS, "_knn_distances_brute"),
+        (csd._EXACT_MAX_PAIRS + 1024, "_knn_distances_kdtree"),
+    ])
+    def test_the_entry_point_picks_by_pair_count(self, monkeypatch, pairs, path):
+        calls = []
+        for name in ("_knn_distances_brute", "_knn_distances_kdtree"):
+            monkeypatch.setattr(csd, name, lambda p, q, k, name=name: calls.append(name))
+        _knn_distances(np.zeros((1024, 1)), np.zeros((pairs // 1024, 1)), 2)
+        assert calls == [path]
 
 
 class TestEstimateCsd:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uwloc import bounds as bounds_mod, channel, harness, signal as signal_mod
+from uwloc import bounds as bounds_mod, channel, csd, harness, signal as signal_mod
 from uwloc.cli import main
 from uwloc.errors import ConfigError, StageError
 from uwloc.harness import (
@@ -744,6 +744,28 @@ class TestRunExperiment:
         report = emit_outputs(first, tmp_path / "out")["report"].read_text()
         assert "  snr +0.0 dB: 14 of 40\n  snr +20.0 dB: 0 of 40\n" in report
 
+    @pytest.mark.parametrize("estimator", ["ml", "net"])
+    def test_both_knn_paths_write_the_same_curve(self, monkeypatch, tmp_path, estimator):
+        # 40 samples a side are searched pairwise; a pair limit of 0 sends
+        # every k-NN search to cKDTree instead.
+        data = tiny_config_dict(estimator=estimator, net=TINY_NET)
+        curves = []
+        for limit in (csd._EXACT_MAX_PAIRS, 0):
+            monkeypatch.setattr(csd, "_EXACT_MAX_PAIRS", limit)
+            result = run_experiment(config_from_dict(data), workers=1)
+            curves.append(emit_outputs(result, tmp_path / str(limit))["curve_csv"].read_bytes())
+        assert curves[0] == curves[1]
+
+    def test_divergence_rounding_below_zero_reads_zero(self):
+        # 8 dB/m leaves per-bin energies near 1e-31 of the source's, where the
+        # closed form's log sum rounds to about -2e-47; the run used to stop
+        # at point 0 with "delta2 must be >= 0".
+        data = tiny_config_dict()
+        for env in ("environment_q", "environment_p"):
+            data[env] = dict(data[env], absorption_db_per_m=8.0)
+        points = run_experiment(config_from_dict(data), workers=1).points
+        assert [p.delta2 >= 0.0 for p in points] == [True, True]
+
     def test_pooled_failure_names_its_stage(self, monkeypatch, tmp_path, capsys):
         data = tiny_config_dict()
         _, attenuation = derive_scene(config_from_dict(data))
@@ -913,8 +935,8 @@ def blas_threads():
 
 def loaded_before(counts, before):
     """counts for the libraries of before only: a run may be the first to load
-    a library (scipy's OpenBLAS, with the first k-NN estimate), whose count
-    it neither caps nor has to restore."""
+    a library (scipy's OpenBLAS, when a k-NN search above csd._EXACT_MAX_PAIRS
+    pairs loads cKDTree), whose count it neither caps nor has to restore."""
     return {library: counts[library] for library in before}
 
 
