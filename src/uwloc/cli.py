@@ -195,14 +195,14 @@ def _cmd_localize(args) -> int:
         if args.model is None:
             raise ConfigError("--method net needs --model")
         model = localize.load_model(args.model)
-        features = localize.extract_features(values, attenuation)
+        count = localize.feature_count(*values.shape[1:])
         width = model.layer_sizes()[0]
-        if features.shape[1] != width:
+        if count != width:
             raise ConfigError(
-                f"{args.data} gives {features.shape[1]} features per observation, "
+                f"{args.data} gives {count} features per observation, "
                 f"model {args.model} takes {width}"
             )
-        estimates = model.predict(features)
+        estimates = model.locate(values, attenuation)
     else:
         expected = (config.geometry.receivers.shape[0], config.n_bins)
         if values.shape[1:] != expected:

@@ -52,6 +52,9 @@ point 0's assembly, point 1's trials, and so on.
 Two ML threads share one GridEvaluator and its cached noise level: a
 point's q and p chunks use the same level, and a chunk at the next level
 replaces it without waiting for the other thread (see GridEvaluator).
+A net unit estimates its chunk with NetModel.locate, so its working set
+is the chunk's observations plus one row block's features and
+activations, whatever the chunk size.
 
 SNR accounting: the reported target SNR is average received signal power
 over noise power, so the noise power at a grid point is
@@ -491,7 +494,7 @@ def _estimate(state, obs: np.ndarray, noise_power: float) -> np.ndarray:
     if state["estimator"] == "ml":
         estimates = state["evaluator"].locate(obs, SIGNAL_POWER, noise_power)
     else:
-        estimates = state["model"].predict(extract_features(obs, state["attenuation"]))
+        estimates = state["model"].locate(obs, state["attenuation"])
     return estimates - state["source"][None, :]
 
 

@@ -513,6 +513,17 @@ class GridEvaluator:
 # ----------------------------------------------------------------------
 
 
+def _check_attenuation(attenuation: float) -> None:
+    # Written so that NaN fails too; +inf would give all-zero features.
+    if not 0.0 < attenuation < math.inf:
+        raise ConfigError(f"attenuation must be finite and > 0: {attenuation!r}")
+
+
+def feature_count(l_count: int, n_bins: int) -> int:
+    """Features per observation of L receivers and N bins, (L + L*L)*N."""
+    return (l_count + l_count * l_count) * n_bins
+
+
 def extract_features(observations, attenuation: float) -> np.ndarray:
     """Phase-invariant feature rows (T, F) of a (T, L, N) observation batch.
 
@@ -520,10 +531,10 @@ def extract_features(observations, attenuation: float) -> np.ndarray:
     all |x| (L*N), then the _receiver_spectra of x (L*L*N), each invariant
     to a common phase rotation. The rows are written into one (T, F)
     array; beside it the call holds the scaled copy of the batch and the
-    buffers of _receiver_spectra.
+    buffers of _receiver_spectra. A NaN, infinite or non-positive
+    attenuation raises ConfigError.
     """
-    if attenuation <= 0:
-        raise ConfigError("attenuation must be > 0")
+    _check_attenuation(attenuation)
     arr = np.asarray(observations, dtype=complex)
     if arr.ndim != 3:
         raise ValueError("observations must be (T, L, N)")
@@ -532,7 +543,7 @@ def extract_features(observations, attenuation: float) -> np.ndarray:
     feats = np.empty((t_count, l_count + l_count * l_count, n_bins))
     np.abs(scaled, out=feats[:, :l_count])
     _receiver_spectra(scaled, feats[:, l_count:])
-    return feats.reshape(t_count, -1)
+    return feats.reshape(t_count, feature_count(l_count, n_bins))
 
 
 @dataclass
@@ -555,6 +566,11 @@ class TrainingSet:
     @property
     def count(self) -> int:
         return self.features.shape[0]
+
+
+# Observations per block of NetModel.locate, bounding its (block, F)
+# features and activations.
+_NET_ROWS = 128
 
 
 @dataclass
@@ -581,15 +597,61 @@ class NetModel:
 
     def predict(self, features) -> np.ndarray:
         """Positions (T, 3) for a (T, F) feature batch."""
-        feats = np.asarray(features, dtype=float)
+        feats = np.array(features, dtype=float)
         if feats.ndim != 2 or feats.shape[1] != self.weights[0].shape[0]:
             raise ValueError(
                 f"features of shape {feats.shape} are not (count, "
                 f"{self.weights[0].shape[0]}) rows for this model"
             )
-        a = np.subtract(feats, self.feature_mean)
-        a /= self.feature_scale
-        _, out = _forward(a, self.weights, self.biases)
+        return self._positions(feats)
+
+    def locate(self, observations, attenuation: float) -> np.ndarray:
+        """Positions (T, 3) for a (T, L, N) observation batch.
+
+        This computes predict(extract_features(observations, attenuation)),
+        but the batch goes through in blocks of _NET_ROWS observations: each
+        block's features are extracted, standardized in their own buffer
+        and run through the net. Beyond the batch and the (T, 3) result a
+        call holds one block's features and activations, whatever T is.
+
+        A last block under _NET_ROWS // 2 rows takes the second half of the
+        block before it. So every block starts at a multiple of
+        _NET_ROWS // 2 and, unless it is the whole batch, holds at least
+        that many rows. BLAS rounds a GEMM row by where it falls in the
+        kernel's row tiles, and runs a product of one or a few rows on
+        other kernels; aligned blocks of that size keep each row where the
+        whole batch's GEMM has it. The rows match predict's bit for bit for
+        the default net (1280 -> 256 x 3 -> 3) and small ones at every T up
+        to 1 000 tried on OpenBLAS. From about 1 300 rows OpenBLAS runs the
+        whole batch's GEMM another way, and its rows differ from the
+        blocks' in the last bits; a first layer a few units wide behind
+        1280 inputs, run on its small-matrix kernel in blocks, can differ
+        as well.
+        """
+        _check_attenuation(attenuation)
+        obs = np.asarray(observations, dtype=complex)
+        width = self.weights[0].shape[0]
+        if obs.ndim != 3 or feature_count(*obs.shape[1:]) != width:
+            raise ValueError(
+                f"observations of shape {obs.shape} are not (count, L, N) "
+                f"with (L + L*L)*N = {width} for this model"
+            )
+        total = obs.shape[0]
+        out = np.empty((total, self.weights[-1].shape[1]))
+        starts = list(range(0, total, _NET_ROWS))
+        if len(starts) > 1 and total - starts[-1] < _NET_ROWS // 2:
+            starts[-1] -= _NET_ROWS // 2
+        for start, stop in zip(starts, starts[1:] + [total]):
+            out[start:stop] = self._positions(
+                extract_features(obs[start:stop], attenuation)
+            )
+        return out
+
+    def _positions(self, feats: np.ndarray) -> np.ndarray:
+        """Positions (T, 3) of raw feature rows, standardized in place in feats."""
+        feats -= self.feature_mean
+        feats /= self.feature_scale
+        _, out = _forward(feats, self.weights, self.biases)
         out *= self.target_scale
         out += self.target_mean
         np.clip(out, self.clip_lower, self.clip_upper, out=out)

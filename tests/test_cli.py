@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import uwloc
+from uwloc import localize
 from test_harness import TINY_NET, tiny_config_dict
 from uwloc.cli import main
 from uwloc.harness import parse_curve_csv, write_positions
@@ -248,6 +249,30 @@ class TestDataCommands:
         estimates = np.loadtxt(out / "estimates.csv", delimiter=",", skiprows=1)
         assert estimates.shape == (64, 3)
 
+    def test_localize_net_writes_the_whole_batch_bytes(self, tmp_path, monkeypatch):
+        # A dump of four row blocks, the last one a single row past a
+        # multiple of the block, against the whole-batch chain; 64 bins
+        # give 768 features into 256 units, where BLAS rounds a one-row
+        # product unlike a row of a larger one.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(tiny_config_dict(n_bins=64, net=dict(
+            train_size=64, hidden=[256, 256], epochs=2, batch_size=32))))
+        net_config_path = str(config_path)
+        count = 3 * localize._NET_ROWS + 1
+        data_dir, model_dir = tmp_path / "data", tmp_path / "model"
+        assert main(["gen-data", "--config", net_config_path, "--out", str(data_dir),
+                     "--count", str(count), "--snr-db", "15"]) == 0
+        assert main(["train", "--config", net_config_path, "--out", str(model_dir)]) == 0
+        command = ["localize", "--config", net_config_path, "--data", str(data_dir),
+                   "--method", "net", "--model", str(model_dir / "model.uwnet")]
+        assert main(command + ["--out", str(tmp_path / "blocks")]) == 0
+        monkeypatch.setattr(localize.NetModel, "locate", lambda model, obs, attenuation:
+                            model.predict(localize.extract_features(obs, attenuation)))
+        assert main(command + ["--out", str(tmp_path / "whole")]) == 0
+        blocks = (tmp_path / "blocks" / "estimates.csv").read_bytes()
+        assert blocks.count(b"\n") == count + 1
+        assert blocks == (tmp_path / "whole" / "estimates.csv").read_bytes()
+
     @staticmethod
     def malformed_labels(config_path, data_dir, labels):
         """A 20-observation dataset whose labels.csv is 5 rows short, 2 wide,
@@ -444,7 +469,7 @@ class TestDataCommands:
         (point,) = parse_curve_csv(out / "curve.csv")
         assert point.snr_db == 300.0 and math.isfinite(point.rmse_q)
 
-    def test_localize_rejects_dump_of_other_shape(self, tmp_path, capsys):
+    def test_localize_rejects_dump_of_other_shape(self, tmp_path, capsys, monkeypatch):
         # a 16-bin dump against the 8-bin config reached GridEvaluator.locate
         # and NetModel.predict, whose ValueError escaped with a traceback
         paths = {}
@@ -458,6 +483,11 @@ class TestDataCommands:
                      "--count", "3"]) == 0
         assert main(["train", "--config", str(paths[8]), "--out", str(model_dir)]) == 0
         capsys.readouterr()
+
+        def no_features(*args):
+            raise AssertionError("features formed before the width check")
+
+        monkeypatch.setattr(localize, "extract_features", no_features)
         for method, message in (("ml", "holds 3 receivers x 16 bins, the config 3 x 8"),
                                 ("net", "gives 192 features per observation")):
             out = tmp_path / f"loc-{method}"

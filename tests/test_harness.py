@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uwloc import bounds as bounds_mod, channel, csd, harness, signal as signal_mod
+from uwloc import bounds as bounds_mod, channel, csd, harness, localize, signal as signal_mod
 from uwloc.cli import main
 from uwloc.errors import ConfigError, StageError
 from uwloc.harness import (
@@ -55,6 +55,7 @@ from uwloc.harness import (
 )
 from uwloc.localize import GridEvaluator, GridSpec, extract_features
 from uwloc.signal import load_observations, response_stack_batch
+from test_localize import random_model
 
 
 def tiny_config_dict(**overrides):
@@ -285,6 +286,29 @@ class TestChunking:
             finally:
                 tracemalloc.stop()
             kept = training.features.nbytes + training.targets.nbytes
+            beyond.append(peak - base - kept)
+        assert abs(beyond[1] - beyond[0]) <= 1e6, beyond
+
+    def test_net_chunk_transient_does_not_grow(self):
+        # The net estimates a chunk one row block at a time, so what a
+        # trial chunk holds beyond its observations and its (T, 3) errors
+        # is the same at two blocks and at a whole chunk.
+        config = config_from_dict(tiny_config_dict(n_bins=64, estimator="net"))
+        state = _prepare_state(config)
+        state["model"] = random_model(
+            [localize.feature_count(3, 64), 256, 256, 256, 3], np.random.default_rng(5)
+        )
+        noise_power = hand_noise_power(state["attenuation"], 10.0)
+        beyond = []
+        for count in (2 * localize._NET_ROWS, TRIAL_CHUNK):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                errors = _trial_chunk(state, config.seed, 0, "q", noise_power, 0, count)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            kept = count * 3 * 64 * 16 + 2 * errors.nbytes  # observations, output
             beyond.append(peak - base - kept)
         assert abs(beyond[1] - beyond[0]) <= 1e6, beyond
 

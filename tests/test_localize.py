@@ -750,6 +750,14 @@ class TestExtractFeatures:
         with pytest.raises(ConfigError):
             extract_features(x, 0.0)
 
+    @pytest.mark.parametrize("attenuation", [math.nan, math.inf])
+    def test_rejects_non_finite_attenuation(self, attenuation):
+        # NaN passed the old `attenuation <= 0` test and gave NaN features;
+        # +inf gave all-zero features.
+        x = np.ones((2, 3, 4), dtype=complex)
+        with pytest.raises(ConfigError, match="attenuation must be finite and > 0"):
+            extract_features(x, attenuation)
+
     def test_rows_do_not_depend_on_the_batch(self):
         # One batch of 500 rows and the same rows one at a time, bit for bit:
         # the cross terms multiply their operands in one order at every size.
@@ -1048,6 +1056,77 @@ class TestTrainNet:
             fit(np.ones((4, 2)), np.ones((3, 3)), **net)
         with pytest.raises(TrainingError):
             fit(np.ones((4, 2)), np.ones((4, 3)), **(net | {"epochs": 0}))
+
+
+def random_model(sizes, rng):
+    """A NetModel of the given layer sizes with random parameters."""
+    weights = [rng.standard_normal((i, o)) * math.sqrt(2.0 / i)
+               for i, o in zip(sizes[:-1], sizes[1:])]
+    return NetModel(
+        weights=weights,
+        biases=[0.1 * rng.standard_normal(o) for o in sizes[1:]],
+        feature_mean=rng.standard_normal(sizes[0]),
+        feature_scale=rng.uniform(0.5, 2.0, sizes[0]),
+        target_mean=rng.uniform(0.0, 100.0, 3),
+        target_scale=rng.uniform(1.0, 20.0, 3),
+        clip_lower=np.full(3, -1e3),
+        clip_upper=np.full(3, 1e3),
+    )
+
+
+def complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestNetLocate:
+    BLOCK = localize._NET_ROWS
+
+    # The default net (4 receivers x 64 bins -> 1280 features, 256 x 3
+    # hidden) and a small one.
+    @pytest.mark.parametrize("l_count, n_bins, hidden", [
+        (4, 64, (256, 256, 256)),
+        (3, 8, (16, 8)),
+    ])
+    @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 500])
+    def test_equals_whole_batch_predict(self, l_count, n_bins, hidden, count):
+        rng = np.random.default_rng(count)
+        width = localize.feature_count(l_count, n_bins)
+        model = random_model([width, *hidden, 3], rng)
+        obs = complex_normal(rng, count, l_count, n_bins)
+        np.testing.assert_array_equal(
+            model.locate(obs, 0.37), model.predict(extract_features(obs, 0.37))
+        )
+
+    def test_blocks(self):
+        # Blocks of BLOCK rows; a last one under BLOCK // 2 rows takes the
+        # second half of the one before it.
+        rng = np.random.default_rng(3)
+        model = random_model([localize.feature_count(3, 8), 4, 3], rng)
+        block, half = self.BLOCK, self.BLOCK // 2
+        for count, want in ((3 * block + 1, [block, block, half, half + 1]),
+                            (3 * block + half, [block] * 3 + [half]),
+                            (half, [half]), (0, [])):
+            seen = []
+
+            def recording(obs, attenuation):
+                seen.append(obs.shape[0])
+                return extract_features(obs, attenuation)
+
+            with mock.patch.object(localize, "extract_features", recording):
+                got = model.locate(complex_normal(rng, count, 3, 8), 1.0)
+            assert got.shape == (count, 3)
+            assert seen == want
+
+    def test_rejects_bad_inputs(self):
+        rng = np.random.default_rng(4)
+        model = random_model([localize.feature_count(3, 8), 4, 3], rng)
+        with pytest.raises(ValueError, match="= 96 for this model"):
+            model.locate(np.ones((2, 3, 16), dtype=complex), 1.0)
+        with pytest.raises(ValueError):
+            model.locate(np.ones((3, 8), dtype=complex), 1.0)
+        for attenuation in (math.nan, math.inf, 0.0):
+            with pytest.raises(ConfigError):
+                model.locate(np.ones((0, 3, 8), dtype=complex), attenuation)
 
 
 class TestModelIo:
