@@ -9,15 +9,9 @@ experiment harness tying them together.
 __version__ = "0.1.0"
 
 from .bounds import (
-    BlockForm,
     BoundEvaluation,
-    block_diagonalize,
-    build_covariance,
-    csd_exact,
     delta_squared_closed_form,
-    eigenvalues_closed_form,
     gamma_and_condition,
-    snr_limits,
     strong_bound,
     weak_bound,
 )
@@ -26,14 +20,12 @@ from .channel import (
     Geometry,
     arrivals_batch,
     average_attenuation,
-    stratified_delay,
 )
 from .csd import CsdEstimate, estimate_csd
 from .errors import (
     ConfigError,
     EstimationError,
     StageError,
-    StructureError,
     TrainingError,
 )
 from .harness import (
@@ -41,7 +33,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentResult,
     config_from_dict,
-    default_experiment_config,
     derive_seed,
     emit_outputs,
     generate_dataset,
@@ -54,7 +45,6 @@ from .localize import (
     GridSpec,
     NetModel,
     TrainingSet,
-    concentrated_loglikelihood,
     extract_features,
     load_model,
     save_model,

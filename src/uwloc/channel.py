@@ -220,23 +220,6 @@ class _SlownessTable:
         return np.where(steep, slant, flat)
 
 
-def stratified_delay(ssp, start, end) -> float:
-    """Travel time along the straight segment from start to end.
-
-    ssp is the (M, 2) breakpoint array; both endpoints must lie within the
-    water column covered by the profile.
-    """
-    ssp = np.asarray(ssp, dtype=float)
-    depth = float(ssp[-1, 0])
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
-    for point in (start, end):
-        if point[2] < 0 or point[2] > depth:
-            raise ValueError("path endpoint outside the water column")
-    table = _SlownessTable(ssp, depth)
-    return float(table.delay(np.linalg.norm(end - start), start[2], end[2]))
-
-
 def _image_table(water_depth: float, max_bounces: int):
     """Mirror-source bookkeeping for bounce counts 0..max_bounces.
 

@@ -29,12 +29,11 @@ from .errors import (
     ConfigError,
     EstimationError,
     StageError,
-    StructureError,
     TrainingError,
     finite,
 )
 
-_NUMERIC_ERRORS = (StageError, EstimationError, TrainingError, StructureError)
+_NUMERIC_ERRORS = (StageError, EstimationError, TrainingError)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -143,14 +143,14 @@ def estimate_csd(samples_p, samples_q, k: int) -> CsdEstimate:
     Returns a CsdEstimate; see the module docstring for the estimator and
     the duplicate-exclusion policy.
     """
+    if k < 2:
+        raise ConfigError(f"k must be >= 2, got {k}")
     pts_p = _as_points(samples_p)
     pts_q = _as_points(samples_q)
     if pts_p.shape[1] != pts_q.shape[1]:
         raise EstimationError("sample sets disagree on dimension")
     n, d = pts_p.shape
     m = pts_q.shape[0]
-    if k < 2:
-        raise EstimationError("k must be >= 2")
     if n < k + 1:
         raise EstimationError(f"need at least k+1={k + 1} samples of P, got {n}")
     if m < k:

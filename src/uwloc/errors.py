@@ -24,7 +24,8 @@ class ConfigError(ValueError):
 
 
 class StructureError(ValueError):
-    """A matrix claimed to be block-structured is not."""
+    """A matrix claimed to be block-structured is not (bounds.block_diagonalize,
+    a test reference that no command calls)."""
 
 
 class EstimationError(ValueError):

@@ -110,7 +110,7 @@ DEFAULT_SNR_DB = tuple(range(-10, 31, 2))
 # side, sigma^2 is the attenuation times 1e-30 to 1e30, which leaves
 # attenuations and node energies from about 1e-124 to 1e124.
 _SNR_DB_LIMIT = 300.0
-# The attenuations that derivation leaves.
+# The average attenuations that derive_scene accepts.
 _ATTENUATION_RANGE = (1e-124, 1e124)
 
 def derive_seed(master: int, stage: str, index: int) -> np.random.SeedSequence:
@@ -614,7 +614,8 @@ def derive_scene(config: ExperimentConfig) -> tuple:
 
     source is config.source, or a uniform draw over the search volume from
     the "source" stream; attenuation is the presumed environment's average
-    attenuation over the volume from the "attenuation" stream.
+    attenuation over the volume from the "attenuation" stream, ConfigError
+    outside _ATTENUATION_RANGE.
     """
     if config.source is None:
         rng = np.random.default_rng(derive_seed(config.seed, "source", 0))
@@ -627,6 +628,7 @@ def derive_scene(config: ExperimentConfig) -> tuple:
         sample_count=config.attenuation_samples,
         rng_seed=derive_seed(config.seed, "attenuation", 0),
     )
+    _check_attenuation(attenuation, "environment_q")
     return source, attenuation
 
 
@@ -642,13 +644,18 @@ def noise_level(attenuation: float, snr_db: float) -> float:
     return power
 
 
-def _check_levels(noise_power: float, attenuation: float, label: str) -> None:
-    """ConfigError unless attenuation lies in _ATTENUATION_RANGE and noise_power
-    within _SNR_DB_LIMIT dB of the signal, as noise_level forms it at the limits."""
+def _check_attenuation(attenuation: float, label: str) -> None:
+    """ConfigError unless attenuation lies in _ATTENUATION_RANGE."""
     low, high = _ATTENUATION_RANGE
     if not low <= attenuation <= high:
         raise ConfigError(f"{label} needs a finite, positive attenuation from {low:g} "
                           f"to {high:g}, got {attenuation!r}")
+
+
+def _check_levels(noise_power: float, attenuation: float, label: str) -> None:
+    """ConfigError unless attenuation lies in _ATTENUATION_RANGE and noise_power
+    within _SNR_DB_LIMIT dB of the signal, as noise_level forms it at the limits."""
+    _check_attenuation(attenuation, label)
     low, high = (noise_level(attenuation, db) for db in (_SNR_DB_LIMIT, -_SNR_DB_LIMIT))
     if not low <= noise_power <= high:
         raise ConfigError(f"{label} needs a finite, positive noise power within "
@@ -1034,61 +1041,3 @@ def simulate(config: ExperimentConfig, count: int, snr_db: float,
     )
     return source
 
-
-def default_experiment_config() -> dict:
-    """Documented shallow-water scenario with a moderate environment mismatch.
-
-    The presumed environment is a 100 m column with a mild downward
-    gradient and a 0.6 bottom reflection. The actual environment differs
-    the way a survey can be wrong: 2 m shallower, sound speed off by about
-    2 m/s with a different profile shape, and a softer bottom (0.5). The
-    perturbation shifts multipath delays by a fraction of a cycle at the
-    band edge, so the peak of the presumed-model search surface stays in
-    the correct grid cell at high SNR while its shape degrades through the
-    threshold region.
-    """
-    return {
-        "environment_q": {
-            "water_depth": 100.0,
-            "ssp": [[0.0, 1510.0], [40.0, 1500.0], [100.0, 1490.0]],
-            "surface_reflection": [-0.95, 0.0],
-            "bottom_reflection": [0.6, 0.0],
-            "absorption_db_per_m": 5e-4,
-            "ray_budget": 6,
-        },
-        "environment_p": {
-            "water_depth": 98.0,
-            "ssp": [[0.0, 1512.0], [40.0, 1498.5], [98.0, 1489.0]],
-            "surface_reflection": [-0.95, 0.0],
-            "bottom_reflection": [0.5, 0.0],
-            "absorption_db_per_m": 5e-4,
-            "ray_budget": 6,
-        },
-        "geometry": {
-            "receivers": [
-                [0.0, 0.0, 30.0],
-                [600.0, 0.0, 40.0],
-                [0.0, 600.0, 50.0],
-                [600.0, 600.0, 35.0],
-            ],
-            "volume": [[150.0, 150.0, 20.0], [450.0, 450.0, 80.0]],
-        },
-        "n_bins": 64,
-        "sample_period": 0.016,
-        "snr_db": [float(v) for v in range(-10, 20, 2)],
-        "trials": 10000,
-        "estimator": "ml",
-        "grid": {"counts": [31, 31, 7], "peak_interpolation": True},
-        "net": {
-            "train_size": 6000,
-            "train_snr_db": 16.0,
-            "hidden": [256, 256, 256],
-            "epochs": 40,
-            "batch_size": 256,
-            "learning_rate": 1e-3,
-        },
-        "csd_k": 5,
-        "seed": 20260814,
-        "source": None,
-        "attenuation_samples": 2048,
-    }

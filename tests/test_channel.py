@@ -18,7 +18,6 @@ from uwloc.channel import (
     arrivals_batch,
     average_attenuation,
     box_distance,
-    stratified_delay,
 )
 from uwloc.errors import ConfigError
 from uwloc.harness import ExperimentConfig, config_from_dict, config_to_dict
@@ -45,6 +44,15 @@ def layered_env(budget=6):
         absorption_db_per_m=2e-4,
         ray_budget=budget,
     )
+
+
+def table_delay(env, start, end):
+    """The slowness table's straight-ray travel time from start to end, both
+    inside env's water column: the delay arrivals_batch gives each path."""
+    start = np.asarray(start, float)
+    end = np.asarray(end, float)
+    table = channel._SlownessTable(env.ssp, env.water_depth)
+    return float(table.delay(np.linalg.norm(end - start), start[2], end[2]))
 
 
 def _delay_oracle(env, start, end):
@@ -187,19 +195,19 @@ class TestStratifiedDelay:
         start = [0.0, 0.0, 10.0]
         end = [300.0, 40.0, 90.0]
         dist = np.linalg.norm(np.subtract(end, start))
-        assert stratified_delay(env.ssp, start, end) == pytest.approx(
+        assert table_delay(env, start, end) == pytest.approx(
             dist / 1500.0, rel=1e-14
         )
 
     def test_horizontal_path(self):
         env = layered_env()
         # c at 30 m is the breakpoint value 1495
-        got = stratified_delay(env.ssp, [0.0, 0.0, 30.0], [500.0, 0.0, 30.0])
+        got = table_delay(env, [0.0, 0.0, 30.0], [500.0, 0.0, 30.0])
         assert got == pytest.approx(500.0 / 1495.0, rel=1e-12)
 
     def test_vertical_two_layer(self):
         env = layered_env()
-        got = stratified_delay(env.ssp, [0.0, 0.0, 0.0], [0.0, 0.0, 100.0])
+        got = table_delay(env, [0.0, 0.0, 0.0], [0.0, 0.0, 100.0])
         want = _delay_oracle(env, [0.0, 0.0, 0.0], [0.0, 0.0, 100.0])
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -211,14 +219,9 @@ class TestStratifiedDelay:
             end = rng.uniform([0, 0, 0], [800, 800, 100])
             if abs(end[2] - start[2]) < 1e-6:
                 end[2] = start[2] + 5.0
-            got = stratified_delay(env.ssp, start, end)
+            got = table_delay(env, start, end)
             want = _delay_oracle(env, start, end)
             assert got == pytest.approx(want, rel=1e-9)
-
-    def test_endpoint_outside_column_raises(self):
-        env = layered_env()
-        with pytest.raises(ValueError):
-            stratified_delay(env.ssp, [0, 0, -5.0], [10, 0, 50.0])
 
 
 class TestImageMethod:
@@ -290,9 +293,7 @@ class TestImageMethod:
         frac = src[2] / (src[2] + rcv[2])  # fold point by similar triangles
         fold = src + frac * (rcv - src)
         fold[2] = 0.0
-        legs = stratified_delay(env.ssp, src, fold) + stratified_delay(
-            env.ssp, fold, rcv
-        )
+        legs = table_delay(env, src, fold) + table_delay(env, fold, rcv)
         assert surface_delay == pytest.approx(legs, rel=1e-12)
 
     def test_gain_magnitudes_with_equal_reflection_strengths(self):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -94,6 +95,23 @@ class TestExitCodes:
 
 
 class TestExperimentCommand:
+    @pytest.mark.parametrize("command", ["experiment", "train"])
+    def test_attenuation_outside_the_dump_range_exits_2(self, tmp_path, capsys,
+                                                        command):
+        # 14 dB/m leaves an average attenuation of 3e-135, below the range
+        # every dump writer accepts and the scorer's weights stay finite in
+        data = tiny_config_dict(net=TINY_NET)
+        for env in ("environment_q", "environment_p"):
+            data[env] = dict(data[env], absorption_db_per_m=14.0)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "environment_q needs a finite, positive attenuation" in err
+        assert re.search(r"got 3\.02\d*e-135\n", err)
+        assert not out.exists()
+
     def test_writes_deterministic_curve(self, config_path, tmp_path, capsys):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -576,6 +594,23 @@ class TestAnalysisCommands:
         payload = json.loads((out / "csd.json").read_text())
         assert payload["n"] == 400 and payload["m"] == 500 and payload["k"] == 4
         assert payload["clamped"] >= 0.0
+
+    @pytest.mark.parametrize("command", ["bound", "estimate-csd"])
+    def test_k_below_two_is_a_config_error(self, config_path, tmp_path, capsys,
+                                           command):
+        # k is a parameter, not a sample count: --k 1 is a config problem, as
+        # csd_k 1 in a config is
+        rng = np.random.default_rng(5)
+        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+        np.savetxt(a_path, rng.standard_normal((50, 3)), delimiter=",")
+        np.savetxt(b_path, rng.standard_normal((50, 3)), delimiter=",")
+        files = (["--config", config_path, "--errors-q", str(a_path),
+                  "--errors-p", str(b_path)] if command == "bound"
+                 else ["--samples-p", str(a_path), "--samples-q", str(b_path)])
+        out = tmp_path / "out"
+        assert main([command, *files, "--k", "1", "--out", str(out)]) == 2
+        assert "k must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_numeric_sample_files_exit_2(self, config_path, tmp_path, capsys):
         # an x,y,z header, as write_positions writes one, made np.loadtxt's

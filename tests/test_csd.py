@@ -204,7 +204,8 @@ class TestEstimateCsd:
         rng = np.random.default_rng(8)
         p = rng.standard_normal((20, 1))
         q = rng.standard_normal((20, 1))
-        with pytest.raises(EstimationError):
+        # k is a parameter, not a sample count: below 2 it is a config problem
+        with pytest.raises(ConfigError, match="k must be >= 2, got 1"):
             estimate_csd(p, q, k=1)
         with pytest.raises(EstimationError):
             estimate_csd(p[:4], q, k=5)

@@ -42,7 +42,6 @@ from uwloc.harness import (
     build_training_set,
     config_from_dict,
     config_to_dict,
-    default_experiment_config,
     derive_scene,
     derive_seed,
     emit_outputs,
@@ -56,6 +55,16 @@ from uwloc.harness import (
 from uwloc.localize import GridEvaluator, GridSpec, extract_features
 from uwloc.signal import load_observations, response_stack_batch
 from test_localize import random_model
+
+
+# The documented scenario: what the acceptance criteria, the benchmark and
+# the README's commands run.
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "experiment_default.json"
+
+
+def default_config_dict() -> dict:
+    """The documented scenario's JSON, for a test that edits it."""
+    return json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8"))
 
 
 def tiny_config_dict(**overrides):
@@ -412,7 +421,7 @@ class TestConfig:
         # the writer's output reads back to the same config, through JSON
         # that holds no NaN or infinity
         path = tmp_path / "config.json"
-        for raw in (tiny_config_dict(), default_experiment_config()):
+        for raw in (tiny_config_dict(), default_config_dict()):
             data = config_to_dict(config_from_dict(raw))
             assert config_to_dict(config_from_dict(data)) == data
             path.write_text(json.dumps(data, allow_nan=False))
@@ -471,12 +480,8 @@ class TestConfig:
     def test_shipped_snr_grids_lie_in_the_scorer_range(self):
         edges = config_from_dict(tiny_config_dict(snr_db=[-300, 300])).snr_db
         assert edges == (-300.0, 300.0)
-        shipped = json.loads(
-            (Path(__file__).parent.parent / "configs" / "experiment_default.json")
-            .read_text(encoding="utf-8")
-        )["snr_db"]
-        for grid in (DEFAULT_SNR_DB, shipped, default_experiment_config()["snr_db"],
-                     tiny_config_dict()["snr_db"]):
+        shipped = default_config_dict()["snr_db"]
+        for grid in (DEFAULT_SNR_DB, shipped, tiny_config_dict()["snr_db"]):
             assert max(abs(db) for db in grid) <= 300.0
 
     def test_bad_value_is_config_error(self):
@@ -594,7 +599,7 @@ class TestConfig:
 
     def test_string_snr_grid_is_not_read_per_character(self):
         # "10" used to become the SNR grid (1.0, 0.0).
-        data = dict(default_experiment_config(), snr_db="10")
+        data = dict(default_config_dict(), snr_db="10")
         with pytest.raises(ConfigError, match="JSON array"):
             config_from_dict(data)
         data["snr_db"] = [10]
@@ -664,17 +669,11 @@ class TestConfig:
         assert dataclasses.replace(config, seed=5).seed == 5
 
     def test_default_config_is_valid(self):
-        config = config_from_dict(default_experiment_config())
+        config = load_config(DEFAULT_CONFIG)
         assert config.estimator == "ml"
         assert len(config.snr_db) == 15
         assert config.trials == 10000
         np.testing.assert_array_equal(config.grid.lower, config.geometry.volume[0])
-
-    def test_default_config_file_matches_default_scenario(self):
-        # The benchmark reads the file, the acceptance tests the function.
-        configs = Path(__file__).resolve().parent.parent / "configs"
-        saved = json.loads((configs / "experiment_default.json").read_text())
-        assert saved == default_experiment_config()
 
 
 class TestStageError:
