@@ -140,6 +140,9 @@ def estimate_csd(samples_p, samples_q, k: int) -> CsdEstimate:
     samples_q: (m, d) draws from Q.
     k: neighbor order, >= 2 (the bias correction needs k - 1 > 0).
 
+    A k below 2 or sets of different dimension are a ConfigError, the
+    caller's input; too few samples, or none left, an EstimationError.
+
     Returns a CsdEstimate; see the module docstring for the estimator and
     the duplicate-exclusion policy.
     """
@@ -148,7 +151,9 @@ def estimate_csd(samples_p, samples_q, k: int) -> CsdEstimate:
     pts_p = _as_points(samples_p)
     pts_q = _as_points(samples_q)
     if pts_p.shape[1] != pts_q.shape[1]:
-        raise EstimationError("sample sets disagree on dimension")
+        raise ConfigError(
+            f"sample sets disagree on dimension: {pts_p.shape[1]} and {pts_q.shape[1]}"
+        )
     n, d = pts_p.shape
     m = pts_q.shape[0]
     if n < k + 1:
@@ -173,8 +178,8 @@ def estimate_csd(samples_p, samples_q, k: int) -> CsdEstimate:
 
 def load_samples(path) -> np.ndarray:
     """Read a (count, dim) point cloud from a comma-separated file, one point
-    per row; ConfigError if the file holds no rows or is not all numbers (a
-    header line too)."""
+    per row; ConfigError if the file holds no rows, is not all numbers (a
+    header line too) or holds a NaN or infinite entry."""
     try:
         with warnings.catch_warnings():
             # loadtxt only warns on a file with no rows; make that an error.
@@ -184,4 +189,7 @@ def load_samples(path) -> np.ndarray:
         raise ConfigError(f"{path} holds no samples") from exc
     except ValueError as exc:
         raise ConfigError(f"{path} is not a numeric comma-separated file: {exc}") from exc
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"{path} holds a non-finite sample in row {int(np.argmin(finite)) + 1}")
     return _as_points(pts)

@@ -23,11 +23,6 @@ class ConfigError(ValueError):
     """
 
 
-class StructureError(ValueError):
-    """A matrix claimed to be block-structured is not (bounds.block_diagonalize,
-    a test reference that no command calls)."""
-
-
 class EstimationError(ValueError):
     """Divergence estimation asked for with too few samples."""
 

@@ -759,10 +759,13 @@ def run_experiment(
 ) -> ExperimentResult:
     """Sweep the SNR grid and assemble curve points plus metadata.
 
-    progress, if given, is called with one status string per finished stage.
-    Failures inside a stage surface as StageError carrying the stage name
-    and the master seed; a ConfigError passes through unchanged.
+    workers is a whole number >= 1, else ConfigError. progress, if given,
+    is called with one status string per finished stage. Failures inside a
+    stage surface as StageError carrying the stage name and the master
+    seed; a ConfigError passes through unchanged.
     """
+    if whole(workers, "workers") < 1:
+        raise ConfigError(f"'workers' must be >= 1, got {workers}")
     started = time.monotonic()
     _one_malloc_arena()
 

@@ -3,8 +3,10 @@
 Positions are (x, y, z) in meters, z positive down, matching the channel
 module. The ML path scores candidate positions with the concentrated
 log-likelihood of the stacked observation under the rank-one-per-bin
-Gaussian model; additive terms that do not depend on the candidate are
-dropped. Ties on the grid resolve to the lowest linear node index.
+Gaussian model, -log det(cov) - x^H inv(cov) x with cov the candidate's
+observation covariance; additive terms that do not depend on the
+candidate are dropped, so no covariance is formed. Ties on the grid
+resolve to the lowest linear node index.
 
 That score is linear in the per-bin receiver auto and cross spectra of the
 observation, so GridEvaluator screens a chunk of T observations over G
@@ -95,32 +97,6 @@ class GridSpec:
     def quantization_floor(self) -> float:
         """RMS error of rounding a uniform position to the nearest node."""
         return float(np.linalg.norm(self.steps()) / math.sqrt(12.0))
-
-
-def concentrated_loglikelihood(
-    observation, stack, signal_power: float, noise_power: float
-) -> float:
-    """Candidate-position log-likelihood, position-independent terms dropped.
-
-    observation: (L, N) complex array of received bins.
-    stack: (L, N) response array for the candidate.
-
-    Equals -log det(cov) - x^H inv(cov) x up to an additive constant that
-    does not depend on the candidate response.
-    """
-    if noise_power <= 0:
-        raise ValueError("noise power must be > 0")
-    if signal_power < 0:
-        raise ValueError("signal power must be >= 0")
-    x = np.asarray(observation, dtype=complex)
-    h = np.asarray(stack, dtype=complex)
-    if x.shape != h.shape:
-        raise ValueError("observation and response stack shapes disagree")
-    inner = np.sum(np.conj(h) * x, axis=0)
-    energy = np.sum(np.abs(h) ** 2, axis=0)
-    gain = signal_power * energy + noise_power
-    score = signal_power * np.abs(inner) ** 2 / (noise_power * gain) - np.log(gain)
-    return float(np.sum(score))
 
 
 # Unit roundoff and smallest normal of float32, for the screen's error bound.
@@ -219,7 +195,8 @@ class GridEvaluator:
 
     Build once per (environment, receivers, grid) from the (G, L, N)
     candidate responses h; locate() then scores any number of observations
-    x against them. The score of node g is concentrated_loglikelihood's
+    x against them. The score of node g is the module's concentrated
+    log-likelihood,
 
         S_g(x) = sum_k w_gk |h_gk^H x_k|^2 - offset_g,
         w = s / (sigma^2 gain),  gain = s |h|^2 + sigma^2,
@@ -365,14 +342,15 @@ class GridEvaluator:
         """Grid argmax position (T, 3) for each of a (T, L, N) batch.
 
         With spec.peak_interpolation, each interior peak axis gets a
-        parabolic sub-step correction clamped to half a step. An
-        observation with a NaN or infinite entry raises ValueError naming
-        the first such trial.
+        parabolic sub-step correction clamped to half a step. A noise
+        power outside (0, inf) or a signal power outside [0, inf), NaN
+        included, raises ValueError naming it; so does an observation with
+        a NaN or infinite entry, naming the first such trial.
         """
-        if noise_power <= 0:
-            raise ValueError("noise power must be > 0")
-        if signal_power < 0:
-            raise ValueError("signal power must be >= 0")
+        if not 0 < noise_power < math.inf:
+            raise ValueError(f"noise power must be finite and > 0, got {noise_power!r}")
+        if not 0 <= signal_power < math.inf:
+            raise ValueError(f"signal power must be finite and >= 0, got {signal_power!r}")
         obs = np.asarray(observations, dtype=complex)
         if obs.ndim != 3 or obs.shape[1:] != self.stacks.shape[1:]:
             raise ValueError("observations must be (T, L, N) matching the stacks")

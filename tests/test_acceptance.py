@@ -16,14 +16,7 @@ import numpy as np
 import pytest
 
 from uwloc import channel
-from uwloc.bounds import (
-    block_diagonalize,
-    build_covariance,
-    csd_exact,
-    delta_squared_closed_form,
-    eigenvalues_closed_form,
-    snr_limits,
-)
+from uwloc.bounds import delta_squared_closed_form
 from uwloc.csd import estimate_csd
 from uwloc.harness import (
     build_training_set,
@@ -34,6 +27,13 @@ from uwloc.harness import (
 )
 from uwloc.localize import extract_features, train_net
 from uwloc.signal import load_observations
+from oracles import (
+    block_diagonalize,
+    build_covariance,
+    csd_exact,
+    eigenvalues_closed_form,
+    snr_limits,
+)
 from test_harness import DEFAULT_CONFIG, default_config_dict
 
 

@@ -9,18 +9,21 @@ from hypothesis import strategies as st
 
 from uwloc.bounds import (
     BOUNDARY_RTOL,
-    block_diagonalize,
-    build_covariance,
-    csd_exact,
     delta_squared_closed_form,
-    eigenvalues_closed_form,
     gamma_and_condition,
-    interleave_permutation,
-    snr_limits,
     strong_bound,
     weak_bound,
 )
-from uwloc.errors import EstimationError, StructureError
+from uwloc.errors import EstimationError
+from oracles import (
+    StructureError,
+    block_diagonalize,
+    build_covariance,
+    csd_exact,
+    eigenvalues_closed_form,
+    interleave_permutation,
+    snr_limits,
+)
 
 
 def random_stack(rng, l_count=2, n_bins=3):

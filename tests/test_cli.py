@@ -630,6 +630,43 @@ class TestAnalysisCommands:
             assert err.count("\n") == 1 and f"{headed} is not a numeric" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bound", "estimate-csd"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_sample_file_exits_2(self, config_path, tmp_path, capsys,
+                                            command, bad):
+        # exited 3 with "samples must be finite", naming no file
+        rng = np.random.default_rng(6)
+        numeric, flawed = tmp_path / "numeric.csv", tmp_path / "flawed.csv"
+        np.savetxt(numeric, rng.standard_normal((50, 3)), delimiter=",")
+        rows = rng.standard_normal((50, 3)).astype(object)
+        rows[7, 1] = bad
+        flawed.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+        files = (["--config", config_path, "--errors-q", str(numeric),
+                  "--errors-p", str(flawed)] if command == "bound"
+                 else ["--samples-p", str(flawed), "--samples-q", str(numeric)])
+        out = tmp_path / "out"
+        assert main([command, *files, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{flawed} holds a non-finite sample in row 8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bound", "estimate-csd"])
+    def test_sample_files_of_different_dimension_exit_2(self, config_path, tmp_path,
+                                                        capsys, command):
+        # exited 3, the code for too few samples
+        rng = np.random.default_rng(7)
+        wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
+        np.savetxt(wide, rng.standard_normal((50, 3)), delimiter=",")
+        np.savetxt(narrow, rng.standard_normal((50, 2)), delimiter=",")
+        files = (["--config", config_path, "--errors-q", str(wide),
+                  "--errors-p", str(narrow)] if command == "bound"
+                 else ["--samples-p", str(narrow), "--samples-q", str(wide)])
+        out = tmp_path / "out"
+        assert main([command, *files, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "sample sets disagree on dimension: 2 and 3" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("content", ["", "\n\n"])
     def test_empty_sample_file_exits_2(self, config_path, tmp_path, capsys, content):
         # np.loadtxt warned "input contained no data" and the empty array

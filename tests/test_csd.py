@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwloc import csd
-from uwloc.bounds import csd_exact
 from uwloc.csd import (
     _knn_distances,
     _knn_distances_brute,
@@ -18,6 +17,7 @@ from uwloc.csd import (
     load_samples,
 )
 from uwloc.errors import ConfigError, EstimationError
+from oracles import csd_exact
 
 
 def gaussian_1d(rng, n, std):

@@ -720,6 +720,12 @@ class TestPeakMemory:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("workers", [0, -1, True])
+    def test_rejects_a_worker_count_below_one(self, workers):
+        # 0 used to divide by zero in _core_share, and -1 ran the sweep.
+        with pytest.raises(ConfigError, match="'workers' must be"):
+            run_experiment(config_from_dict(tiny_config_dict()), workers=workers)
+
     def test_deterministic_and_worker_invariant(self):
         first = run_experiment(config_from_dict(tiny_config_dict()), workers=1)
         again = run_experiment(config_from_dict(tiny_config_dict()), workers=1)

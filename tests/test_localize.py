@@ -22,7 +22,6 @@ from uwloc.localize import (
     GridSpec,
     NetModel,
     TrainingSet,
-    concentrated_loglikelihood,
     extract_features,
     load_model,
     save_model,
@@ -30,6 +29,7 @@ from uwloc.localize import (
 )
 from uwloc.harness import observation_chunks
 from uwloc.signal import response_stack, response_stack_batch
+from oracles import concentrated_loglikelihood
 
 SAMPLE_PERIOD = 0.016
 N_BINS = 16
@@ -314,6 +314,20 @@ class TestGridEvaluator:
         evaluator = GridEvaluator(spec, np.ones((3, 2, 4), dtype=complex))
         with pytest.raises(ValueError):
             evaluator.locate(np.ones((1, 2, 4)), -1.0, 1.0)
+
+    @pytest.mark.parametrize("signal_power, noise_power, named", [
+        (1.0, np.nan, "noise power must be finite and > 0, got nan"),
+        (1.0, np.inf, "noise power must be finite and > 0, got inf"),
+        (1.0, 0.0, "noise power must be finite and > 0, got 0.0"),
+        (np.nan, 1.0, "signal power must be finite and >= 0, got nan"),
+        (np.inf, 1.0, "signal power must be finite and >= 0, got inf"),
+    ], ids=["noise-nan", "noise-inf", "noise-zero", "signal-nan", "signal-inf"])
+    def test_rejects_non_finite_powers(self, signal_power, noise_power, named):
+        # A NaN or infinite power used to locate every trial at node 0.
+        spec = GridSpec([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3, 1, 1], False)
+        evaluator = GridEvaluator(spec, np.ones((3, 2, 4), dtype=complex))
+        with pytest.raises(ValueError, match=named):
+            evaluator.locate(np.ones((1, 2, 4)), signal_power, noise_power)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite_observation(self, bad):

@@ -21,6 +21,7 @@ from uwloc.signal import (
     response_stack_batch,
     save_observations,
 )
+from oracles import build_covariance
 
 
 def draw(h, noise_power, count, master=0):
@@ -315,8 +316,6 @@ class TestSynthesize:
         np.testing.assert_allclose(cov, noise_power * np.eye(l_count), atol=0.02 * noise_power)
 
     def test_full_model_covariance(self):
-        from uwloc.bounds import build_covariance
-
         rng = np.random.default_rng(77)
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         noise_power, draws = 0.6, 20000
